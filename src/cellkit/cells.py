@@ -18,6 +18,7 @@ from .groups import ElementSet, Group, generated_subgroup, is_subgroup, iter_bit
 from .setops import product
 
 ENUMERATION_CAP = 20
+MAX_MASK_ORDER = 64
 _MEMO_LIMIT = 512
 
 
@@ -77,6 +78,33 @@ def left_translate_masks(g: Group, s_bits: int) -> list[int]:
             m |= 1 << row[b]
         out.append(m)
     return out
+
+
+def mask_dtype(order: int) -> type:
+    """The numpy dtype holding one subset mask: uint32 to order 31, uint64 to 64."""
+    if order > MAX_MASK_ORDER:
+        raise ValueError(f"subset masks of order {order} do not fit a {MAX_MASK_ORDER}-bit integer")
+    return np.uint32 if order <= 31 else np.uint64
+
+
+def product_masks(lt: list[int], t: np.ndarray) -> np.ndarray:
+    """Elementwise T*S over an array of T masks, given the translates lt[z] = z*S."""
+    dtype = t.dtype.type
+    p = np.zeros_like(t)
+    for z, m in enumerate(lt):
+        sel = ((t >> dtype(z)) & dtype(1)).astype(bool)
+        p |= np.where(sel, dtype(m), dtype(0))
+    return p
+
+
+def closure_masks(lt: list[int], a: np.ndarray) -> np.ndarray:
+    """Elementwise {z : z*S subset of A} over an array of masks A."""
+    dtype = a.dtype.type
+    x = np.zeros_like(a)
+    for z, m in enumerate(lt):
+        m = dtype(m)
+        x |= ((a & m) == m).astype(dtype) << dtype(z)
+    return x
 
 
 def _require_identity(s: ElementSet) -> None:
@@ -163,17 +191,12 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
             f"exhaustive enumeration sweeps 2^{n} candidate products; refusing order {n} above cap {cap}"
         )
     lt = left_translate_masks(g, s_bits)
-    dtype = np.uint32 if n <= 31 else np.uint64
+    dtype = mask_dtype(n)
     total = 1 << n
     chunk = min(total, 1 << 18)
     parts = []
     for start in range(0, total, chunk):
-        a = np.arange(start, start + chunk, dtype=dtype)
-        x = np.zeros(len(a), dtype=dtype)
-        for z in range(n):
-            m = dtype(lt[z])
-            x |= ((a & m) == m).astype(dtype) << dtype(z)
-        parts.append(np.unique(x))
+        parts.append(np.unique(closure_masks(lt, np.arange(start, start + chunk, dtype=dtype))))
     cells = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
     out = []
     for xb in cells.tolist():

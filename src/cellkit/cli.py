@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 import time
@@ -18,6 +19,7 @@ from . import __version__
 from .cache import DiskCache, resolve_cache_dir
 from .cells import (
     ENUMERATION_CAP,
+    MAX_MASK_ORDER,
     CellRecord,
     EnumerationCapError,
     balandraud_details,
@@ -126,6 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_enum_cap(cap: int) -> None:
+    if cap > MAX_MASK_ORDER:
+        raise EnumerationCapError(
+            f"--enum-cap {cap} is above {MAX_MASK_ORDER}, the widest cell mask the enumeration holds")
+
+
 def _cell_row(rec: CellRecord, kernel_sizes: dict[int, int]) -> dict:
     return {
         "kind": "cell",
@@ -142,6 +150,7 @@ def _cell_row(rec: CellRecord, kernel_sizes: dict[int, int]) -> dict:
 
 
 def cmd_cells(args: argparse.Namespace) -> int:
+    _check_enum_cap(args.enum_cap)
     g = build_group(args.group, wide=args.wide)
     raw = parse_subset_spec(args.set, g)
     if not raw:
@@ -163,7 +172,9 @@ def cmd_cells(args: argparse.Namespace) -> int:
                                   cap=args.enum_cap)
         return [[r.cell.bits, r.product.bits] for r in records]
 
-    key = {"command": "cells", "version": __version__, "group": g.label, "s_bits": s.bits,
+    # keyed on the table, not the label: a cayley: file can change under its path
+    table = hashlib.sha256(g.mul_array().tobytes()).hexdigest()
+    key = {"command": "cells", "version": __version__, "table": table, "s_bits": s.bits,
            "umax": umax, "mode": args.mode, "samples": args.samples, "seed": args.seed}
     t0 = time.monotonic()
     pairs = cache.get_or_compute(key, compute) if cache else compute()
@@ -225,6 +236,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
 
 
 def cmd_subgroup(args: argparse.Namespace) -> int:
+    _check_enum_cap(args.enum_cap)
     g = build_group(args.group, wide=args.wide)
     raw = parse_subset_spec(args.set, g)
     if not raw:

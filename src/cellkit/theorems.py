@@ -6,6 +6,11 @@ sides), or NOT_APPLICABLE when a hypothesis fails. Statements proved only
 for abelian groups can be run on nonabelian groups in exploration mode,
 where a failed conclusion is reported as FINDING rather than VIOLATED.
 run_sweep drives the checkers over whole families of instances.
+
+Without a sink, the Kneser, Olson, cell-intersection and dichotomy sweeps
+take a numpy counting path: instances it settles are tallied in bulk, and
+only the rest reach the scalar checker, in instance order. With a sink,
+every instance goes through the scalar checker and yields one record.
 """
 
 from __future__ import annotations
@@ -15,20 +20,24 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .cells import (
     ENUMERATION_CAP,
+    MAX_MASK_ORDER,
     CellRecord,
     EnumerationCapError,
     balandraud_details,
+    closure_masks,
     enumerate_cells,
     is_cell,
     kernel_chain,
     kernels_at,
     left_translate_masks,
+    mask_dtype,
+    product_masks,
 )
 from .groups import ElementSet, Group, all_subgroups, build_group, is_subgroup, iter_bits, require_same_group
 from .setops import difference_counts, left_stabilizer, product
@@ -340,6 +349,10 @@ class SweepConfig:
             raise SweepConfigError(f"s_min must be at least 1, got {self.s_min}")
         if self.s_max is not None and self.s_max < self.s_min:
             raise SweepConfigError(f"s_max {self.s_max} is below s_min {self.s_min}")
+        if self.enumeration_cap > MAX_MASK_ORDER:
+            raise SweepConfigError(
+                f"enumeration cap {self.enumeration_cap} is above {MAX_MASK_ORDER}, "
+                f"the widest cell mask the enumeration holds")
 
 
 @dataclass
@@ -440,6 +453,33 @@ def _right_coset_masks(g: Group, h_bits: int) -> list[int]:
     return masks
 
 
+def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> np.ndarray:
+    """One row of right coset masks per subgroup, zero-padded to the longest row."""
+    rows = [_right_coset_masks(g, h) for h in subgroup_bits]
+    table = np.zeros((len(rows), max(len(r) for r in rows)), dtype=dtype)
+    for i, r in enumerate(rows):
+        table[i, :len(r)] = r
+    return table
+
+
+def _periodic(table: np.ndarray, idx: int | np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Elementwise HA = A, where H is the subgroup of row idx of a coset table.
+
+    A is H-periodic iff each right coset mask c of H meets A in 0 or in c;
+    the zero padding passes trivially. idx is one row or one row per element.
+    """
+    ok = np.ones(a.shape, dtype=bool)
+    for col in table.T:
+        c = col[idx]
+        q = a & c
+        ok &= (q == 0) | (q == c)
+    return ok
+
+
+# counting paths evaluate instances in numpy chunks of this many
+_CHUNK = 1 << 16
+
+
 def _product_size(g: Group, a_bits: int, b_bits: int) -> int:
     bits = 0
     for a in iter_bits(a_bits):
@@ -523,35 +563,121 @@ def _coset_unions(g: Group, h_bits: int) -> list[int]:
     return sorted(out[1:])
 
 
+def _olson_batch(g: Group, subgroup_bits: Sequence[int], hi: np.ndarray, ki: np.ndarray,
+                 x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized Olson evaluation of instances (H, K, X, Y) with H = subgroup_bits[hi].
+
+    Returns (applicable, holds): whether all four hypotheses hold, and
+    whether they do and both conclusions follow.
+    """
+    table = _coset_table(g, subgroup_bits, x.dtype.type)
+    applicable = (_periodic(table, hi, x) & _periodic(table, ki, y)
+                  & ~_periodic(table, ki, x) & ~_periodic(table, hi, y))
+    sizes = np.array([h.bit_count() for h in subgroup_bits], dtype=np.int32)
+    meets = np.array([[(h & k).bit_count() for k in subgroup_bits] for h in subgroup_bits],
+                     dtype=np.int32)
+    h_size, k_size, meet = sizes[hi], sizes[ki], meets[hi, ki]
+    dxy = np.bitwise_count(x & ~y).astype(np.int32)
+    dyx = np.bitwise_count(y & ~x).astype(np.int32)
+    ok = (dxy + dyx >= h_size + k_size - 2 * meet) & ((dxy >= h_size - meet) | (dyx >= k_size - meet))
+    return applicable, applicable & ok
+
+
+def _olson_chunks(unions: list[list[int]], cfg: SweepConfig, seed: int,
+                  dtype: type) -> Iterator[tuple[np.ndarray, ...]]:
+    """The sweep's Olson instances as arrays (hi, ki, x, y), in instance order.
+
+    unions[i] lists the coset unions of subgroup i. Sampled mode draws H, K,
+    X, Y in turn; exhaustive mode walks every subgroup pair and, within it,
+    the outer product of the coset unions. Chunks hold about _CHUNK instances.
+    """
+    if cfg.mode == "sampled":
+        rng = random.Random(f"{seed}|olson")
+        for start in range(0, cfg.samples, _CHUNK):
+            draws = []
+            for _ in range(min(_CHUNK, cfg.samples - start)):
+                hi = rng.randrange(len(unions))
+                ki = rng.randrange(len(unions))
+                hu, ku = unions[hi], unions[ki]
+                draws.append((hi, ki, hu[rng.randrange(len(hu))], ku[rng.randrange(len(ku))]))
+            hs, ks, xs, ys = zip(*draws)
+            yield (np.array(hs, dtype=np.intp), np.array(ks, dtype=np.intp),
+                   np.array(xs, dtype=dtype), np.array(ys, dtype=dtype))
+        return
+    arrays = [np.array(u, dtype=dtype) for u in unions]
+    parts, size = [], 0
+    for hi, xs in enumerate(arrays):
+        for ki, ys in enumerate(arrays):
+            rows = max(1, _CHUNK // len(ys))
+            for start in range(0, len(xs), rows):
+                block = xs[start:start + rows]
+                n = len(block) * len(ys)
+                parts.append((np.full(n, hi, dtype=np.intp), np.full(n, ki, dtype=np.intp),
+                              np.repeat(block, len(ys)), np.tile(ys, len(block))))
+                size += n
+                if size >= _CHUNK:
+                    yield tuple(np.concatenate(col) for col in zip(*parts))
+                    parts, size = [], 0
+    if parts:
+        yield tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     tag = Theorem.OLSON
     subs = all_subgroups(g)
-    unions = {h.bits: _coset_unions(g, h.bits) for h in subs}
-    if cfg.mode == "sampled":
-        rng = random.Random(f"{seed}|olson")
-        for _ in range(cfg.samples):
-            h = subs[rng.randrange(len(subs))]
-            k = subs[rng.randrange(len(subs))]
-            hu, ku = unions[h.bits], unions[k.bits]
-            x = ElementSet(g, hu[rng.randrange(len(hu))])
-            y = ElementSet(g, ku[rng.randrange(len(ku))])
-            state.add(g.label, check_olson(x, y, h, k))
-        return
-    per_side = sum(len(u) for u in unions.values())
-    if per_side * per_side > cfg.max_instances:
-        state.error(tag, g.label,
-                    f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
-        return
-    for h in subs:
-        for k in subs:
-            ku = unions[k.bits]
-            for x_bits in unions[h.bits]:
-                x = ElementSet(g, x_bits)
-                for y_bits in ku:
-                    state.add(g.label, check_olson(x, ElementSet(g, y_bits), h, k))
+    bits = [h.bits for h in subs]
+    unions = [_coset_unions(g, h) for h in bits]
+    if cfg.mode == "exhaustive":
+        per_side = sum(len(u) for u in unions)
+        if per_side * per_side > cfg.max_instances:
+            state.error(tag, g.label,
+                        f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
+            return
+    for hi, ki, x, y in _olson_chunks(unions, cfg, seed, mask_dtype(g.order)):
+        if state.sink is None:
+            # counting path: HOLDS and NOT_APPLICABLE are counted in bulk and
+            # only the rest reaches the scalar checker
+            applicable, holds = _olson_batch(g, bits, hi, ki, x, y)
+            state.bulk(tag, g.label, Status.NOT_APPLICABLE, len(x) - int(applicable.sum()))
+            state.bulk(tag, g.label, Status.HOLDS, int(holds.sum()))
+            scalar = np.nonzero(applicable & ~holds)[0]
+            hi, ki, x, y = hi[scalar], ki[scalar], x[scalar], y[scalar]
+        for h, k, xb, yb in zip(hi.tolist(), ki.tolist(), x.tolist(), y.tolist()):
+            state.add(g.label, check_olson(ElementSet(g, xb), ElementSet(g, yb), subs[h], subs[k]))
 
 
 # -- cell intersection sweep ----------------------------------------------
+
+def _count_intersections(g: Group, s: ElementSet, cells: list[CellRecord],
+                         state: _SweepState) -> bool:
+    """Counting path over every pair of cells of s, in pair order.
+
+    Empty intersections count as NOT_APPLICABLE and closed ones as HOLDS, in
+    bulk; any other pair goes to the scalar checker. Returns False, having
+    counted nothing, if some enumerated set is not a cell, so that the
+    caller's scalar loop raises on it.
+    """
+    tag = Theorem.CELL_INTERSECT
+    lt = left_translate_masks(g, s.bits)
+    bits = np.array([c.cell.bits for c in cells], dtype=mask_dtype(g.order))
+    if not (bits.all() and (closure_masks(lt, product_masks(lt, bits)) == bits).all()):
+        return False
+    m = len(bits)
+    step = max(1, _CHUNK // max(m, 1))
+    for start in range(0, m - 1, step):
+        i, j = np.triu_indices(min(step, m - 1 - start), 1, m - start)
+        i += start
+        j += start
+        inter = bits[i] & bits[j]
+        nonempty = inter != 0
+        closed = nonempty & (closure_masks(lt, product_masks(lt, inter)) == inter)
+        state.bulk(tag, g.label, Status.NOT_APPLICABLE, len(inter) - int(nonempty.sum()))
+        state.bulk(tag, g.label, Status.HOLDS, int(closed.sum()))
+        rest = nonempty & ~closed
+        for a, b in zip(i[rest].tolist(), j[rest].tolist()):
+            state.add(g.label, check_cell_intersection(s, cells[a].cell, cells[b].cell))
+    return True
+
 
 def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     tag = Theorem.CELL_INTERSECT
@@ -566,6 +692,8 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
             state.error(tag, g.label,
                         f"{len(cells)} cells give {pairs} pairs, above max_instances {cfg.max_instances}")
             return
+        if state.sink is None and _count_intersections(g, s, cells, state):
+            continue
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
                 state.add(g.label, check_cell_intersection(s, cells[i].cell, cells[j].cell))
@@ -616,25 +744,17 @@ def _sweep_corollary(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
 
 def _dichotomy_batch(g: Group, s_bits: int, h_bits: int, t_arr: np.ndarray) -> np.ndarray:
     """Vectorized dichotomy evaluation over an array of T bitmasks."""
-    n = g.order
     dtype = t_arr.dtype.type
-    lt = left_translate_masks(g, s_bits)
-    p = np.zeros_like(t_arr)
-    for z in range(n):
-        sel = ((t_arr >> dtype(z)) & dtype(1)).astype(bool)
-        p |= np.where(sel, dtype(lt[z]), dtype(0))
+    p = product_masks(left_translate_masks(g, s_bits), t_arr)
     pc_t = np.bitwise_count(t_arr).astype(np.int32)
     pc_p = np.bitwise_count(p).astype(np.int32)
     s_size = s_bits.bit_count()
     additive = pc_p >= pc_t + (s_size - 1)
-    cosets = _right_coset_masks(g, h_bits)
-    periodic = np.ones(len(t_arr), dtype=bool)
+    cosets = _coset_table(g, [h_bits], dtype)
+    periodic = _periodic(cosets, 0, p)
     t_cosets = np.zeros(len(t_arr), dtype=np.int32)
-    for c in cosets:
-        cm = dtype(c)
-        q = p & cm
-        periodic &= (q == 0) | (q == cm)
-        t_cosets += ((t_arr & cm) != 0)
+    for c in cosets[0]:
+        t_cosets += ((t_arr & c) != 0)
     h_size = h_bits.bit_count()
     hs_size = _product_size(g, h_bits, s_bits)
     coset_ok = periodic & (pc_p <= hs_size + h_size * t_cosets - h_size)
@@ -643,7 +763,7 @@ def _dichotomy_batch(g: Group, s_bits: int, h_bits: int, t_arr: np.ndarray) -> n
 
 def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarray:
     n = g.order
-    dtype = np.uint32 if n <= 31 else np.uint64
+    dtype = mask_dtype(n)
     sizes = rng.integers(1, n + 1, size=count)
     order = np.argsort(rng.random((count, n)), axis=1, kind="stable")
     keep = np.arange(n)[None, :] < sizes[:, None]
@@ -658,7 +778,6 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
     if explore:
         state.note_exploration(tag, g.label)
     n = g.order
-    dtype = np.uint32 if n <= 31 else np.uint64
     for s in _s_space(g, cfg, seed):
         try:
             details = balandraud_details(s, cap=cfg.enumeration_cap)
@@ -672,7 +791,7 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
                 state.error(tag, g.label,
                             f"exhaustive T space {total} exceeds max_instances {cfg.max_instances}")
                 return
-            batches = [np.arange(1, 1 << n, dtype=dtype)]
+            batches = [np.arange(1, 1 << n, dtype=mask_dtype(n))]
         else:
             rng = np.random.default_rng(_derive_seed(seed, s.bits, "t-draws"))
             batches = []

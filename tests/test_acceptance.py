@@ -5,8 +5,10 @@ capture), so a full run reads as a nine-line report. Checks accumulate into
 a failure list that is asserted at the end, which keeps the printed line
 accurate even when a test fails.
 
-Frozen counts were produced by the per-instance scalar checkers; the
-equivalence of the vectorized counting paths is property-tested in
+Frozen counts were produced by the per-instance scalar checkers. Sweeps
+3 (Olson) and 4 (cell intersection), like 2 (Kneser) and 7 (dichotomy), run
+without a sink and so take the vectorized counting paths; the equivalence of
+those paths with the per-instance sink mode is property-tested in
 test_theorems.py, so these numbers double as regression anchors.
 """
 

@@ -111,6 +111,27 @@ def test_cells_cache_roundtrip(tmp_path, capsys):
     assert "discarding" in err
 
 
+def test_cells_cache_is_keyed_on_the_table_not_the_path(tmp_path, capsys):
+    table = tmp_path / "group.txt"
+
+    def write_table(op):
+        rows = [" ".join(str(op(a, b)) for b in range(4)) for a in range(4)]
+        table.write_text("4\n" + "\n".join(rows) + "\n")
+
+    argv = ("cells", f"cayley:{table}", "{0,1}", "--format", "jsonl",
+            "--cache-dir", str(tmp_path / "cache"))
+    write_table(lambda a, b: (a + b) % 4)
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert len([r for r in jsonl_records(out) if r["kind"] == "cell"]) == 9
+    # the same path now holds Z2xZ2, whose {0,1} has 3 cells
+    write_table(lambda a, b: a ^ b)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0
+    assert len([r for r in jsonl_records(out) if r["kind"] == "cell"]) == 3
+    assert "0 hit(s), 1 miss(es)" in err
+
+
 def test_cells_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CELLKIT_CACHE_DIR", str(tmp_path))
     rc, _, err = run_cli(capsys, "cells", "Z6", "{0,3}", "--format", "jsonl")
@@ -240,6 +261,19 @@ def test_verify_usage_errors(capsys):
     assert rc == 2 and "identity" in err
     rc, _, err = run_cli(capsys, "verify", "--groups", "K9", "--theorem", "kneser")
     assert rc == 2 and "unrecognized group spec" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cells", "Z70", "{0,1}", "--wide", "--enum-cap", "80"),
+    ("subgroup", "Z70", "{0,1}", "--wide", "--enum-cap", "80"),
+    ("verify", "--groups", "Z6", "--theorem", "chain", "--enum-cap", "80"),
+], ids=lambda argv: argv[0])
+def test_enum_cap_above_64_is_refused_up_front(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "above 64" in err
 
 
 def test_verify_exit_code_one_on_violation(capsys, monkeypatch):

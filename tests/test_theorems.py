@@ -29,6 +29,7 @@ from cellkit import (
     check_theorem_subgroup_kernels,
     enumerate_cells,
     balandraud_subgroup,
+    make_record,
     run_sweep,
 )
 
@@ -129,6 +130,27 @@ def test_olson_matches_oracle_on_all_coset_unions(g):
                     want = oracle_olson(g.mul, bits_to_set(x_bits), bits_to_set(y_bits),
                                         bits_to_set(h.bits), bits_to_set(k.bits))
                     assert v.status.value == want, (h.bits, k.bits, x_bits, y_bits)
+
+
+@pytest.mark.parametrize("g", [Z6, D3], ids=lambda g: g.label)
+def test_olson_batch_matches_scalar(g):
+    # every coset-union pair of the sweep, and each pair swapped so that the
+    # hypotheses HX = X and KY = Y fail too
+    bits = [h.bits for h in all_subgroups(g)]
+    unions = [theorems._coset_unions(g, b) for b in bits]
+    rows = [(hi, ki, x, y) for hi in range(len(bits)) for ki in range(len(bits))
+            for x in unions[hi] for y in unions[ki]]
+    rows += [(hi, ki, y, x) for hi, ki, x, y in rows]
+    hi, ki, x, y = (np.array(col) for col in zip(*rows))
+    applicable, holds = theorems._olson_batch(g, bits, hi, ki, x.astype(np.uint32),
+                                              y.astype(np.uint32))
+    assert not applicable.all()
+    for row, a, ok in zip(rows, applicable.tolist(), holds.tolist()):
+        h, k, x_bits, y_bits = row
+        v = check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits),
+                        ElementSet(g, bits[h]), ElementSet(g, bits[k]))
+        assert (v.status is not Status.NOT_APPLICABLE) == a, row
+        assert (v.status is Status.HOLDS) == ok, row
 
 
 def test_olson_worked_instance():
@@ -302,6 +324,39 @@ def test_kneser_sweep_counting_equals_per_instance_mode():
         assert counted.summary == streamed.summary
 
 
+OLSON_INTERSECTION_CONFIGS = {
+    "olson-exhaustive": dict(theorems=("olson",)),
+    "olson-sampled": dict(theorems=("olson",), mode="sampled", samples=3000, seed=17),
+    "intersection": dict(theorems=("intersection",), s_max=3),
+}
+
+
+@pytest.mark.parametrize("spec", ["Z6", "D3", "Z2xZ4", "Q8"])
+@pytest.mark.parametrize("config", OLSON_INTERSECTION_CONFIGS)
+def test_olson_and_intersection_counting_equals_per_instance_mode(config, spec):
+    # bulk HOLDS / NOT_APPLICABLE counts must agree with running the scalar
+    # checker on every instance, which is what a sink forces
+    cfg = SweepConfig(groups=(spec,), **OLSON_INTERSECTION_CONFIGS[config])
+    counted = run_sweep(cfg)
+    records = []
+    streamed = run_sweep(cfg, sink=records.append)
+    assert counts_from_summary(counted.summary) == counts_from_records(records)
+    assert counted.summary == streamed.summary
+
+
+def test_intersection_counting_path_still_refuses_a_non_cell(monkeypatch):
+    # {0,2} is not a cell of {0,1} in Z6: {0,2}S = {0,1,2,3} also absorbs 1+S
+    real = theorems.enumerate_cells
+
+    def with_intruder(s, *args, **kwargs):
+        return real(s, *args, **kwargs) + [make_record(s.group, 0b101, 0b1111)]
+
+    monkeypatch.setattr(theorems, "enumerate_cells", with_intruder)
+    cfg = SweepConfig(groups=("Z6",), theorems=("intersection",), set_spec="{0,1}")
+    with pytest.raises(ValueError, match="not a cell"):
+        run_sweep(cfg)
+
+
 def test_kneser_sweep_frozen_counts():
     r = run_sweep(SweepConfig(groups=("Z6",), theorems=("kneser",)))
     assert r.summary["counts"]["KNESER"]["Z6"] == {
@@ -366,6 +421,8 @@ def test_sweep_config_validation():
         SweepConfig(groups=("Z6",), theorems=("kneser",), s_min=0).validate()
     with pytest.raises(SweepConfigError, match="below s_min"):
         SweepConfig(groups=("Z6",), theorems=("kneser",), s_min=3, s_max=2).validate()
+    with pytest.raises(SweepConfigError, match="enumeration cap 80 is above 64"):
+        SweepConfig(groups=("Z6",), theorems=("chain",), enumeration_cap=80).validate()
 
 
 def test_sweep_refuses_oversized_tasks_with_an_error_record():
