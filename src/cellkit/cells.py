@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import ElementSet, Group, generated_subgroup, is_subgroup, iter_bits, require_same_group
-from .setops import product
+from .groups import ElementSet, Group, generated_subgroup, is_subgroup, product_bits, require_same_group
 
 ENUMERATION_CAP = 20
 MAX_MASK_ORDER = 64
@@ -70,14 +69,16 @@ class KernelChainReport:
 
 def left_translate_masks(g: Group, s_bits: int) -> list[int]:
     """The translate z*S as a bitmask, for every element z."""
-    out = []
-    for z in range(g.order):
-        row = g.mul[z]
-        m = 0
-        for b in iter_bits(s_bits):
-            m |= 1 << row[b]
-        out.append(m)
-    return out
+    return [product_bits(g, 1 << z, s_bits) for z in range(g.order)]
+
+
+def closure_bits(lt: list[int], p: int) -> int:
+    """{z : z*S subset of P}, given the translates lt[z] = z*S."""
+    x = 0
+    for z, m in enumerate(lt):
+        if not m & ~p:
+            x |= 1 << z
+    return x
 
 
 def mask_dtype(order: int) -> type:
@@ -148,14 +149,7 @@ def is_cell(x: ElementSet, s: ElementSet) -> bool:
     if not x:
         raise ValueError("the empty set is not considered a cell; pass a nonempty x")
     lt = left_translate_masks(g, s.bits)
-    p = 0
-    for z in iter_bits(x.bits):
-        p |= lt[z]
-    closure = 0
-    for z in range(g.order):
-        if lt[z] & ~p == 0:
-            closure |= 1 << z
-    return closure == x.bits
+    return closure_bits(lt, product_bits(g, x.bits, s.bits)) == x.bits
 
 
 def cell_closure(t: ElementSet, s: ElementSet) -> CellRecord:
@@ -164,15 +158,8 @@ def cell_closure(t: ElementSet, s: ElementSet) -> CellRecord:
     _require_identity(s)
     if not t:
         raise ValueError("cannot close the empty set; pass a nonempty seed")
-    lt = left_translate_masks(g, s.bits)
-    p = 0
-    for z in iter_bits(t.bits):
-        p |= lt[z]
-    closure = 0
-    for z in range(g.order):
-        if lt[z] & ~p == 0:
-            closure |= 1 << z
-    return make_record(g, closure, p)
+    p = product_bits(g, t.bits, s.bits)
+    return make_record(g, closure_bits(left_translate_masks(g, s.bits), p), p)
 
 
 def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, int], ...]:
@@ -198,15 +185,8 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
     for start in range(0, total, chunk):
         parts.append(np.unique(closure_masks(lt, np.arange(start, start + chunk, dtype=dtype))))
     cells = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-    out = []
-    for xb in cells.tolist():
-        if xb == 0:
-            continue
-        p = 0
-        for z in iter_bits(xb):
-            p |= lt[z]
-        out.append((xb, p))
-    result = tuple(out)
+    cells = cells[cells != 0]
+    result = tuple(zip(cells.tolist(), product_masks(lt, cells).tolist()))
     if len(g._enum_memo) >= _MEMO_LIMIT:
         g._enum_memo.pop(next(iter(g._enum_memo)))
     g._enum_memo[s_bits] = result
@@ -240,19 +220,12 @@ def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
             t_bits = 0
             for i in rng.sample(range(n), k):
                 t_bits |= 1 << i
-            p = 0
-            for z in iter_bits(t_bits):
-                p |= lt[z]
-            closure = 0
-            for z in range(n):
-                if lt[z] & ~p == 0:
-                    closure |= 1 << z
-            seen[closure] = p
+            p = product_bits(g, t_bits, s.bits)
+            seen[closure_bits(lt, p)] = p
         pairs = sorted(seen.items())
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}; expected 'exhaustive' or 'sampled'")
-    records = [make_record(g, xb, pb) for xb, pb in pairs]
-    records = [r for r in records if r.deficiency <= u_max]
+    records = [make_record(g, xb, pb) for xb, pb in pairs if pb.bit_count() - xb.bit_count() <= u_max]
     records.sort(key=lambda r: (r.deficiency, len(r.cell), r.cell.bits))
     return records
 
@@ -310,25 +283,13 @@ def balandraud_subgroup(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> Element
     return balandraud_details(s, cap=cap).subgroup
 
 
-def kernel_chain(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> KernelChainReport:
-    """Subgroup kernels for every deficiency u in 0..|s|-1, with nesting checks.
-
-    chain_ok is true when the subgroup kernels are totally ordered by
-    inclusion and a larger deficiency never yields a larger kernel; each
-    violation records the offending pair.
-    """
-    _require_identity(s)
+def _kernel_chain(s: ElementSet, cap: int) -> tuple[list[CellRecord], KernelChainReport]:
+    """The cells of s with deficiency below |s|, and the kernel chain built from them."""
     g = s.group
     size = len(s)
-    pairs = _full_cell_enumeration(g, s.bits, cap)
-    records = [make_record(g, xb, pb) for xb, pb in pairs]
-    per_u = tuple(kernels_at(s, u, records) for u in range(size))
-    entries: list[tuple[int, CellRecord]] = []
-    for rec in per_u:
-        for k in rec.kernels:
-            if k.is_subgroup:
-                entries.append((rec.u, k))
-    entries.sort(key=lambda e: (e[0], e[1].cell.bits))
+    cells = enumerate_cells(s, u_max=size - 1, cap=cap)
+    per_u = tuple(kernels_at(s, u, cells) for u in range(size))
+    entries = [(rec.u, k) for rec in per_u for k in rec.kernels if k.is_subgroup]
     violations: list[ChainViolation] = []
     for i in range(len(entries)):
         u1, k1 = entries[i]
@@ -343,10 +304,20 @@ def kernel_chain(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> KernelChainRep
                     f"deficiency-{u2} kernel is not contained in the deficiency-{u1} kernel",
                 ))
     chain_bits = sorted({k.cell.bits for _, k in entries}, key=lambda b: (b.bit_count(), b))
-    return KernelChainReport(
+    return cells, KernelChainReport(
         s=s,
         per_u=per_u,
         subgroup_kernel_chain=tuple(ElementSet(g, b) for b in chain_bits),
         chain_ok=not violations,
         violations=tuple(violations),
     )
+
+
+def kernel_chain(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> KernelChainReport:
+    """Subgroup kernels for every deficiency u in 0..|s|-1, with nesting checks.
+
+    chain_ok is true when the subgroup kernels are totally ordered by
+    inclusion and a larger deficiency never yields a larger kernel; each
+    violation records the offending pair.
+    """
+    return _kernel_chain(s, cap)[1]

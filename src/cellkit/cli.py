@@ -181,7 +181,15 @@ def cmd_cells(args: argparse.Namespace) -> int:
     records = [make_record(g, int(c), int(p)) for c, p in pairs]
     kernel_records = [kernels_at(s, u, records) for u in range(umax + 1)]
     kernel_sizes = {kr.u: len(kr.kernels[0].cell) for kr in kernel_records if kr.kernels}
-    details = balandraud_details(s, cap=args.enum_cap)
+    # the attached subgroup needs the exhaustive enumeration that sampled
+    # mode exists to avoid, so above the cap sampled mode goes without it
+    details = None
+    if args.mode == "sampled" and g.order > args.enum_cap:
+        print(f"cellkit: no balandraud row: the attached subgroup needs an exhaustive "
+              f"enumeration, and order {g.order} is above --enum-cap {args.enum_cap}",
+              file=sys.stderr)
+    else:
+        details = balandraud_details(s, cap=args.enum_cap)
 
     manifest = {"kind": "manifest", "command": "cells", "tool": "cellkit",
                 "version": __version__, "group": g.label, "set": s.spec_string(),
@@ -195,14 +203,14 @@ def cmd_cells(args: argparse.Namespace) -> int:
         "unique_identity_kernel": kr.unique_identity_kernel.cell.spec_string()
         if kr.unique_identity_kernel else None,
     } for kr in kernel_records]
-    balandraud_row = {"kind": "balandraud", "subgroup": details.subgroup.spec_string(),
-                      "subgroup_size": len(details.subgroup), "u_star": details.u_star,
-                      "case": details.case}
+    balandraud_rows = [{"kind": "balandraud", "subgroup": details.subgroup.spec_string(),
+                        "subgroup_size": len(details.subgroup), "u_star": details.u_star,
+                        "case": details.case}] if details else []
 
     fmt = _resolve_format(args.format)
     if fmt == "jsonl":
         _emit_jsonl(manifest)
-        for row in cell_rows + kernel_rows + [balandraud_row]:
+        for row in cell_rows + kernel_rows + balandraud_rows:
             _emit_jsonl(row)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
@@ -211,7 +219,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
         writer.writerow(fields)
         for row in cell_rows:
             writer.writerow([row[f] for f in fields])
-        for row in kernel_rows + [balandraud_row]:
+        for row in kernel_rows + balandraud_rows:
             print(json.dumps(row, sort_keys=True), file=sys.stderr)
     else:
         print(f"cells of S = {s.spec_string()} in {g.label} (umax {umax}, {args.mode})")
@@ -227,8 +235,8 @@ def cmd_cells(args: argparse.Namespace) -> int:
                 unique = row["unique_identity_kernel"] or "none"
                 print(f"u={row['u']}: {row['kernel_count']} kernel(s) of size "
                       f"{row['kernel_size']}, identity kernel {unique}")
-        print(f"subgroup: {balandraud_row['subgroup']} "
-              f"(u* = {balandraud_row['u_star']}, case {balandraud_row['case']})")
+        for row in balandraud_rows:
+            print(f"subgroup: {row['subgroup']} (u* = {row['u_star']}, case {row['case']})")
     if cache is not None:
         print(cache.stats(), file=sys.stderr)
     print(f"cells: {len(records)} cell(s) in {time.monotonic() - t0:.3f}s", file=sys.stderr)

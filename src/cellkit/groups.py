@@ -41,6 +41,18 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def product_bits(g: Group, a_bits: int, b_bits: int) -> int:
+    """Bits of the product set {a*b : a in A, b in B}; 0 if either is empty."""
+    bs = tuple(iter_bits(b_bits))
+    mul = g.mul
+    bits = 0
+    for a in iter_bits(a_bits):
+        row = mul[a]
+        for b in bs:
+            bits |= 1 << row[b]
+    return bits
+
+
 def _first_duplicate(values: Iterable[int]) -> int:
     seen: set[int] = set()
     for v in values:
@@ -233,20 +245,11 @@ class ElementSet:
 
     def left_translate(self, g_index: int) -> ElementSet:
         """The set {g*x : x in this set}."""
-        row = self.group.mul[int(g_index)]
-        bits = 0
-        for x in iter_bits(self.bits):
-            bits |= 1 << row[x]
-        return ElementSet(self.group, bits)
+        return ElementSet(self.group, product_bits(self.group, 1 << int(g_index), self.bits))
 
     def right_translate(self, g_index: int) -> ElementSet:
         """The set {x*g : x in this set}."""
-        g = int(g_index)
-        mul = self.group.mul
-        bits = 0
-        for x in iter_bits(self.bits):
-            bits |= 1 << mul[x][g]
-        return ElementSet(self.group, bits)
+        return ElementSet(self.group, product_bits(self.group, self.bits, 1 << int(g_index)))
 
     def __repr__(self) -> str:
         return f"ElementSet({self.spec_string()} in {self.group.label})"

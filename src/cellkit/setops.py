@@ -1,10 +1,13 @@
-"""Set-level primitives: product sets, stabilizers, periodicity, differences."""
+"""Set-level primitives: product sets, stabilizers, periodicity, differences.
+
+Products, translates and stabilizers here all reduce to groups.product_bits.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import ElementSet, is_subgroup, iter_bits, require_same_group
+from .groups import ElementSet, is_subgroup, iter_bits, product_bits, require_same_group
 
 
 @dataclass(frozen=True, slots=True)
@@ -18,12 +21,7 @@ class StabilizerResult:
 def product(x: ElementSet, s: ElementSet) -> ElementSet:
     """The product set {a*b : a in x, b in s}; empty if either factor is."""
     g = require_same_group(x, s)
-    bits = 0
-    for a in iter_bits(x.bits):
-        row = g.mul[a]
-        for b in iter_bits(s.bits):
-            bits |= 1 << row[b]
-    return ElementSet(g, bits)
+    return ElementSet(g, product_bits(g, x.bits, s.bits))
 
 
 def left_stabilizer(a: ElementSet) -> StabilizerResult:
@@ -35,15 +33,13 @@ def left_stabilizer(a: ElementSet) -> StabilizerResult:
     if not a:
         raise ValueError("left stabilizer of the empty set is degenerate; pass a nonempty set")
     g = a.group
-    bits = 0
-    for z in range(g.order):
-        row = g.mul[z]
-        translated = 0
-        for x in iter_bits(a.bits):
-            translated |= 1 << row[x]
-        if translated == a.bits:
-            bits |= 1 << z
-    return StabilizerResult(ElementSet(g, bits), a)
+    # z*A = A fails iff z*x = c for some x in A and c outside A, so the
+    # stabilizer is the complement of (G \ A) * A^-1
+    inverse = 0
+    for x in iter_bits(a.bits):
+        inverse |= 1 << g.inv[x]
+    outside = g.full_bits & ~a.bits
+    return StabilizerResult(ElementSet(g, g.full_bits & ~product_bits(g, outside, inverse)), a)
 
 
 def is_periodic(a: ElementSet, h: ElementSet) -> bool:

@@ -7,6 +7,11 @@ for abelian groups can be run on nonabelian groups in exploration mode,
 where a failed conclusion is reported as FINDING rather than VIOLATED.
 run_sweep drives the checkers over whole families of instances.
 
+The scalar checkers share one bitmask kernel: products reduce to
+groups.product_bits (through setops.product) and cell tests to
+cells.closure_bits (through cells.is_cell), while the counting paths use
+the numpy forms cells.product_masks and cells.closure_masks.
+
 Without a sink, the Kneser, Olson, cell-intersection and dichotomy sweeps
 take a numpy counting path: instances it settles are tallied in bulk, and
 only the rest reach the scalar checker, in instance order. With a sink,
@@ -29,17 +34,26 @@ from .cells import (
     MAX_MASK_ORDER,
     CellRecord,
     EnumerationCapError,
+    _kernel_chain,
     balandraud_details,
     closure_masks,
     enumerate_cells,
     is_cell,
-    kernel_chain,
     kernels_at,
     left_translate_masks,
     mask_dtype,
     product_masks,
 )
-from .groups import ElementSet, Group, all_subgroups, build_group, is_subgroup, iter_bits, require_same_group
+from .groups import (
+    ElementSet,
+    Group,
+    all_subgroups,
+    build_group,
+    is_subgroup,
+    iter_bits,
+    product_bits,
+    require_same_group,
+)
 from .setops import difference_counts, left_stabilizer, product
 from .specs import expand_subset_specs, iter_identity_subsets, sample_identity_subsets
 
@@ -157,17 +171,18 @@ def check_theorem_subgroup_kernels(s: ElementSet, *, cap: int = ENUMERATION_CAP)
     u = v, and (ii) M lies inside N when N is a v-kernel with v <= u.
 
     Valid in every group. The first violating pair, if any, is the witness.
+    The witness also carries the subgroup kernel chain of cells.kernel_chain
+    and its chain_ok; should (i) and (ii) hold while chain_ok is false, the
+    verdict is VIOLATED with the chain's first offending pair.
     """
     _require_identity_in(s)
     g = s.group
-    size = len(s)
-    base = {"group": g.label, "s": s.spec_string()}
-    cells = enumerate_cells(s, u_max=size - 1, cap=cap)
-    kernel_bits: dict[int, set[int]] = {}
-    for u in range(size):
-        kernel_bits[u] = {c.cell.bits for c in kernels_at(s, u, cells).kernels}
+    cells, report = _kernel_chain(s, cap)
+    base = {"group": g.label, "s": s.spec_string(), "chain_ok": report.chain_ok,
+            "chain": [c.spec_string() for c in report.subgroup_kernel_chain]}
+    kernel_bits = {rec.u: {k.cell.bits for k in rec.kernels} for rec in report.per_u}
     subgroup_cells = [c for c in cells if c.is_subgroup]
-    subgroup_kernels = [c for c in subgroup_cells if c.cell.bits in kernel_bits[c.deficiency]]
+    subgroup_kernels = [k for rec in report.per_u for k in rec.kernels if k.is_subgroup]
     for m in subgroup_kernels:
         u = m.deficiency
         for n in subgroup_cells:
@@ -183,6 +198,10 @@ def check_theorem_subgroup_kernels(s: ElementSet, *, cap: int = ENUMERATION_CAP)
                 return TheoremVerdict(Theorem.SUBGROUP_KERNEL_CHAIN, Status.VIOLATED,
                                       dict(pair, part="ii", reason="M not contained in N"))
     witness = dict(base, subgroup_kernels=[c.cell.spec_string() for c in subgroup_kernels])
+    if not report.chain_ok:
+        v = report.violations[0]
+        return TheoremVerdict(Theorem.SUBGROUP_KERNEL_CHAIN, Status.VIOLATED, dict(
+            witness, reason=v.reason, pair=[v.first.cell.spec_string(), v.second.cell.spec_string()]))
     return TheoremVerdict(Theorem.SUBGROUP_KERNEL_CHAIN, Status.HOLDS, witness)
 
 
@@ -302,6 +321,9 @@ def _require_identity_in(s: ElementSet) -> None:
 
 DRIVER_NAMES = ("kneser", "olson", "intersection", "chain", "corollary", "dichotomy")
 
+# a SweepResult keeps at most this many violation records, and as many findings
+RECORD_CAP = 200
+
 
 class SweepConfigError(ValueError):
     """A sweep configuration that cannot be run as stated."""
@@ -324,8 +346,6 @@ class SweepConfig:
     jobs: int = 1
     enumeration_cap: int = ENUMERATION_CAP
     max_instances: int = 1 << 22
-    violation_cap: int = 200
-    finding_cap: int = 200
 
     def validate(self) -> None:
         if not self.groups:
@@ -370,16 +390,13 @@ class SweepResult:
 
 
 class _SweepState:
-    def __init__(self, sink: Callable[[dict], None] | None,
-                 violation_cap: int, finding_cap: int) -> None:
+    def __init__(self, sink: Callable[[dict], None] | None) -> None:
         self.sink = sink
         self.counts: dict[tuple[str, str, str], int] = {}
         self.violations: list[dict] = []
         self.findings: list[dict] = []
         self.errors: list[dict] = []
         self.exploration: set[tuple[str, str]] = set()
-        self.violation_cap = violation_cap
-        self.finding_cap = finding_cap
 
     def tally(self, theorem: str, group: str, status: str, k: int = 1) -> None:
         if k:
@@ -390,12 +407,21 @@ class _SweepState:
         self.tally(verdict.theorem.value, group, verdict.status.value)
         record = {"kind": "verdict", "theorem": verdict.theorem.value, "group": group,
                   "status": verdict.status.value, "witness": verdict.witness}
-        if verdict.status is Status.VIOLATED and len(self.violations) < self.violation_cap:
+        if verdict.status is Status.VIOLATED and len(self.violations) < RECORD_CAP:
             self.violations.append(record)
-        elif verdict.status is Status.FINDING and len(self.findings) < self.finding_cap:
+        elif verdict.status is Status.FINDING and len(self.findings) < RECORD_CAP:
             self.findings.append(record)
         if self.sink is not None:
             self.sink(record)
+
+    def merge(self, part: _SweepState) -> None:
+        """Fold in the state of the next task, as if its records followed."""
+        for (theorem, group, status), k in part.counts.items():
+            self.tally(theorem, group, status, k)
+        self.violations.extend(part.violations[:RECORD_CAP - len(self.violations)])
+        self.findings.extend(part.findings[:RECORD_CAP - len(self.findings)])
+        self.errors.extend(part.errors)
+        self.exploration |= part.exploration
 
     def bulk(self, theorem: Theorem, group: str, status: Status, k: int) -> None:
         self.tally(theorem.value, group, status.value, k)
@@ -439,22 +465,20 @@ def _s_space(g: Group, cfg: SweepConfig, seed: int) -> list[ElementSet]:
 
 
 def _right_coset_masks(g: Group, h_bits: int) -> list[int]:
-    """Masks of the right cosets Hx, in order of least uncovered element."""
+    """Masks of the right cosets Hx, ascending."""
     masks = []
     seen = 0
     for x in range(g.order):
         if (seen >> x) & 1:
             continue
-        m = 0
-        for h in iter_bits(h_bits):
-            m |= 1 << g.mul[h][x]
+        m = product_bits(g, h_bits, 1 << x)
         masks.append(m)
         seen |= m
-    return masks
+    return sorted(masks)
 
 
 def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> np.ndarray:
-    """One row of right coset masks per subgroup, zero-padded to the longest row."""
+    """One row of right coset masks per subgroup, ascending, zero-padded at the end."""
     rows = [_right_coset_masks(g, h) for h in subgroup_bits]
     table = np.zeros((len(rows), max(len(r) for r in rows)), dtype=dtype)
     for i, r in enumerate(rows):
@@ -480,29 +504,12 @@ def _periodic(table: np.ndarray, idx: int | np.ndarray, a: np.ndarray) -> np.nda
 _CHUNK = 1 << 16
 
 
-def _product_size(g: Group, a_bits: int, b_bits: int) -> int:
-    bits = 0
-    for a in iter_bits(a_bits):
-        row = g.mul[a]
-        for b in iter_bits(b_bits):
-            bits |= 1 << row[b]
-    return bits.bit_count()
-
-
 # -- kneser sweep ---------------------------------------------------------
 
 def _right_translate_tables(g: Group) -> list[np.ndarray]:
     """tables[y][x_bits] = bits of X*y, for every element y."""
-    n = g.order
-    tables = []
-    for y in range(n):
-        col = [g.mul[x][y] for x in range(n)]
-        t = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            t[m] = t[m ^ low] | (1 << col[low.bit_length() - 1])
-        tables.append(np.array(t, dtype=np.uint32))
-    return tables
+    every = np.arange(1 << g.order, dtype=np.uint32)
+    return [product_masks(left_translate_masks(g, 1 << y), every) for y in range(g.order)]
 
 
 def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
@@ -552,15 +559,25 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
 
 # -- olson sweep ----------------------------------------------------------
 
+def _coset_union(cosets: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Elementwise the k-th (from 0) smallest nonempty union of disjoint masks.
+
+    cosets holds the masks ascending along its last axis, zero-padded at the
+    end; k is uint64. Disjoint masks compare by their highest element, so a
+    union ranks by the masks it takes read as binary digits: the k-th is
+    the union of the masks picked by the bits of k+1.
+    """
+    pick = k + np.uint64(1)
+    x = np.zeros(pick.shape, dtype=cosets.dtype)
+    for i in range(cosets.shape[-1]):
+        x |= np.where(((pick >> np.uint64(i)) & np.uint64(1)).astype(bool), cosets[..., i], 0)
+    return x
+
+
 def _coset_unions(g: Group, h_bits: int) -> list[int]:
     """Every nonempty union of right cosets of H, ascending."""
-    cosets = _right_coset_masks(g, h_bits)
-    c = len(cosets)
-    out = [0] * (1 << c)
-    for m in range(1, 1 << c):
-        low = m & -m
-        out[m] = out[m ^ low] | cosets[low.bit_length() - 1]
-    return sorted(out[1:])
+    cosets = np.array(_right_coset_masks(g, h_bits), dtype=mask_dtype(g.order))
+    return _coset_union(cosets, np.arange((1 << len(cosets)) - 1, dtype=np.uint64)).tolist()
 
 
 def _olson_batch(g: Group, subgroup_bits: Sequence[int], hi: np.ndarray, ki: np.ndarray,
@@ -583,28 +600,30 @@ def _olson_batch(g: Group, subgroup_bits: Sequence[int], hi: np.ndarray, ki: np.
     return applicable, applicable & ok
 
 
-def _olson_chunks(unions: list[list[int]], cfg: SweepConfig, seed: int,
-                  dtype: type) -> Iterator[tuple[np.ndarray, ...]]:
+def _olson_chunks(g: Group, subgroup_bits: Sequence[int], union_counts: Sequence[int],
+                  cfg: SweepConfig, seed: int, dtype: type) -> Iterator[tuple[np.ndarray, ...]]:
     """The sweep's Olson instances as arrays (hi, ki, x, y), in instance order.
 
-    unions[i] lists the coset unions of subgroup i. Sampled mode draws H, K,
-    X, Y in turn; exhaustive mode walks every subgroup pair and, within it,
-    the outer product of the coset unions. Chunks hold about _CHUNK instances.
+    Sampled mode draws H, K and then X and Y, each as the k-th smallest
+    nonempty union of right cosets for a uniform k below union_counts;
+    exhaustive mode walks every subgroup pair and, within it, the outer
+    product of the coset unions. Chunks hold about _CHUNK instances.
     """
     if cfg.mode == "sampled":
+        table = _coset_table(g, subgroup_bits, dtype)
         rng = random.Random(f"{seed}|olson")
         for start in range(0, cfg.samples, _CHUNK):
             draws = []
             for _ in range(min(_CHUNK, cfg.samples - start)):
-                hi = rng.randrange(len(unions))
-                ki = rng.randrange(len(unions))
-                hu, ku = unions[hi], unions[ki]
-                draws.append((hi, ki, hu[rng.randrange(len(hu))], ku[rng.randrange(len(ku))]))
+                hi = rng.randrange(len(union_counts))
+                ki = rng.randrange(len(union_counts))
+                draws.append((hi, ki, rng.randrange(union_counts[hi]), rng.randrange(union_counts[ki])))
             hs, ks, xs, ys = zip(*draws)
-            yield (np.array(hs, dtype=np.intp), np.array(ks, dtype=np.intp),
-                   np.array(xs, dtype=dtype), np.array(ys, dtype=dtype))
+            hs, ks = np.array(hs, dtype=np.intp), np.array(ks, dtype=np.intp)
+            yield (hs, ks, _coset_union(table[hs], np.array(xs, dtype=np.uint64)),
+                   _coset_union(table[ks], np.array(ys, dtype=np.uint64)))
         return
-    arrays = [np.array(u, dtype=dtype) for u in unions]
+    arrays = [np.array(_coset_unions(g, h), dtype=dtype) for h in subgroup_bits]
     parts, size = [], 0
     for hi, xs in enumerate(arrays):
         for ki, ys in enumerate(arrays):
@@ -626,14 +645,15 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
     tag = Theorem.OLSON
     subs = all_subgroups(g)
     bits = [h.bits for h in subs]
-    unions = [_coset_unions(g, h) for h in bits]
+    # H has order/|H| right cosets, hence 2^that - 1 nonempty unions of them
+    union_counts = [(1 << (g.order // h.bit_count())) - 1 for h in bits]
     if cfg.mode == "exhaustive":
-        per_side = sum(len(u) for u in unions)
+        per_side = sum(union_counts)
         if per_side * per_side > cfg.max_instances:
             state.error(tag, g.label,
                         f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
             return
-    for hi, ki, x, y in _olson_chunks(unions, cfg, seed, mask_dtype(g.order)):
+    for hi, ki, x, y in _olson_chunks(g, bits, union_counts, cfg, seed, mask_dtype(g.order)):
         if state.sink is None:
             # counting path: HOLDS and NOT_APPLICABLE are counted in bulk and
             # only the rest reaches the scalar checker
@@ -706,20 +726,9 @@ def _sweep_chain(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
     for s in _s_space(g, cfg, seed):
         try:
             verdict = check_theorem_subgroup_kernels(s, cap=cfg.enumeration_cap)
-            report = kernel_chain(s, cap=cfg.enumeration_cap)
         except EnumerationCapError as exc:
             state.error(tag, g.label, str(exc))
             return
-        witness = dict(verdict.witness or {})
-        witness["chain_ok"] = report.chain_ok
-        witness["chain"] = [c.spec_string() for c in report.subgroup_kernel_chain]
-        if verdict.status is Status.HOLDS and not report.chain_ok:
-            v = report.violations[0]
-            witness["reason"] = v.reason
-            witness["pair"] = [v.first.cell.spec_string(), v.second.cell.spec_string()]
-            verdict = TheoremVerdict(tag, Status.VIOLATED, witness)
-        else:
-            verdict = TheoremVerdict(tag, verdict.status, witness)
         state.add(g.label, verdict)
 
 
@@ -756,7 +765,7 @@ def _dichotomy_batch(g: Group, s_bits: int, h_bits: int, t_arr: np.ndarray) -> n
     for c in cosets[0]:
         t_cosets += ((t_arr & c) != 0)
     h_size = h_bits.bit_count()
-    hs_size = _product_size(g, h_bits, s_bits)
+    hs_size = product_bits(g, h_bits, s_bits).bit_count()
     coset_ok = periodic & (pc_p <= hs_size + h_size * t_cosets - h_size)
     return additive | coset_ok
 
@@ -823,25 +832,21 @@ _DRIVERS = {
 }
 
 
-def _run_task(g: Group, theorem: str, cfg: SweepConfig, state: _SweepState) -> None:
+def _run_task(g: Group, theorem: str, cfg: SweepConfig,
+              sink: Callable[[dict], None] | None) -> _SweepState:
+    state = _SweepState(sink)
     seed = _derive_seed(cfg.seed if cfg.seed is not None else 0, g.label, theorem)
     _DRIVERS[theorem](g, cfg, state, seed)
+    return state
 
 
-def _worker(args: tuple[str, str, SweepConfig, bool]) -> dict:
+def _worker(args: tuple[str, str, SweepConfig, bool]) -> tuple[list[dict], _SweepState]:
     spec, theorem, cfg, collect = args
-    records: list[dict] | None = [] if collect else None
-    state = _SweepState(records.append if records is not None else None,
-                        cfg.violation_cap, cfg.finding_cap)
-    _run_task(build_group(spec, wide=cfg.wide), theorem, cfg, state)
-    return {
-        "records": records,
-        "counts": [(list(k), v) for k, v in state.counts.items()],
-        "violations": state.violations,
-        "findings": state.findings,
-        "errors": state.errors,
-        "exploration": sorted(state.exploration),
-    }
+    records: list[dict] = []
+    state = _run_task(build_group(spec, wide=cfg.wide), theorem, cfg,
+                      records.append if collect else None)
+    state.sink = None  # the records travel once, beside the state
+    return records, state
 
 
 def run_sweep(config: SweepConfig, sink: Callable[[dict], None] | None = None) -> SweepResult:
@@ -850,31 +855,24 @@ def run_sweep(config: SweepConfig, sink: Callable[[dict], None] | None = None) -
     The stream and the summary are deterministic functions of the
     configuration: tasks run in (group, theorem) listing order and sampled
     draws are seeded per task, so the jobs count never changes the output.
+    Each task fills its own state, merged in task order; serially a task
+    streams straight to sink, while a pool worker collects its records for
+    the parent to pass on.
     """
     config.validate()
     tasks = [(spec, theorem) for spec in config.groups for theorem in config.theorems]
     groups = {spec: build_group(spec, wide=config.wide) for spec in config.groups}
-    state = _SweepState(sink, config.violation_cap, config.finding_cap)
+    state = _SweepState(None)
     if config.jobs <= 1 or len(tasks) <= 1:
         for spec, theorem in tasks:
-            _run_task(groups[spec], theorem, config, state)
+            state.merge(_run_task(groups[spec], theorem, config, sink))
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             args = [(spec, theorem, config, sink is not None) for spec, theorem in tasks]
-            for part in pool.map(_worker, args):
-                for key, v in part["counts"]:
-                    state.tally(key[0], key[1], key[2], v)
-                for rec in part["violations"]:
-                    if len(state.violations) < config.violation_cap:
-                        state.violations.append(rec)
-                for rec in part["findings"]:
-                    if len(state.findings) < config.finding_cap:
-                        state.findings.append(rec)
-                state.errors.extend(part["errors"])
-                state.exploration.update(tuple(e) for e in part["exploration"])
-                if sink is not None and part["records"]:
-                    for rec in part["records"]:
-                        sink(rec)
+            for records, part in pool.map(_worker, args):
+                for rec in records:
+                    sink(rec)
+                state.merge(part)
     counts: dict[str, dict[str, dict[str, int]]] = {}
     totals: dict[str, int] = {}
     instances = 0

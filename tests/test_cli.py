@@ -79,6 +79,28 @@ def test_cells_sampled_mode_flags(capsys):
     assert "requires --samples and --seed" in err
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
+def test_cells_sampled_mode_above_the_enum_cap_drops_the_balandraud_row(capsys, fmt):
+    rc, out, err = run_cli(capsys, "cells", "Z24", "{0,1,5}", "--mode", "sampled",
+                           "--samples", "20", "--seed", "1", "--format", fmt)
+    assert rc == 0
+    assert "{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23}" in out
+    assert "balandraud" not in out and "subgroup:" not in out
+    assert '"kind": "balandraud"' not in err
+    assert err.count("order 24 is above --enum-cap 20") == 1
+
+
+def test_cells_sampled_mode_at_the_enum_cap_keeps_the_balandraud_row(capsys):
+    argv = ("cells", "Z8", "{0,1,4}", "--mode", "sampled", "--samples", "50", "--seed", "3",
+            "--format", "jsonl")
+    rc, at_cap, err = run_cli(capsys, *argv, "--enum-cap", "8")
+    assert rc == 0 and "enum-cap" not in err
+    assert jsonl_records(at_cap)[-1]["kind"] == "balandraud"
+    rc, above_cap, err = run_cli(capsys, *argv, "--enum-cap", "7")
+    assert rc == 0 and "order 8 is above --enum-cap 7" in err
+    assert at_cap.splitlines()[:-1] == above_cap.splitlines()
+
+
 def test_cells_usage_errors(capsys):
     rc, _, err = run_cli(capsys, "cells", "Z99", "{0}")
     assert rc == 2 and "order 99" in err

@@ -153,6 +153,40 @@ def test_olson_batch_matches_scalar(g):
         assert (v.status is Status.HOLDS) == ok, row
 
 
+def sorted_coset_unions(g, h_bits):
+    """Every nonempty union of right cosets of H, listed and sorted."""
+    members = [i for i in range(g.order) if (h_bits >> i) & 1]
+    cosets = sorted({sum(1 << g.mul[h][x] for h in members) for x in range(g.order)})
+    unions = [0] * (1 << len(cosets))
+    for m in range(1, len(unions)):
+        low = m & -m
+        unions[m] = unions[m ^ low] | cosets[low.bit_length() - 1]
+    return sorted(unions[1:])
+
+
+@pytest.mark.parametrize("spec", ["Z6", "D3", "Z2xZ4", "Q8", "D4", "Z12", "Z2xZ6", "D6",
+                                  "S4", "Z4xZ4", "D8"])
+def test_coset_union_rank_matches_the_sorted_list(spec):
+    # sampled Olson draws the k-th smallest union by rank instead of listing
+    # them all; the trivial subgroup of S4 (2^24 unions) is left out
+    g = build_group(spec)
+    for h in all_subgroups(g):
+        if g.order // len(h) <= 16:
+            assert theorems._coset_unions(g, h.bits) == sorted_coset_unions(g, h.bits), h
+
+
+def test_olson_sweep_on_z30_lists_no_coset_unions():
+    # the trivial subgroup of Z30 has 2^30 - 1 coset unions
+    r = run_sweep(SweepConfig(groups=("Z30",), theorems=("olson",), mode="sampled",
+                              samples=100, seed=1))
+    assert r.summary["instances"] == 100
+    assert r.summary["errors"] == 0
+    r = run_sweep(SweepConfig(groups=("Z30",), theorems=("olson",)))
+    assert r.summary["instances"] == 0
+    assert r.summary["errors"] == 1
+    assert "max_instances" in r.errors[0]["message"]
+
+
 def test_olson_worked_instance():
     h, k = Z6.subset([0, 3]), Z6.subset([0, 2, 4])
     x, y = Z6.subset([0, 3]), Z6.subset([0, 2, 4])
@@ -451,7 +485,8 @@ def test_violation_plumbing_with_a_stub_driver(monkeypatch):
                 Theorem.KNESER, Status.VIOLATED, {"instance": i}))
 
     monkeypatch.setitem(theorems._DRIVERS, "kneser", stub)
-    r = run_sweep(SweepConfig(groups=("Z2",), theorems=("kneser",), violation_cap=2))
+    monkeypatch.setattr(theorems, "RECORD_CAP", 2)
+    r = run_sweep(SweepConfig(groups=("Z2",), theorems=("kneser",)))
     assert r.violated == 5
     assert len(r.violations) == 2
     assert r.violations[0]["witness"] == {"instance": 0}
