@@ -162,6 +162,13 @@ def cell_closure(t: ElementSet, s: ElementSet) -> CellRecord:
     return make_record(g, closure_bits(left_translate_masks(g, s.bits), p), p)
 
 
+def require_enumerable(order: int, cap: int) -> None:
+    """Refuse the exhaustive enumeration over a group of order above cap."""
+    if order > cap:
+        raise EnumerationCapError(f"exhaustive enumeration sweeps 2^{order} candidate products; "
+                                  f"refusing order {order} above cap {cap}")
+
+
 def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, int], ...]:
     """All cells of S as (cell bits, product bits), sorted by cell bits.
 
@@ -173,10 +180,7 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
     if cached is not None:
         return cached
     n = g.order
-    if n > cap:
-        raise EnumerationCapError(
-            f"exhaustive enumeration sweeps 2^{n} candidate products; refusing order {n} above cap {cap}"
-        )
+    require_enumerable(n, cap)
     lt = left_translate_masks(g, s_bits)
     dtype = mask_dtype(n)
     total = 1 << n

@@ -25,8 +25,8 @@ from .cells import (
     balandraud_details,
     enumerate_cells,
     kernels_at,
-    make_record,
     normalize_s,
+    require_enumerable,
 )
 from .groups import GroupAxiomError, GroupSpecError, all_subgroups, build_group
 from .specs import SubsetSpecError, parse_group_tokens, parse_subset_spec
@@ -161,52 +161,52 @@ def cmd_cells(args: argparse.Namespace) -> int:
     if umax < 0:
         print(f"error: --umax must be nonnegative, got {umax}", file=sys.stderr)
         return 2
-    if args.mode == "sampled" and (args.samples is None or args.seed is None):
+    if args.mode == "exhaustive":
+        require_enumerable(g.order, args.enum_cap)
+    elif args.samples is None or args.seed is None:
         print("error: sampled mode requires --samples and --seed", file=sys.stderr)
         return 2
+    elif args.samples < 1:
+        print(f"error: --samples must be positive, got {args.samples}", file=sys.stderr)
+        return 2
+    # the attached subgroup needs the exhaustive enumeration that sampled
+    # mode exists to avoid, so above the cap sampled mode goes without it
+    with_balandraud = g.order <= args.enum_cap
     cache_dir = resolve_cache_dir(args.cache_dir)
     cache = DiskCache(cache_dir) if cache_dir is not None else None
 
-    def compute() -> list[list[int]]:
+    def answer() -> tuple[list[dict], list[dict], list[dict]]:
         records = enumerate_cells(s, umax, args.mode, count=args.samples, seed=args.seed,
                                   cap=args.enum_cap)
-        return [[r.cell.bits, r.product.bits] for r in records]
+        kernel_records = [kernels_at(s, u, records) for u in range(umax + 1)]
+        kernel_sizes = {kr.u: len(kr.kernels[0].cell) for kr in kernel_records if kr.kernels}
+        details = balandraud_details(s, cap=args.enum_cap) if with_balandraud else None
+        return ([_cell_row(r, kernel_sizes) for r in records],
+                [{"kind": "kernel_summary", "u": kr.u, "kernel_count": len(kr.kernels),
+                  "kernel_size": len(kr.kernels[0].cell) if kr.kernels else None,
+                  "kernels": [k.cell.spec_string() for k in kr.kernels],
+                  "unique_identity_kernel": kr.unique_identity_kernel.cell.spec_string()
+                  if kr.unique_identity_kernel else None} for kr in kernel_records],
+                [{"kind": "balandraud", "subgroup": details.subgroup.spec_string(),
+                  "subgroup_size": len(details.subgroup), "u_star": details.u_star,
+                  "case": details.case}] if details else [])
 
-    # keyed on the table, not the label: a cayley: file can change under its path
+    # the key covers every row, and names the table, not a cayley: path whose file can change
     table = hashlib.sha256(g.mul_array().tobytes()).hexdigest()
-    key = {"command": "cells", "version": __version__, "table": table, "s_bits": s.bits,
-           "umax": umax, "mode": args.mode, "samples": args.samples, "seed": args.seed}
+    key = {"command": "cells-answer", "version": __version__, "table": table, "s_bits": s.bits,
+           "umax": umax, "mode": args.mode, "samples": args.samples, "seed": args.seed,
+           "balandraud": with_balandraud}
     t0 = time.monotonic()
-    pairs = cache.get_or_compute(key, compute) if cache else compute()
-    records = [make_record(g, int(c), int(p)) for c, p in pairs]
-    kernel_records = [kernels_at(s, u, records) for u in range(umax + 1)]
-    kernel_sizes = {kr.u: len(kr.kernels[0].cell) for kr in kernel_records if kr.kernels}
-    # the attached subgroup needs the exhaustive enumeration that sampled
-    # mode exists to avoid, so above the cap sampled mode goes without it
-    details = None
-    if args.mode == "sampled" and g.order > args.enum_cap:
+    cell_rows, kernel_rows, balandraud_rows = cache.get_or_compute(key, answer) if cache else answer()
+    if not with_balandraud:
         print(f"cellkit: no balandraud row: the attached subgroup needs an exhaustive "
               f"enumeration, and order {g.order} is above --enum-cap {args.enum_cap}",
               file=sys.stderr)
-    else:
-        details = balandraud_details(s, cap=args.enum_cap)
 
     manifest = {"kind": "manifest", "command": "cells", "tool": "cellkit",
                 "version": __version__, "group": g.label, "set": s.spec_string(),
                 "normalized_from": raw.spec_string() if shifted else None,
                 "umax": umax, "mode": args.mode, "samples": args.samples, "seed": args.seed}
-    cell_rows = [_cell_row(r, kernel_sizes) for r in records]
-    kernel_rows = [{
-        "kind": "kernel_summary", "u": kr.u, "kernel_count": len(kr.kernels),
-        "kernel_size": len(kr.kernels[0].cell) if kr.kernels else None,
-        "kernels": [k.cell.spec_string() for k in kr.kernels],
-        "unique_identity_kernel": kr.unique_identity_kernel.cell.spec_string()
-        if kr.unique_identity_kernel else None,
-    } for kr in kernel_records]
-    balandraud_rows = [{"kind": "balandraud", "subgroup": details.subgroup.spec_string(),
-                        "subgroup_size": len(details.subgroup), "u_star": details.u_star,
-                        "case": details.case}] if details else []
-
     fmt = _resolve_format(args.format)
     if fmt == "jsonl":
         _emit_jsonl(manifest)
@@ -239,7 +239,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
             print(f"subgroup: {row['subgroup']} (u* = {row['u_star']}, case {row['case']})")
     if cache is not None:
         print(cache.stats(), file=sys.stderr)
-    print(f"cells: {len(records)} cell(s) in {time.monotonic() - t0:.3f}s", file=sys.stderr)
+    print(f"cells: {len(cell_rows)} cell(s) in {time.monotonic() - t0:.3f}s", file=sys.stderr)
     return 0
 
 

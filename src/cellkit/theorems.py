@@ -369,6 +369,8 @@ class SweepConfig:
             raise SweepConfigError(f"s_min must be at least 1, got {self.s_min}")
         if self.s_max is not None and self.s_max < self.s_min:
             raise SweepConfigError(f"s_max {self.s_max} is below s_min {self.s_min}")
+        if self.max_instances < 1:
+            raise SweepConfigError(f"max_instances must be at least 1, got {self.max_instances}")
         if self.enumeration_cap > MAX_MASK_ORDER:
             raise SweepConfigError(
                 f"enumeration cap {self.enumeration_cap} is above {MAX_MASK_ORDER}, "
@@ -530,28 +532,23 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
         state.error(tag, g.label,
                     f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
         return
-    if state.sink is not None:
-        for y_bits in range(1, 1 << n):
-            y = ElementSet(g, y_bits)
-            for x_bits in range(1, 1 << n):
-                state.add(g.label, check_kneser(ElementSet(g, x_bits), y, explore=explore))
-        return
-    # counting path: a vectorized prefilter on the hypothesis, then scalar
-    # checks on the surviving pairs. Saturated products XY = G are resolved
-    # in bulk: their stabilizer is G, so the equality holds automatically.
     tables = _right_translate_tables(g)
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int16)
+    every = np.arange(1 << n, dtype=np.uint32)
+    pc = np.bitwise_count(every).astype(np.int16)
     full = np.uint32((1 << n) - 1)
     for y_bits in range(1, 1 << n):
-        xy = np.zeros(1 << n, dtype=np.uint32)
-        for z in iter_bits(y_bits):
-            xy |= tables[z]
-        hyp = np.bitwise_count(xy).astype(np.int16) <= pc + np.int16(y_bits.bit_count() - 2)
-        hyp[0] = False
-        saturated = hyp & (xy == full)
-        state.bulk(tag, g.label, Status.HOLDS, int(saturated.sum()))
-        cand = np.nonzero(hyp & ~saturated)[0]
-        state.bulk(tag, g.label, Status.NOT_APPLICABLE, (1 << n) - 1 - len(cand) - int(saturated.sum()))
+        cand = every[1:]
+        if state.sink is None:
+            # counting path: a vectorized prefilter on the hypothesis, then
+            # scalar checks on the surviving pairs. Saturated products XY = G
+            # hold in bulk: their stabilizer is G, so the equality is automatic.
+            xy = np.bitwise_or.reduce([tables[z] for z in iter_bits(y_bits)])
+            hyp = np.bitwise_count(xy).astype(np.int16) <= pc + np.int16(y_bits.bit_count() - 2)
+            hyp[0] = False
+            saturated = hyp & (xy == full)
+            state.bulk(tag, g.label, Status.HOLDS, int(saturated.sum()))
+            state.bulk(tag, g.label, Status.NOT_APPLICABLE, (1 << n) - 1 - int(hyp.sum()))
+            cand = np.nonzero(hyp & ~saturated)[0]
         y = ElementSet(g, y_bits)
         for x_bits in cand.tolist():
             state.add(g.label, check_kneser(ElementSet(g, int(x_bits)), y, explore=explore))
@@ -643,6 +640,11 @@ def _olson_chunks(g: Group, subgroup_bits: Sequence[int], union_counts: Sequence
 
 def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     tag = Theorem.OLSON
+    try:
+        dtype = mask_dtype(g.order)
+    except ValueError as exc:
+        state.error(tag, g.label, str(exc))
+        return
     subs = all_subgroups(g)
     bits = [h.bits for h in subs]
     # H has order/|H| right cosets, hence 2^that - 1 nonempty unions of them
@@ -653,7 +655,7 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
             state.error(tag, g.label,
                         f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
             return
-    for hi, ki, x, y in _olson_chunks(g, bits, union_counts, cfg, seed, mask_dtype(g.order)):
+    for hi, ki, x, y in _olson_chunks(g, bits, union_counts, cfg, seed, dtype):
         if state.sink is None:
             # counting path: HOLDS and NOT_APPLICABLE are counted in bulk and
             # only the rest reaches the scalar checker
@@ -803,23 +805,16 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
             batches = [np.arange(1, 1 << n, dtype=mask_dtype(n))]
         else:
             rng = np.random.default_rng(_derive_seed(seed, s.bits, "t-draws"))
-            batches = []
-            remaining = cfg.samples
-            while remaining > 0:
-                take = min(remaining, 1 << 17)
-                batches.append(_sampled_t_masks(g, take, rng))
-                remaining -= take
+            batches = [_sampled_t_masks(g, min(1 << 17, cfg.samples - start), rng)
+                       for start in range(0, cfg.samples, 1 << 17)]
         for t_arr in batches:
-            if state.sink is not None:
-                for t_bits in t_arr.tolist():
-                    state.add(g.label, check_dichotomy(s, h, ElementSet(g, int(t_bits)),
-                                                       explore=explore))
-                continue
-            holds = _dichotomy_batch(g, s.bits, h.bits, t_arr)
-            state.bulk(tag, g.label, Status.HOLDS, int(holds.sum()))
-            for t_bits in t_arr[~holds].tolist():
-                state.add(g.label, check_dichotomy(s, h, ElementSet(g, int(t_bits)),
-                                                   explore=explore))
+            if state.sink is None:
+                # counting path: HOLDS in bulk, the rest to the scalar checker
+                holds = _dichotomy_batch(g, s.bits, h.bits, t_arr)
+                state.bulk(tag, g.label, Status.HOLDS, int(holds.sum()))
+                t_arr = t_arr[~holds]
+            for t_bits in t_arr.tolist():
+                state.add(g.label, check_dichotomy(s, h, ElementSet(g, t_bits), explore=explore))
 
 
 _DRIVERS = {

@@ -1,13 +1,16 @@
 """Command-line behavior: formats, exit codes, caching, determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
 
 import pytest
 
+import cellkit.cells as cells_module
 import cellkit.theorems as theorems
-from cellkit import DiskCache, Status, Theorem, TheoremVerdict, __version__
+from cellkit import DiskCache, Status, Theorem, TheoremVerdict, __version__, build_group
+from cellkit.cells import enumerate_cells
 from cellkit.cli import main
 
 
@@ -80,14 +83,20 @@ def test_cells_sampled_mode_flags(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
-def test_cells_sampled_mode_above_the_enum_cap_drops_the_balandraud_row(capsys, fmt):
-    rc, out, err = run_cli(capsys, "cells", "Z24", "{0,1,5}", "--mode", "sampled",
-                           "--samples", "20", "--seed", "1", "--format", fmt)
+def test_cells_sampled_mode_above_the_enum_cap_drops_the_balandraud_row(tmp_path, capsys, fmt):
+    argv = ("cells", "Z24", "{0,1,5}", "--mode", "sampled", "--samples", "20", "--seed", "1",
+            "--format", fmt)
+    rc, plain, _ = run_cli(capsys, *argv)
     assert rc == 0
-    assert "{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23}" in out
-    assert "balandraud" not in out and "subgroup:" not in out
-    assert '"kind": "balandraud"' not in err
-    assert err.count("order 24 is above --enum-cap 20") == 1
+    # a miss and then a hit print the same stdout, and the note both times
+    for stats in ("0 hit(s), 1 miss(es)", "1 hit(s), 0 miss(es)"):
+        rc, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert rc == 0 and stats in err
+        assert out == plain
+        assert "{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23}" in out
+        assert "balandraud" not in out and "subgroup:" not in out
+        assert '"kind": "balandraud"' not in err
+        assert err.count("order 24 is above --enum-cap 20") == 1
 
 
 def test_cells_sampled_mode_at_the_enum_cap_keeps_the_balandraud_row(capsys):
@@ -110,9 +119,14 @@ def test_cells_usage_errors(capsys):
     assert rc == 2 and "nonempty" in err
     rc, _, err = run_cli(capsys, "cells", "Z21", "{0,1}")
     assert rc == 2 and "refusing order 21" in err
+    for samples in ("0", "-3"):
+        rc, out, err = run_cli(capsys, "cells", "Z8", "{0,1}", "--mode", "sampled",
+                               "--samples", samples, "--seed", "1")
+        assert rc == 2 and out == ""
+        assert err == f"error: --samples must be positive, got {samples}\n"
 
 
-def test_cells_cache_roundtrip(tmp_path, capsys):
+def test_cells_cache_roundtrip(tmp_path, capsys, monkeypatch):
     argv = ("cells", "Z12", "{0,1,6,7}", "--umax", "2", "--format", "jsonl",
             "--cache-dir", str(tmp_path))
     rc, cold, err = run_cli(capsys, *argv)
@@ -120,10 +134,26 @@ def test_cells_cache_roundtrip(tmp_path, capsys):
     assert "0 hit(s), 1 miss(es)" in err
     entries = list(tmp_path.glob("*.json"))
     assert len(entries) == 1
+    # the entry holds the whole answer, so a hit enumerates and builds nothing
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_full_cell_enumeration", "make_record", "is_subgroup"):
+        monkeypatch.setattr(cells_module, name, counted(name, getattr(cells_module, name)))
     rc, warm, err = run_cli(capsys, *argv)
     assert rc == 0
     assert warm == cold
     assert "1 hit(s), 0 miss(es)" in err
+    assert calls == []
+    # the cap refusal comes before the cache lookup
+    rc, out, err = run_cli(capsys, *argv, "--enum-cap", "10")
+    assert rc == 2 and out == ""
+    assert "refusing order 12 above cap 10" in err
 
     # a corrupted entry is discarded, recomputed, and rewritten
     entries[0].write_text("garbage\n")
@@ -131,6 +161,24 @@ def test_cells_cache_roundtrip(tmp_path, capsys):
     assert rc == 0
     assert again == cold
     assert "discarding" in err
+
+
+def test_cells_cache_ignores_entries_in_the_pairs_format(tmp_path, capsys):
+    # earlier releases stored [cell bits, product bits] pairs under the same
+    # version; such an entry must never be read as an answer
+    g = build_group("Z12")
+    s = g.subset([0, 1, 6, 7])
+    old_key = {"command": "cells", "version": __version__,
+               "table": hashlib.sha256(g.mul_array().tobytes()).hexdigest(), "s_bits": s.bits,
+               "umax": 2, "mode": "exhaustive", "samples": None, "seed": None}
+    pairs = [[r.cell.bits, r.product.bits] for r in enumerate_cells(s, 2)]
+    DiskCache(tmp_path).get_or_compute(old_key, lambda: pairs)
+    argv = ("cells", "Z12", "{0,1,6,7}", "--umax", "2", "--format", "jsonl")
+    _, plain, _ = run_cli(capsys, *argv)
+    rc, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert rc == 0 and out == plain
+    assert "0 hit(s), 1 miss(es)" in err and "discarding" not in err
+    assert len(list(tmp_path.glob("*.json"))) == 2
 
 
 def test_cells_cache_is_keyed_on_the_table_not_the_path(tmp_path, capsys):
@@ -267,6 +315,12 @@ def test_verify_skip_note_for_oversized_tasks(capsys):
                          "--max-instances", "10", "--format", "table")
     assert rc == 0
     assert "skipped KNESER on Z6" in err
+    # sampled Olson on a wide group needs masks above 64 bits: skipped, not a crash
+    rc, _, err = run_cli(capsys, "verify", "--groups", "Z70", "--wide", "--theorem", "olson",
+                         "--mode", "sampled", "--seed", "1", "--samples", "10",
+                         "--format", "table")
+    assert rc == 0
+    assert "skipped OLSON on Z70: subset masks of order 70 do not fit a 64-bit integer" in err
 
 
 def test_verify_usage_errors(capsys):
@@ -283,6 +337,10 @@ def test_verify_usage_errors(capsys):
     assert rc == 2 and "identity" in err
     rc, _, err = run_cli(capsys, "verify", "--groups", "K9", "--theorem", "kneser")
     assert rc == 2 and "unrecognized group spec" in err
+    rc, out, err = run_cli(capsys, "verify", "--groups", "Z6", "--theorem", "kneser",
+                           "--max-instances", "-1")
+    assert rc == 2 and out == ""
+    assert err == "error: max_instances must be at least 1, got -1\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -455,6 +455,8 @@ def test_sweep_config_validation():
         SweepConfig(groups=("Z6",), theorems=("kneser",), s_min=0).validate()
     with pytest.raises(SweepConfigError, match="below s_min"):
         SweepConfig(groups=("Z6",), theorems=("kneser",), s_min=3, s_max=2).validate()
+    with pytest.raises(SweepConfigError, match="max_instances must be at least 1, got -1"):
+        SweepConfig(groups=("Z6",), theorems=("kneser",), max_instances=-1).validate()
     with pytest.raises(SweepConfigError, match="enumeration cap 80 is above 64"):
         SweepConfig(groups=("Z6",), theorems=("chain",), enumeration_cap=80).validate()
 
