@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import ElementSet, Group, generated_subgroup, is_subgroup, product_bits, require_same_group
+from .specs import random_nonempty_bits
 
 ENUMERATION_CAP = 20
 MAX_MASK_ORDER = 64
@@ -220,11 +221,7 @@ def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
         seen: dict[int, int] = {}
         lt = left_translate_masks(g, s.bits)
         for _ in range(count):
-            k = rng.randint(1, n)
-            t_bits = 0
-            for i in rng.sample(range(n), k):
-                t_bits |= 1 << i
-            p = product_bits(g, t_bits, s.bits)
+            p = product_bits(g, random_nonempty_bits(n, rng), s.bits)
             seen[closure_bits(lt, p)] = p
         pairs = sorted(seen.items())
     else:

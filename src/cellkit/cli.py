@@ -45,6 +45,16 @@ def _emit_jsonl(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _emit_fields(record: dict, fmt: str) -> None:
+    """One record as a jsonl line, or as csv field,value rows."""
+    if fmt == "jsonl":
+        _emit_jsonl(record)
+    else:
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["field", "value"])
+        writer.writerows([k, v] for k, v in record.items())
+
+
 def _print_table(header: list[str], rows: list[list[str]]) -> None:
     widths = [len(h) for h in header]
     for row in rows:
@@ -80,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_arg(p)
     p.add_argument("set", help="subset spec, e.g. \"{0,1,6,7}\"")
     p.add_argument("--umax", type=int, default=None,
-                   help="largest deficiency to list (default |S|-1)")
+                   help="largest deficiency to list, at most |G|-1 (default |S|-1)")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--samples", type=int, default=None, help="seed closures drawn in sampled mode")
     p.add_argument("--seed", type=int, default=None, help="rng seed for sampled mode")
@@ -160,6 +170,10 @@ def cmd_cells(args: argparse.Namespace) -> int:
     umax = args.umax if args.umax is not None else max(len(s) - 1, 0)
     if umax < 0:
         print(f"error: --umax must be nonnegative, got {umax}", file=sys.stderr)
+        return 2
+    if umax >= g.order:
+        print(f"error: --umax {umax} is above {g.order - 1}, the largest deficiency "
+              f"a cell can have in a group of order {g.order}", file=sys.stderr)
         return 2
     if args.mode == "exhaustive":
         require_enumerable(g.order, args.enum_cap)
@@ -258,13 +272,8 @@ def cmd_subgroup(args: argparse.Namespace) -> int:
               "subgroup_size": len(details.subgroup),
               "u_star": details.u_star, "case": details.case}
     fmt = _resolve_format(args.format)
-    if fmt == "jsonl":
-        _emit_jsonl(record)
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["field", "value"])
-        for k, v in record.items():
-            writer.writerow([k, v])
+    if fmt != "table":
+        _emit_fields(record, fmt)
     else:
         print(f"group:    {record['group']}")
         print(f"set:      {record['set']}"
@@ -288,13 +297,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     else:
         record["subgroup_count"] = None
     fmt = _resolve_format(args.format)
-    if fmt == "jsonl":
-        _emit_jsonl(record)
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["field", "value"])
-        for k, v in record.items():
-            writer.writerow([k, v])
+    if fmt != "table":
+        _emit_fields(record, fmt)
     else:
         for k, v in record.items():
             if k != "kind":

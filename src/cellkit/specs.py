@@ -61,6 +61,15 @@ def iter_identity_subsets(g: Group, min_size: int, max_size: int) -> Iterator[El
             yield ElementSet(g, bits)
 
 
+def random_nonempty_bits(n: int, rng: random.Random) -> int:
+    """A seeded nonempty subset of 0..n-1 as a bitmask: a uniform size, then
+    a uniform sample of that many elements."""
+    bits = 0
+    for i in rng.sample(range(n), rng.randint(1, n)):
+        bits |= 1 << i
+    return bits
+
+
 def sample_identity_subsets(g: Group, min_size: int, max_size: int, count: int,
                             rng: random.Random) -> list[ElementSet]:
     """count seeded draws of identity-containing subsets, deduplicated.

@@ -12,10 +12,13 @@ groups.product_bits (through setops.product) and cell tests to
 cells.closure_bits (through cells.is_cell), while the counting paths use
 the numpy forms cells.product_masks and cells.closure_masks.
 
-Without a sink, the Kneser, Olson, cell-intersection and dichotomy sweeps
-take a numpy counting path: instances it settles are tallied in bulk, and
-only the rest reach the scalar checker, in instance order. With a sink,
-every instance goes through the scalar checker and yields one record.
+Each sweep driver hands batches of instances to _check_batch, which owns
+the sink-or-bulk decision. Without a sink, the Kneser, Olson,
+cell-intersection and dichotomy batches take a numpy counting path:
+instances it settles are tallied in bulk, and only the rest reach the
+scalar checker, in instance order. With a sink, every instance goes
+through the scalar checker and yields one record. _run_task notes
+exploration mode and turns a refused task into its one error record.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
@@ -55,7 +58,7 @@ from .groups import (
     require_same_group,
 )
 from .setops import difference_counts, left_stabilizer, product
-from .specs import expand_subset_specs, iter_identity_subsets, sample_identity_subsets
+from .specs import expand_subset_specs, iter_identity_subsets, random_nonempty_bits, sample_identity_subsets
 
 
 class Theorem(str, Enum):
@@ -425,9 +428,6 @@ class _SweepState:
         self.errors.extend(part.errors)
         self.exploration |= part.exploration
 
-    def bulk(self, theorem: Theorem, group: str, status: Status, k: int) -> None:
-        self.tally(theorem.value, group, status.value, k)
-
     def error(self, theorem: Theorem, group: str, message: str) -> None:
         record = {"kind": "error", "theorem": theorem.value, "group": group, "message": message}
         self.errors.append(record)
@@ -443,12 +443,8 @@ def _derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def _random_nonempty_subset(g: Group, rng: random.Random) -> ElementSet:
-    k = rng.randint(1, g.order)
-    bits = 0
-    for i in rng.sample(range(g.order), k):
-        bits |= 1 << i
-    return ElementSet(g, bits)
+class _Refused(Exception):
+    """A task refused as a whole; _run_task records it as the task's one error."""
 
 
 def _s_space(g: Group, cfg: SweepConfig, seed: int) -> list[ElementSet]:
@@ -502,56 +498,65 @@ def _periodic(table: np.ndarray, idx: int | np.ndarray, a: np.ndarray) -> np.nda
     return ok
 
 
-# counting paths evaluate instances in numpy chunks of this many
+# the sweeps hand instances to _check_batch in chunks of about this many
 _CHUNK = 1 << 16
+
+
+def _check_batch(state: _SweepState, label: str, tag: Theorem, columns: Sequence[np.ndarray],
+                 check: Callable[..., TheoremVerdict],
+                 settle: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None) -> None:
+    """Check a batch of instances, given as parallel columns, in instance order.
+
+    Without a sink, settle(*columns) returns the masks (not_applicable,
+    holds) of the instances it decides; those are tallied in bulk and only
+    the rest reach check(*instance). With a sink, every instance reaches
+    check and yields one record.
+    """
+    if state.sink is None and settle is not None:
+        not_applicable, holds = settle(*columns)
+        state.tally(tag.value, label, Status.NOT_APPLICABLE.value, int(not_applicable.sum()))
+        state.tally(tag.value, label, Status.HOLDS.value, int(holds.sum()))
+        rest = ~(not_applicable | holds)
+        columns = [c[rest] for c in columns]
+    for instance in zip(*(c.tolist() for c in columns)):
+        state.add(label, check(*instance))
 
 
 # -- kneser sweep ---------------------------------------------------------
 
-def _right_translate_tables(g: Group) -> list[np.ndarray]:
-    """tables[y][x_bits] = bits of X*y, for every element y."""
-    every = np.arange(1 << g.order, dtype=np.uint32)
-    return [product_masks(left_translate_masks(g, 1 << y), every) for y in range(g.order)]
-
-
 def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    tag = Theorem.KNESER
     explore = not g.is_abelian
-    if explore:
-        state.note_exploration(tag, g.label)
+    n = g.order
     if cfg.mode == "sampled":
         rng = random.Random(f"{seed}|pairs")
-        for _ in range(cfg.samples):
-            x = _random_nonempty_subset(g, rng)
-            y = _random_nonempty_subset(g, rng)
-            state.add(g.label, check_kneser(x, y, explore=explore))
+        for start in range(0, cfg.samples, _CHUNK):
+            # x and y draws alternate; object columns, as a --wide group's
+            # masks outgrow every numpy integer
+            k = min(_CHUNK, cfg.samples - start)
+            draws = np.array([random_nonempty_bits(n, rng) for _ in range(2 * k)], dtype=object)
+            _check_batch(state, g.label, Theorem.KNESER, draws.reshape(k, 2).T,
+                         lambda x, y: check_kneser(ElementSet(g, x), ElementSet(g, y), explore=explore))
         return
-    n = g.order
     total = ((1 << n) - 1) ** 2
     if total > cfg.max_instances:
-        state.error(tag, g.label,
-                    f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
-        return
-    tables = _right_translate_tables(g)
-    every = np.arange(1 << n, dtype=np.uint32)
-    pc = np.bitwise_count(every).astype(np.int16)
+        raise _Refused(f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
+    xs = np.arange(1, 1 << n, dtype=np.uint32)
+    # tables[z][i] = bits of X*z for X = xs[i]
+    tables = [product_masks(left_translate_masks(g, 1 << z), xs) for z in range(n)]
+    pc = np.bitwise_count(xs).astype(np.int16)
     full = np.uint32((1 << n) - 1)
     for y_bits in range(1, 1 << n):
-        cand = every[1:]
-        if state.sink is None:
-            # counting path: a vectorized prefilter on the hypothesis, then
-            # scalar checks on the surviving pairs. Saturated products XY = G
-            # hold in bulk: their stabilizer is G, so the equality is automatic.
+        y = ElementSet(g, y_bits)
+
+        def settle(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # x is xs, whose products the tables hold. Saturated products
+            # XY = G hold: their stabilizer is G, so the equality is automatic
             xy = np.bitwise_or.reduce([tables[z] for z in iter_bits(y_bits)])
             hyp = np.bitwise_count(xy).astype(np.int16) <= pc + np.int16(y_bits.bit_count() - 2)
-            hyp[0] = False
-            saturated = hyp & (xy == full)
-            state.bulk(tag, g.label, Status.HOLDS, int(saturated.sum()))
-            state.bulk(tag, g.label, Status.NOT_APPLICABLE, (1 << n) - 1 - int(hyp.sum()))
-            cand = np.nonzero(hyp & ~saturated)[0]
-        y = ElementSet(g, y_bits)
-        for x_bits in cand.tolist():
-            state.add(g.label, check_kneser(ElementSet(g, int(x_bits)), y, explore=explore))
+            return ~hyp, hyp & (xy == full)
+
+        _check_batch(state, g.label, Theorem.KNESER, (xs,),
+                     lambda x: check_kneser(ElementSet(g, x), y, explore=explore), settle)
 
 
 # -- olson sweep ----------------------------------------------------------
@@ -639,12 +644,10 @@ def _olson_chunks(g: Group, subgroup_bits: Sequence[int], union_counts: Sequence
 
 
 def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    tag = Theorem.OLSON
     try:
         dtype = mask_dtype(g.order)
     except ValueError as exc:
-        state.error(tag, g.label, str(exc))
-        return
+        raise _Refused(str(exc)) from None
     subs = all_subgroups(g)
     bits = [h.bits for h in subs]
     # H has order/|H| right cosets, hence 2^that - 1 nonempty unions of them
@@ -652,102 +655,61 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
     if cfg.mode == "exhaustive":
         per_side = sum(union_counts)
         if per_side * per_side > cfg.max_instances:
-            state.error(tag, g.label,
-                        f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
-            return
-    for hi, ki, x, y in _olson_chunks(g, bits, union_counts, cfg, seed, dtype):
-        if state.sink is None:
-            # counting path: HOLDS and NOT_APPLICABLE are counted in bulk and
-            # only the rest reaches the scalar checker
-            applicable, holds = _olson_batch(g, bits, hi, ki, x, y)
-            state.bulk(tag, g.label, Status.NOT_APPLICABLE, len(x) - int(applicable.sum()))
-            state.bulk(tag, g.label, Status.HOLDS, int(holds.sum()))
-            scalar = np.nonzero(applicable & ~holds)[0]
-            hi, ki, x, y = hi[scalar], ki[scalar], x[scalar], y[scalar]
-        for h, k, xb, yb in zip(hi.tolist(), ki.tolist(), x.tolist(), y.tolist()):
-            state.add(g.label, check_olson(ElementSet(g, xb), ElementSet(g, yb), subs[h], subs[k]))
+            raise _Refused(
+                f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
+
+    def check(h: int, k: int, x_bits: int, y_bits: int) -> TheoremVerdict:
+        return check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits), subs[h], subs[k])
+
+    def settle(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        applicable, holds = _olson_batch(g, bits, *columns)
+        return ~applicable, holds
+
+    for columns in _olson_chunks(g, bits, union_counts, cfg, seed, dtype):
+        _check_batch(state, g.label, Theorem.OLSON, columns, check, settle)
 
 
 # -- cell intersection sweep ----------------------------------------------
 
-def _count_intersections(g: Group, s: ElementSet, cells: list[CellRecord],
-                         state: _SweepState) -> bool:
-    """Counting path over every pair of cells of s, in pair order.
-
-    Empty intersections count as NOT_APPLICABLE and closed ones as HOLDS, in
-    bulk; any other pair goes to the scalar checker. Returns False, having
-    counted nothing, if some enumerated set is not a cell, so that the
-    caller's scalar loop raises on it.
-    """
-    tag = Theorem.CELL_INTERSECT
-    lt = left_translate_masks(g, s.bits)
-    bits = np.array([c.cell.bits for c in cells], dtype=mask_dtype(g.order))
-    if not (bits.all() and (closure_masks(lt, product_masks(lt, bits)) == bits).all()):
-        return False
-    m = len(bits)
-    step = max(1, _CHUNK // max(m, 1))
-    for start in range(0, m - 1, step):
-        i, j = np.triu_indices(min(step, m - 1 - start), 1, m - start)
-        i += start
-        j += start
-        inter = bits[i] & bits[j]
-        nonempty = inter != 0
-        closed = nonempty & (closure_masks(lt, product_masks(lt, inter)) == inter)
-        state.bulk(tag, g.label, Status.NOT_APPLICABLE, len(inter) - int(nonempty.sum()))
-        state.bulk(tag, g.label, Status.HOLDS, int(closed.sum()))
-        rest = nonempty & ~closed
-        for a, b in zip(i[rest].tolist(), j[rest].tolist()):
-            state.add(g.label, check_cell_intersection(s, cells[a].cell, cells[b].cell))
-    return True
-
-
 def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    tag = Theorem.CELL_INTERSECT
     for s in _s_space(g, cfg, seed):
-        try:
-            cells = enumerate_cells(s, u_max=g.order, cap=cfg.enumeration_cap)
-        except EnumerationCapError as exc:
-            state.error(tag, g.label, str(exc))
-            return
-        pairs = len(cells) * (len(cells) - 1) // 2
-        if pairs > cfg.max_instances:
-            state.error(tag, g.label,
-                        f"{len(cells)} cells give {pairs} pairs, above max_instances {cfg.max_instances}")
-            return
-        if state.sink is None and _count_intersections(g, s, cells, state):
-            continue
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                state.add(g.label, check_cell_intersection(s, cells[i].cell, cells[j].cell))
+        cells = enumerate_cells(s, u_max=g.order, cap=cfg.enumeration_cap)
+        m = len(cells)
+        if m * (m - 1) // 2 > cfg.max_instances:
+            raise _Refused(
+                f"{m} cells give {m * (m - 1) // 2} pairs, above max_instances {cfg.max_instances}")
+        lt = left_translate_masks(g, s.bits)
+        bits = np.array([c.cell.bits for c in cells], dtype=mask_dtype(g.order))
+
+        def closed(a: np.ndarray) -> np.ndarray:
+            return closure_masks(lt, product_masks(lt, a)) == a
+
+        def settle(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            inter = bits[i] & bits[j]
+            return inter == 0, (inter != 0) & closed(inter)
+
+        # a set that is not a cell gets no settle, so the checker sees it and refuses it
+        settled = settle if bits.all() and closed(bits).all() else None
+        step = max(1, _CHUNK // max(m, 1))
+        for start in range(0, m - 1, step):
+            i, j = np.triu_indices(min(step, m - 1 - start), 1, m - start)
+            _check_batch(state, g.label, Theorem.CELL_INTERSECT, (i + start, j + start),
+                         lambda a, b: check_cell_intersection(s, cells[a].cell, cells[b].cell), settled)
 
 
 # -- chain sweep ----------------------------------------------------------
 
 def _sweep_chain(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    tag = Theorem.SUBGROUP_KERNEL_CHAIN
-    for s in _s_space(g, cfg, seed):
-        try:
-            verdict = check_theorem_subgroup_kernels(s, cap=cfg.enumeration_cap)
-        except EnumerationCapError as exc:
-            state.error(tag, g.label, str(exc))
-            return
-        state.add(g.label, verdict)
+    sets = _s_space(g, cfg, seed)
+    _check_batch(state, g.label, Theorem.SUBGROUP_KERNEL_CHAIN, (np.arange(len(sets)),),
+                 lambda i: check_theorem_subgroup_kernels(sets[i], cap=cfg.enumeration_cap))
 
 
 # -- corollary sweep ------------------------------------------------------
 
 def _sweep_corollary(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    explore = not g.is_abelian
-    if explore:
-        for part in (Theorem.COROLLARY_I, Theorem.COROLLARY_II, Theorem.COROLLARY_III):
-            state.note_exploration(part, g.label)
     for s in _s_space(g, cfg, seed):
-        try:
-            verdicts = check_corollary_kernel_structure(s, explore=explore, cap=cfg.enumeration_cap)
-        except EnumerationCapError as exc:
-            state.error(Theorem.COROLLARY_I, g.label, str(exc))
-            return
-        for v in verdicts:
+        for v in check_corollary_kernel_structure(s, explore=not g.is_abelian, cap=cfg.enumeration_cap):
             state.add(g.label, v)
 
 
@@ -784,37 +746,23 @@ def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    tag = Theorem.DICHOTOMY
     explore = not g.is_abelian
-    if explore:
-        state.note_exploration(tag, g.label)
     n = g.order
     for s in _s_space(g, cfg, seed):
-        try:
-            details = balandraud_details(s, cap=cfg.enumeration_cap)
-        except EnumerationCapError as exc:
-            state.error(tag, g.label, str(exc))
-            return
-        h = details.subgroup
+        h = balandraud_details(s, cap=cfg.enumeration_cap).subgroup
         if cfg.mode == "exhaustive":
             total = (1 << n) - 1
             if total > cfg.max_instances:
-                state.error(tag, g.label,
-                            f"exhaustive T space {total} exceeds max_instances {cfg.max_instances}")
-                return
+                raise _Refused(f"exhaustive T space {total} exceeds max_instances {cfg.max_instances}")
             batches = [np.arange(1, 1 << n, dtype=mask_dtype(n))]
         else:
             rng = np.random.default_rng(_derive_seed(seed, s.bits, "t-draws"))
-            batches = [_sampled_t_masks(g, min(1 << 17, cfg.samples - start), rng)
-                       for start in range(0, cfg.samples, 1 << 17)]
+            batches = (_sampled_t_masks(g, min(1 << 17, cfg.samples - start), rng)
+                       for start in range(0, cfg.samples, 1 << 17))
         for t_arr in batches:
-            if state.sink is None:
-                # counting path: HOLDS in bulk, the rest to the scalar checker
-                holds = _dichotomy_batch(g, s.bits, h.bits, t_arr)
-                state.bulk(tag, g.label, Status.HOLDS, int(holds.sum()))
-                t_arr = t_arr[~holds]
-            for t_bits in t_arr.tolist():
-                state.add(g.label, check_dichotomy(s, h, ElementSet(g, t_bits), explore=explore))
+            _check_batch(state, g.label, Theorem.DICHOTOMY, (t_arr,),
+                         lambda t: check_dichotomy(s, h, ElementSet(g, t), explore=explore),
+                         lambda t: (np.zeros(len(t), dtype=bool), _dichotomy_batch(g, s.bits, h.bits, t)))
 
 
 _DRIVERS = {
@@ -827,11 +775,31 @@ _DRIVERS = {
 }
 
 
+# the statements each task checks; a refused task's error record names the first
+_TAGS = {
+    "kneser": (Theorem.KNESER,),
+    "olson": (Theorem.OLSON,),
+    "intersection": (Theorem.CELL_INTERSECT,),
+    "chain": (Theorem.SUBGROUP_KERNEL_CHAIN,),
+    "corollary": (Theorem.COROLLARY_I, Theorem.COROLLARY_II, Theorem.COROLLARY_III),
+    "dichotomy": (Theorem.DICHOTOMY,),
+}
+# proved for abelian groups only, so on a nonabelian group they run in exploration mode
+_ABELIAN_ONLY = {"kneser", "corollary", "dichotomy"}
+
+
 def _run_task(g: Group, theorem: str, cfg: SweepConfig,
               sink: Callable[[dict], None] | None) -> _SweepState:
+    """Run one (group, theorem) task into a fresh state; a refused task ends in one error record."""
     state = _SweepState(sink)
     seed = _derive_seed(cfg.seed if cfg.seed is not None else 0, g.label, theorem)
-    _DRIVERS[theorem](g, cfg, state, seed)
+    if theorem in _ABELIAN_ONLY and not g.is_abelian:
+        for tag in _TAGS[theorem]:
+            state.note_exploration(tag, g.label)
+    try:
+        _DRIVERS[theorem](g, cfg, state, seed)
+    except (_Refused, EnumerationCapError) as exc:
+        state.error(_TAGS[theorem][0], g.label, str(exc))
     return state
 
 
@@ -870,13 +838,11 @@ def run_sweep(config: SweepConfig, sink: Callable[[dict], None] | None = None) -
                 state.merge(part)
     counts: dict[str, dict[str, dict[str, int]]] = {}
     totals: dict[str, int] = {}
-    instances = 0
     for (theorem, group, status), k in sorted(state.counts.items()):
         counts.setdefault(theorem, {}).setdefault(group, {})[status] = k
         totals[status] = totals.get(status, 0) + k
-        instances += k
     summary = {
-        "instances": instances,
+        "instances": sum(totals.values()),
         "counts": counts,
         "totals": dict(sorted(totals.items())),
         "exploration": [list(e) for e in sorted(state.exploration)],

@@ -126,6 +126,19 @@ def test_cells_usage_errors(capsys):
         assert err == f"error: --samples must be positive, got {samples}\n"
 
 
+def test_cells_umax_is_bounded_by_the_largest_deficiency(capsys):
+    # a cell of a group of order 12 has deficiency at most 11
+    rc, out, err = run_cli(capsys, "cells", "Z12", "{0,1}", "--umax", "12")
+    assert rc == 2 and out == ""
+    assert err == ("error: --umax 12 is above 11, the largest deficiency a cell can have "
+                   "in a group of order 12\n")
+    rc, out, _ = run_cli(capsys, "cells", "Z12", "{0,1}", "--umax", "11", "--format", "jsonl")
+    assert rc == 0
+    records = jsonl_records(out)
+    assert sum(r["kind"] == "cell" for r in records) == 852
+    assert [r["u"] for r in records if r["kind"] == "kernel_summary"] == list(range(12))
+
+
 def test_cells_cache_roundtrip(tmp_path, capsys, monkeypatch):
     argv = ("cells", "Z12", "{0,1,6,7}", "--umax", "2", "--format", "jsonl",
             "--cache-dir", str(tmp_path))

@@ -348,9 +348,12 @@ def counts_from_summary(summary):
 
 def test_kneser_sweep_counting_equals_per_instance_mode():
     # the vectorized prefilter and the saturated-product shortcut must agree
-    # with running the scalar checker on every pair
-    for spec in ("Z5", "Z6", "Z2xZ2"):
-        cfg = SweepConfig(groups=(spec,), theorems=("kneser",))
+    # with running the scalar checker on every pair; sampled pairs have no
+    # prefilter, and must be the same draws either way
+    configs = [dict(groups=(spec,)) for spec in ("Z5", "Z6", "Z2xZ2")]
+    configs.append(dict(groups=("D3",), mode="sampled", samples=3000, seed=4))
+    for kwargs in configs:
+        cfg = SweepConfig(theorems=("kneser",), **kwargs)
         counted = run_sweep(cfg)
         records = []
         streamed = run_sweep(cfg, sink=records.append)
@@ -391,6 +394,16 @@ def test_intersection_counting_path_still_refuses_a_non_cell(monkeypatch):
         run_sweep(cfg)
 
 
+def test_sampled_kneser_draws_do_not_depend_on_the_chunk(monkeypatch):
+    cfg = SweepConfig(groups=("Z6",), theorems=("kneser",), mode="sampled", samples=50, seed=3)
+    whole = []
+    run_sweep(cfg, sink=whole.append)
+    monkeypatch.setattr(theorems, "_CHUNK", 7)
+    chunked = []
+    run_sweep(cfg, sink=chunked.append)
+    assert chunked == whole
+
+
 def test_kneser_sweep_frozen_counts():
     r = run_sweep(SweepConfig(groups=("Z6",), theorems=("kneser",)))
     assert r.summary["counts"]["KNESER"]["Z6"] == {
@@ -417,6 +430,14 @@ def test_exploration_mode_is_reported_and_never_violates():
     assert r.violated == 0
     assert len(r.findings) == 54
     assert r.findings[0]["status"] == "FINDING"
+
+
+def test_exploration_is_noted_for_each_abelian_only_statement():
+    r = run_sweep(SweepConfig(groups=("D3", "Z6"), theorems=theorems.DRIVER_NAMES, s_max=2))
+    assert r.summary["exploration"] == [
+        ["COROLLARY_I", "D3"], ["COROLLARY_II", "D3"], ["COROLLARY_III", "D3"],
+        ["DICHOTOMY", "D3"], ["KNESER", "D3"],
+    ]
 
 
 def test_sweep_is_deterministic_and_jobs_invariant():
@@ -467,6 +488,40 @@ def test_sweep_refuses_oversized_tasks_with_an_error_record():
     assert r.summary["errors"] == 1
     assert "max_instances" in r.errors[0]["message"]
     assert r.violated == 0
+
+
+CAP_REFUSAL = "exhaustive enumeration sweeps 2^6 candidate products; refusing order 6 above cap 4"
+REFUSALS = {
+    "kneser": (dict(theorems=("kneser",), max_instances=10),
+               "KNESER", "exhaustive pair space 3969 exceeds max_instances 10"),
+    "olson": (dict(theorems=("olson",), max_instances=10),
+              "OLSON", "exhaustive coset-union space 74^2 exceeds max_instances 10"),
+    "olson-wide": (dict(groups=("Z70",), theorems=("olson",), mode="sampled", samples=5, seed=1,
+                        wide=True),
+                   "OLSON", "subset masks of order 70 do not fit a 64-bit integer"),
+    "intersection": (dict(theorems=("intersection",), max_instances=10),
+                     "CELL_INTERSECT", "63 cells give 1953 pairs, above max_instances 10"),
+    "chain": (dict(theorems=("chain",), enumeration_cap=4), "SUBGROUP_KERNEL_CHAIN", CAP_REFUSAL),
+    # |S| <= 2 needs no enumeration, so instances come first
+    "corollary": (dict(theorems=("corollary",), enumeration_cap=4), "COROLLARY_I", CAP_REFUSAL),
+    "dichotomy": (dict(theorems=("dichotomy",), enumeration_cap=4), "DICHOTOMY", CAP_REFUSAL),
+    "dichotomy-bound": (dict(theorems=("dichotomy",), max_instances=10),
+                        "DICHOTOMY", "exhaustive T space 63 exceeds max_instances 10"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_a_refused_task_ends_in_one_error_record(case):
+    kwargs, tag, message = REFUSALS[case]
+    cfg = SweepConfig(**{"groups": ("Z6",), **kwargs})
+    records = []
+    streamed = run_sweep(cfg, sink=records.append)
+    error = {"kind": "error", "theorem": tag, "group": cfg.groups[0], "message": message}
+    assert records[-1] == error
+    assert [r for r in records if r["kind"] == "error"] == [error]
+    assert streamed.errors == run_sweep(cfg).errors == [error]
+    assert streamed.summary["errors"] == 1
+    assert streamed.summary["instances"] == len(records) - 1
 
 
 def test_set_spec_restricts_the_sweep():
