@@ -5,6 +5,9 @@ whose product X*S absorbs no further left translate: z*S is contained in
 X*S only for z already in X. Equivalently X is a fixed point of the
 closure operator T -> {z : z*S subset of T*S}. The deficiency of a cell
 is |X*S| - |X|; a u-kernel is a u-cell of minimal cardinality.
+
+Over numpy arrays of masks, product_masks and closure_masks are byte-table
+driven: one gather per mask byte from 256-entry tables built per call.
 """
 
 from __future__ import annotations
@@ -89,24 +92,39 @@ def mask_dtype(order: int) -> type:
     return np.uint32 if order <= 31 else np.uint64
 
 
+# _BYTE_VALUES[v] = v, and _BIT_MATRIX[v, i] is bit i of v
+_BYTE_VALUES = np.arange(256, dtype=np.uint8)
+_BIT_MATRIX = ((_BYTE_VALUES[:, None] >> np.arange(8, dtype=np.uint8)) & 1).astype(bool)
+
+
+def _gather_bytes(tables: np.ndarray, a: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """Elementwise combine, over the bytes b of a mask, of tables[b][byte b]."""
+    # the bytes of each mask, least significant first, along a new last axis
+    cols = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))[..., None].view(np.uint8)
+    out = tables[0][cols[..., 0]]
+    for b in range(1, len(tables)):
+        combine(out, tables[b][cols[..., b]], out=out)
+    return out
+
+
 def product_masks(lt: list[int], t: np.ndarray) -> np.ndarray:
-    """Elementwise T*S over an array of T masks, given the translates lt[z] = z*S."""
-    dtype = t.dtype.type
-    p = np.zeros_like(t)
-    for z, m in enumerate(lt):
-        sel = ((t >> dtype(z)) & dtype(1)).astype(bool)
-        p |= np.where(sel, dtype(m), dtype(0))
-    return p
+    """Elementwise T*S over an array of T masks, given the translates lt[z] = z*S.
+
+    One gather per byte b of T, ORed: table[b][v] unites lt[8b+i] over the bits i of v.
+    """
+    rows = np.array(lt + [0] * (-len(lt) % 8), dtype=t.dtype).reshape(-1, 1, 8)
+    return _gather_bytes(np.bitwise_or.reduce(np.where(_BIT_MATRIX, rows, 0), axis=2), t, np.bitwise_or)
 
 
 def closure_masks(lt: list[int], a: np.ndarray) -> np.ndarray:
-    """Elementwise {z : z*S subset of A} over an array of masks A."""
-    dtype = a.dtype.type
-    x = np.zeros_like(a)
-    for z, m in enumerate(lt):
-        m = dtype(m)
-        x |= ((a & m) == m).astype(dtype) << dtype(z)
-    return x
+    """Elementwise {z : z*S subset of A} over an array of masks A.
+
+    One gather per byte b of A, ANDed: table[b][v] holds the z with byte b of lt[z] inside v.
+    """
+    lt_bytes = np.array(lt, dtype=a.dtype.newbyteorder("<"))[:, None].view(np.uint8)
+    outside = lt_bytes[:, :-(-len(lt) // 8), None] & ~_BYTE_VALUES
+    powers = a.dtype.type(1) << np.arange(len(lt), dtype=a.dtype)[:, None, None]
+    return _gather_bytes(np.bitwise_or.reduce(np.where(outside, 0, powers), axis=0), a, np.bitwise_and)
 
 
 def _require_identity(s: ElementSet) -> None:

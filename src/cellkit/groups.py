@@ -158,9 +158,6 @@ class Group:
             bits |= 1 << i
         return ElementSet(self, bits)
 
-    def singleton(self, index: int) -> ElementSet:
-        return self.subset((index,))
-
     def identity_set(self) -> ElementSet:
         return ElementSet(self, 1)
 
@@ -228,9 +225,6 @@ class ElementSet:
 
     def __gt__(self, other: ElementSet) -> bool:
         return other < self
-
-    def issubset(self, other: ElementSet) -> bool:
-        return self <= other
 
     def indices(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.bits))

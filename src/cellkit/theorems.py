@@ -10,7 +10,7 @@ run_sweep drives the checkers over whole families of instances.
 The scalar checkers share one bitmask kernel: products reduce to
 groups.product_bits (through setops.product) and cell tests to
 cells.closure_bits (through cells.is_cell), while the counting paths use
-the numpy forms cells.product_masks and cells.closure_masks.
+their byte-table numpy forms cells.product_masks and cells.closure_masks.
 
 Each sweep driver hands batches of instances to _check_batch, which owns
 the sink-or-bulk decision. Without a sink, the Kneser, Olson,
@@ -717,32 +717,32 @@ def _sweep_corollary(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
 
 def _dichotomy_batch(g: Group, s_bits: int, h_bits: int, t_arr: np.ndarray) -> np.ndarray:
     """Vectorized dichotomy evaluation over an array of T bitmasks."""
-    dtype = t_arr.dtype.type
     p = product_masks(left_translate_masks(g, s_bits), t_arr)
-    pc_t = np.bitwise_count(t_arr).astype(np.int32)
     pc_p = np.bitwise_count(p).astype(np.int32)
-    s_size = s_bits.bit_count()
-    additive = pc_p >= pc_t + (s_size - 1)
-    cosets = _coset_table(g, [h_bits], dtype)
-    periodic = _periodic(cosets, 0, p)
-    t_cosets = np.zeros(len(t_arr), dtype=np.int32)
-    for c in cosets[0]:
-        t_cosets += ((t_arr & c) != 0)
-    h_size = h_bits.bit_count()
+    additive = pc_p >= np.bitwise_count(t_arr).astype(np.int32) + (s_bits.bit_count() - 1)
+    # hl[a] = H*a, so product_masks(hl, A) is H*A
+    hl = [product_bits(g, h_bits, 1 << a) for a in range(g.order)]
+    periodic = product_masks(hl, p) == p
+    ht_size = np.bitwise_count(product_masks(hl, t_arr)).astype(np.int32)
     hs_size = product_bits(g, h_bits, s_bits).bit_count()
-    coset_ok = periodic & (pc_p <= hs_size + h_size * t_cosets - h_size)
-    return additive | coset_ok
+    return additive | (periodic & (pc_p <= hs_size + ht_size - h_bits.bit_count()))
 
 
 def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count random nonempty T masks: for a uniform size in 1..n, the indices of the size
+    smallest of n uniform keys, ties going to the lower index as in a stable argsort."""
     n = g.order
-    dtype = mask_dtype(n)
+    powers = mask_dtype(n)(1) << np.arange(n, dtype=mask_dtype(n))
     sizes = rng.integers(1, n + 1, size=count)
-    order = np.argsort(rng.random((count, n)), axis=1, kind="stable")
-    keep = np.arange(n)[None, :] < sizes[:, None]
-    powers = (np.uint64(1) << order.astype(np.uint64))
-    bits = np.where(keep, powers, np.uint64(0)).sum(axis=1, dtype=np.uint64)
-    return bits.astype(dtype)
+    keys = rng.random((count, n))
+    cut = np.take_along_axis(np.sort(keys, axis=1), sizes[:, None] - 1, axis=1)
+    masks = (keys <= cut).view(np.uint8) @ powers
+    # rows with several keys tied at the cut took too many: keep the lowest-index tied ones
+    over = np.flatnonzero(np.bitwise_count(masks) > sizes)
+    below, tied = keys[over] < cut[over], keys[over] == cut[over]
+    keep = below | (tied & (np.cumsum(tied, axis=1) <= sizes[over, None] - below.sum(axis=1, keepdims=True)))
+    masks[over] = keep.view(np.uint8) @ powers
+    return masks
 
 
 def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:

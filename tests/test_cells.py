@@ -5,6 +5,7 @@ is a nonempty X equal to {z : zS is contained in XS}. Frozen values were
 produced by these oracles and pinned.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,8 @@ from cellkit import (
     normalize_s,
     product,
 )
+from cellkit.cells import closure_bits, closure_masks, left_translate_masks, mask_dtype, product_masks
+from cellkit.groups import product_bits
 
 Z6 = build_group("Z6")
 Z8 = build_group("Z8")
@@ -116,6 +119,29 @@ def test_stabilizer_subgroups_fix_cells(x_bits, s_bits):
     for h in all_subgroups(Z8):
         if h <= stab:
             assert product(h, rec.cell) == rec.cell
+
+
+# -- numpy kernel ---------------------------------------------------------
+
+# orders on both sides of a byte boundary, and uint64 masks from order 32 up
+KERNEL_GROUPS = {spec: build_group(spec)
+                 for spec in ("Z7", "Z8", "Z9", "D8", "Z17", "Z24", "Z33", "Z40", "Z64")}
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+@given(data=st.data())
+def test_mask_kernels_match_scalar_kernel(spec, data):
+    g = KERNEL_GROUPS[spec]
+    full = g.full_bits
+    masks = st.integers(min_value=0, max_value=full)
+    s_bits = data.draw(masks) | 1
+    ts = data.draw(st.lists(masks, min_size=1, max_size=16)) + [0, full]
+    # closures of random masks are mostly empty, so close products as well
+    ps = [product_bits(g, t, s_bits) for t in ts]
+    lt = left_translate_masks(g, s_bits)
+    arr = np.array(ts + ps, dtype=mask_dtype(g.order))
+    assert product_masks(lt, arr).tolist() == [product_bits(g, a, s_bits) for a in ts + ps]
+    assert closure_masks(lt, arr).tolist() == [closure_bits(lt, a) for a in ts + ps]
 
 
 # -- worked examples ------------------------------------------------------

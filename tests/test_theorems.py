@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cellkit.theorems as theorems
+from cellkit.cells import mask_dtype
 from cellkit import (
     ElementSet,
     Status,
@@ -314,16 +315,55 @@ def test_dichotomy_contracts():
     ("Z8", (0, 1, 4, 5)),
     ("Z12", (0, 1, 6, 7)),
     ("D4", (0, 1, 4, 5)),
+    # masks across two bytes, and H = {0,9} and {0,8} in the second
+    ("Z2xZ6", (0, 1, 9, 10)),
+    ("D6", (0, 1, 8, 9)),
 ])
 def test_dichotomy_batch_matches_scalar(spec, s_idx):
     g = build_group(spec)
     s = g.subset(s_idx)
     h = balandraud_subgroup(s)
+    assert len(h) > 1
     t_arr = np.arange(1, 1 << g.order, dtype=np.uint32)
     batch = theorems._dichotomy_batch(g, s.bits, h.bits, t_arr)
     for t_bits, ok in zip(t_arr.tolist(), batch.tolist()):
         v = check_dichotomy(s, h, ElementSet(g, int(t_bits)), explore=True)
         assert (v.status is Status.HOLDS) == ok, t_bits
+
+
+def reference_sampled_t_masks(g, count, rng):
+    """The stable-argsort T sampler, which _sampled_t_masks must match draw for draw."""
+    n = g.order
+    sizes = rng.integers(1, n + 1, size=count)
+    order = np.argsort(rng.random((count, n)), axis=1, kind="stable")
+    keep = np.arange(n)[None, :] < sizes[:, None]
+    powers = (np.uint64(1) << order.astype(np.uint64))
+    bits = np.where(keep, powers, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+    return bits.astype(mask_dtype(n))
+
+
+class TiedKeys:
+    """A generator whose keys tie on purpose; real draws almost never do."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, shape):
+        return self.rng.integers(0, 4, size=shape) / 4
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, TiedKeys], ids=["rng", "tied"])
+@pytest.mark.parametrize("spec", ["Z11", "Z12", "Z13", "Z14", "Z15", "Z16", "Z40"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_t_masks_match_stable_argsort(make_rng, spec, seed):
+    g = build_group(spec)
+    got = theorems._sampled_t_masks(g, 4000, make_rng(seed))
+    want = reference_sampled_t_masks(g, 4000, make_rng(seed))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 # -- sweeps ---------------------------------------------------------------
