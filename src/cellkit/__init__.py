@@ -46,7 +46,7 @@ from .groups import (
     iter_bits,
     require_same_group,
 )
-from .setops import StabilizerResult, difference_counts, is_periodic, left_stabilizer, product
+from .setops import difference_counts, left_stabilizer, product
 from .specs import (
     SubsetSpecError,
     expand_subset_specs,
@@ -84,8 +84,7 @@ __all__ = [
     "GroupAxiomError", "GroupSpecError", "all_subgroups", "build_group",
     "builtin_specs", "generated_subgroup", "is_subgroup", "iter_bits",
     "require_same_group",
-    "StabilizerResult", "difference_counts", "is_periodic", "left_stabilizer",
-    "product",
+    "difference_counts", "left_stabilizer", "product",
     "SubsetSpecError", "expand_subset_specs", "iter_identity_subsets",
     "parse_group_tokens", "parse_subset_spec", "sample_identity_subsets",
     "DRIVER_NAMES", "Status", "SweepConfig", "SweepConfigError", "SweepResult",

@@ -8,6 +8,8 @@ is |X*S| - |X|; a u-kernel is a u-cell of minimal cardinality.
 
 Over numpy arrays of masks, product_masks and closure_masks are byte-table
 driven: one gather per mask byte from 256-entry tables built per call.
+When both factors vary, pair_products reads the group's byte-pair table
+(pair_table): one gather per pair of byte positions.
 """
 
 from __future__ import annotations
@@ -125,6 +127,88 @@ def closure_masks(lt: list[int], a: np.ndarray) -> np.ndarray:
     outside = lt_bytes[:, :-(-len(lt) // 8), None] & ~_BYTE_VALUES
     powers = a.dtype.type(1) << np.arange(len(lt), dtype=a.dtype)[:, None, None]
     return _gather_bytes(np.bitwise_or.reduce(np.where(outside, 0, powers), axis=0), a, np.bitwise_and)
+
+
+def _byte_unions(rows: np.ndarray) -> np.ndarray:
+    """out[256*b + v] is the OR of rows[8*b + i] over the bits i of v.
+
+    Byte position b covers rows 8b..8b+7; the last position runs only to
+    the values its rows can reach. Built by doubling, one OR per row.
+    """
+    n = len(rows)
+    out = np.zeros((256 * ((n - 1) // 8) + (2 << (n - 1) % 8),) + rows.shape[1:], dtype=rows.dtype)
+    for e, row in enumerate(rows):
+        lo, span = 256 * (e // 8), 1 << e % 8
+        np.bitwise_or(out[lo:lo + span], row, out=out[lo + span:lo + 2 * span])
+    return out
+
+
+def pair_table(g: Group) -> np.ndarray:
+    """The byte-pair product table of g, in g's mask dtype.
+
+    Entry [256*a + u, 256*b + v] is the product A*B of A = byte value u at
+    byte position a and B = byte value v at position b. Its side is
+    256*(positions - 1) + 2^(bits of the last position): 264 at order 11,
+    2048 at order 64.
+    """
+    dtype = mask_dtype(g.order)
+    single = dtype(1) << g.mul_array().astype(dtype)  # single[x, y] = {x*y}
+    right = _byte_unions(np.ascontiguousarray(single.T))  # right[j, x] = x * B_j
+    return _byte_unions(np.ascontiguousarray(right.T))
+
+
+def _byte_index(a: np.ndarray, width: int, scale: int = 1) -> list[np.ndarray]:
+    """(256*b + byte b of each mask) * scale for each byte position b below width, in a's dtype."""
+    t = a.dtype.type
+    return [((a >> t(8 * b)) & t(255)) * t(scale) + t(256 * b * scale) for b in range(width)]
+
+
+def pair_products(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise X*Y over two arrays of masks, from pair_table.
+
+    The OR, over every pair of byte positions (a, b), of the table entry
+    for byte a of X and byte b of Y.
+    """
+    k = len(table)
+    width = -(-k // 256)
+    flat = table.ravel()
+    ys = _byte_index(y, width)
+    out = np.zeros(x.shape, dtype=table.dtype)
+    for xi in _byte_index(x, width, k):
+        for yi in ys:
+            out |= flat[xi + yi]
+    return out
+
+
+def pair_products_every_x(table: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X*Y for every mask X (0 first) and each Y of y, shape (len(y), 2^order).
+
+    Gathers the table's columns at the bytes of each Y once; the products
+    for all X then follow by OR-broadcasting over X's byte positions, one
+    OR per pair.
+    """
+    k = len(table)
+    width = -(-k // 256)
+    yi = _byte_index(y, width)
+    cols = table[:, yi[0]]
+    for b in yi[1:]:
+        cols |= table[:, b]
+    cols = cols.T  # cols[j, 256*a + u] = (byte u at position a) * y[j]
+    out = cols[:, :256]
+    for a in range(1, width):
+        out = (cols[:, 256 * a:256 * (a + 1), None] | out[:, None, :]).reshape(len(y), -1)
+    return out
+
+
+def stabilizer_masks(g: Group, table: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Elementwise left stabilizer {z : z*A = A} over an array of nonempty masks A.
+
+    As in setops.left_stabilizer, z*A = A fails iff z lies in (G \\ A) * A^-1;
+    A^-1 comes from product_masks with the translates {z^-1}.
+    """
+    full = a.dtype.type(g.full_bits)
+    inverse = product_masks([1 << i for i in g.inv], a)
+    return full & ~pair_products(table, full & ~a, inverse)
 
 
 def _require_identity(s: ElementSet) -> None:

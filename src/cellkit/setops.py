@@ -1,21 +1,11 @@
-"""Set-level primitives: product sets, stabilizers, periodicity, differences.
+"""Set-level primitives: product sets, stabilizers, differences.
 
 Products, translates and stabilizers here all reduce to groups.product_bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .groups import ElementSet, is_subgroup, iter_bits, product_bits, require_same_group
-
-
-@dataclass(frozen=True, slots=True)
-class StabilizerResult:
-    """A left stabilizer together with the set it stabilizes."""
-
-    stabilizer: ElementSet
-    target: ElementSet
+from .groups import ElementSet, iter_bits, product_bits, require_same_group
 
 
 def product(x: ElementSet, s: ElementSet) -> ElementSet:
@@ -24,7 +14,7 @@ def product(x: ElementSet, s: ElementSet) -> ElementSet:
     return ElementSet(g, product_bits(g, x.bits, s.bits))
 
 
-def left_stabilizer(a: ElementSet) -> StabilizerResult:
+def left_stabilizer(a: ElementSet) -> ElementSet:
     """The subgroup {g : g*a = a} of elements fixing a under left translation.
 
     Refuses the empty set, whose stabilizer would degenerate to the whole
@@ -39,15 +29,7 @@ def left_stabilizer(a: ElementSet) -> StabilizerResult:
     for x in iter_bits(a.bits):
         inverse |= 1 << g.inv[x]
     outside = g.full_bits & ~a.bits
-    return StabilizerResult(ElementSet(g, g.full_bits & ~product_bits(g, outside, inverse)), a)
-
-
-def is_periodic(a: ElementSet, h: ElementSet) -> bool:
-    """True iff h*a = a. Requires h to be a subgroup."""
-    require_same_group(a, h)
-    if not is_subgroup(h):
-        raise ValueError(f"h = {h.spec_string()} is not a subgroup of {h.group.label}")
-    return product(h, a).bits == a.bits
+    return ElementSet(g, g.full_bits & ~product_bits(g, outside, inverse))
 
 
 def difference_counts(x: ElementSet, y: ElementSet) -> tuple[int, int]:

@@ -10,19 +10,23 @@ run_sweep drives the checkers over whole families of instances.
 The scalar checkers share one bitmask kernel: products reduce to
 groups.product_bits (through setops.product) and cell tests to
 cells.closure_bits (through cells.is_cell), while the counting paths use
-their byte-table numpy forms cells.product_masks and cells.closure_masks.
+their byte-table numpy forms cells.product_masks and cells.closure_masks,
+and for Kneser, whose two factors both vary, cells.pair_products.
 
 Each sweep driver hands batches of instances to _check_batch, which owns
 the sink-or-bulk decision. Without a sink, the Kneser, Olson,
 cell-intersection and dichotomy batches take a numpy counting path:
 instances it settles are tallied in bulk, and only the rest reach the
-scalar checker, in instance order. With a sink, every instance goes
-through the scalar checker and yields one record. _run_task notes
+scalar checker, in instance order. Kneser settles every verdict that
+holds, periodic XY included, in exhaustive pair blocks and in sampled
+pairs alike. With a sink, every instance goes through the scalar checker
+and yields one record (three for the corollary). _run_task notes
 exploration mode and turns a refused task into its one error record.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +49,11 @@ from .cells import (
     kernels_at,
     left_translate_masks,
     mask_dtype,
+    pair_products,
+    pair_products_every_x,
+    pair_table,
     product_masks,
+    stabilizer_masks,
 )
 from .groups import (
     ElementSet,
@@ -53,7 +61,6 @@ from .groups import (
     all_subgroups,
     build_group,
     is_subgroup,
-    iter_bits,
     product_bits,
     require_same_group,
 )
@@ -116,7 +123,7 @@ def check_kneser(x: ElementSet, y: ElementSet, *, explore: bool = False) -> Theo
     base["bound"] = len(x) + len(y) - 2
     if len(xy) > len(x) + len(y) - 2:
         return _na(Theorem.KNESER, "|XY| <= |X|+|Y|-2 does not hold", base)
-    h = left_stabilizer(xy).stabilizer
+    h = left_stabilizer(xy)
     hx, hy = product(h, x), product(h, y)
     witness = dict(base, h=h.spec_string(), h_size=len(h), hx_size=len(hx),
                    hy_size=len(hy), rhs=len(hx) + len(hy) - len(h))
@@ -503,14 +510,15 @@ _CHUNK = 1 << 16
 
 
 def _check_batch(state: _SweepState, label: str, tag: Theorem, columns: Sequence[np.ndarray],
-                 check: Callable[..., TheoremVerdict],
+                 check: Callable[..., TheoremVerdict | list[TheoremVerdict]],
                  settle: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None) -> None:
     """Check a batch of instances, given as parallel columns, in instance order.
 
     Without a sink, settle(*columns) returns the masks (not_applicable,
     holds) of the instances it decides; those are tallied in bulk and only
     the rest reach check(*instance). With a sink, every instance reaches
-    check and yields one record.
+    check and yields one record per verdict: a check returns one verdict,
+    or a list of them for a statement in parts (the corollary).
     """
     if state.sink is None and settle is not None:
         not_applicable, holds = settle(*columns)
@@ -519,44 +527,79 @@ def _check_batch(state: _SweepState, label: str, tag: Theorem, columns: Sequence
         rest = ~(not_applicable | holds)
         columns = [c[rest] for c in columns]
     for instance in zip(*(c.tolist() for c in columns)):
-        state.add(label, check(*instance))
+        verdicts = check(*instance)
+        for verdict in verdicts if isinstance(verdicts, list) else (verdicts,):
+            state.add(label, verdict)
 
 
 # -- kneser sweep ---------------------------------------------------------
 
+def _kneser_batch(g: Group, table: np.ndarray, x: np.ndarray, y: np.ndarray,
+                  xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized check_kneser over pair arrays (X, Y), given XY.
+
+    Returns (not_applicable, holds): whether |XY| <= |X|+|Y|-2 fails, and
+    whether it holds with |XY| = |HX|+|HY|-|H| and |H| > 1 for H = stab(XY).
+    Only the unsaturated pairs (XY != G) meeting the hypothesis go through
+    the stabilizer.
+    """
+    count = np.bitwise_count  # uint8: no sum below reaches 2 * 64
+    xy_size = count(xy)
+    hyp = xy_size + 2 <= count(x) + count(y)
+    # XY = G has H = G, so HX = HY = G and the equality holds at once
+    saturated = xy == xy.dtype.type(g.full_bits)
+    i = np.flatnonzero(hyp & ~saturated)
+    h = stabilizer_masks(g, table, xy[i])
+    h_size = count(h)
+    hx_hy = count(pair_products(table, h, x[i])) + count(pair_products(table, h, y[i]))
+    holds = hyp & saturated
+    holds[i] = (xy_size[i] + h_size == hx_hy) & (h_size > 1)
+    return ~hyp, holds
+
+
 def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     explore = not g.is_abelian
     n = g.order
+    # built by the first settle, so a sweep with a sink builds none
+    table = functools.cache(functools.partial(pair_table, g))
+
+    def settle(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _kneser_batch(g, table(), x, y, xy)
+
     if cfg.mode == "sampled":
         rng = random.Random(f"{seed}|pairs")
+        # object columns for a --wide group, whose masks outgrow every numpy
+        # integer; those pairs all go to check_kneser
+        dtype = mask_dtype(n) if n <= MAX_MASK_ORDER else object
         for start in range(0, cfg.samples, _CHUNK):
-            # x and y draws alternate; object columns, as a --wide group's
-            # masks outgrow every numpy integer
+            # x and y draws alternate
             k = min(_CHUNK, cfg.samples - start)
-            draws = np.array([random_nonempty_bits(n, rng) for _ in range(2 * k)], dtype=object)
+            draws = np.array([random_nonempty_bits(n, rng) for _ in range(2 * k)], dtype=dtype)
             _check_batch(state, g.label, Theorem.KNESER, draws.reshape(k, 2).T,
-                         lambda x, y: check_kneser(ElementSet(g, x), ElementSet(g, y), explore=explore))
+                         lambda x, y: check_kneser(ElementSet(g, x), ElementSet(g, y), explore=explore),
+                         None if dtype is object
+                         else lambda x, y: settle(x, y, pair_products(table(), x, y)))
         return
     total = ((1 << n) - 1) ** 2
     if total > cfg.max_instances:
         raise _Refused(f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
-    xs = np.arange(1, 1 << n, dtype=np.uint32)
-    # tables[z][i] = bits of X*z for X = xs[i]
-    tables = [product_masks(left_translate_masks(g, 1 << z), xs) for z in range(n)]
-    pc = np.bitwise_count(xs).astype(np.int16)
-    full = np.uint32((1 << n) - 1)
-    for y_bits in range(1, 1 << n):
-        y = ElementSet(g, y_bits)
+    try:
+        dtype = mask_dtype(n)
+    except ValueError as exc:
+        raise _Refused(str(exc)) from None
+    # Y stays fixed along a row of pairs, so its set is built once per row
+    y_set = functools.lru_cache(maxsize=1)(functools.partial(ElementSet, g))
 
-        def settle(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # x is xs, whose products the tables hold. Saturated products
-            # XY = G hold: their stabilizer is G, so the equality is automatic
-            xy = np.bitwise_or.reduce([tables[z] for z in iter_bits(y_bits)])
-            hyp = np.bitwise_count(xy).astype(np.int16) <= pc + np.int16(y_bits.bit_count() - 2)
-            return ~hyp, hyp & (xy == full)
+    def check(x_bits: int, y_bits: int) -> TheoremVerdict:
+        return check_kneser(ElementSet(g, x_bits), y_set(y_bits), explore=explore)
 
-        _check_batch(state, g.label, Theorem.KNESER, (xs,),
-                     lambda x: check_kneser(ElementSet(g, x), y, explore=explore), settle)
+    # blocks of whole Y rows, Y outer and X inner as the records run
+    xs = np.arange(1, 1 << n, dtype=dtype)
+    step = max(1, _CHUNK // len(xs))
+    for start in range(0, len(xs), step):
+        ys = xs[start:start + step]
+        _check_batch(state, g.label, Theorem.KNESER, (np.tile(xs, len(ys)), np.repeat(ys, len(xs))), check,
+                     lambda x, y, ys=ys: settle(x, y, pair_products_every_x(table(), ys)[:, 1:].ravel()))
 
 
 # -- olson sweep ----------------------------------------------------------
@@ -708,9 +751,10 @@ def _sweep_chain(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
 # -- corollary sweep ------------------------------------------------------
 
 def _sweep_corollary(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    for s in _s_space(g, cfg, seed):
-        for v in check_corollary_kernel_structure(s, explore=not g.is_abelian, cap=cfg.enumeration_cap):
-            state.add(g.label, v)
+    sets = _s_space(g, cfg, seed)
+    _check_batch(state, g.label, Theorem.COROLLARY_I, (np.arange(len(sets)),),
+                 lambda i: check_corollary_kernel_structure(sets[i], explore=not g.is_abelian,
+                                                            cap=cfg.enumeration_cap))
 
 
 # -- dichotomy sweep ------------------------------------------------------

@@ -5,6 +5,8 @@ is a nonempty X equal to {z : zS is contained in XS}. Frozen values were
 produced by these oracles and pinned.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +27,17 @@ from cellkit import (
     normalize_s,
     product,
 )
-from cellkit.cells import closure_bits, closure_masks, left_translate_masks, mask_dtype, product_masks
+from cellkit.cells import (
+    closure_bits,
+    closure_masks,
+    left_translate_masks,
+    mask_dtype,
+    pair_products,
+    pair_products_every_x,
+    pair_table,
+    product_masks,
+    stabilizer_masks,
+)
 from cellkit.groups import product_bits
 
 Z6 = build_group("Z6")
@@ -115,7 +127,7 @@ def test_stabilizer_subgroups_fix_cells(x_bits, s_bits):
     # any H inside stab(XS) has HXS = XS, which forces HX = X for a cell X
     x, s = ElementSet(Z8, x_bits), ElementSet(Z8, s_bits)
     rec = cell_closure(x, s)
-    stab = left_stabilizer(rec.product).stabilizer
+    stab = left_stabilizer(rec.product)
     for h in all_subgroups(Z8):
         if h <= stab:
             assert product(h, rec.cell) == rec.cell
@@ -123,9 +135,16 @@ def test_stabilizer_subgroups_fix_cells(x_bits, s_bits):
 
 # -- numpy kernel ---------------------------------------------------------
 
-# orders on both sides of a byte boundary, and uint64 masks from order 32 up
+# orders on both sides of a byte boundary, uint64 masks from order 32 up,
+# and nonabelian groups, where left and right differ
 KERNEL_GROUPS = {spec: build_group(spec)
-                 for spec in ("Z7", "Z8", "Z9", "D8", "Z17", "Z24", "Z33", "Z40", "Z64")}
+                 for spec in ("Z7", "Z8", "Z9", "D8", "Q8", "S3", "Z17", "Z24", "Z33", "Z40", "Z64")}
+
+
+@functools.cache
+def pair_table_and_subgroups(spec):
+    g = KERNEL_GROUPS[spec]
+    return pair_table(g), [h.bits for h in all_subgroups(g)]
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS)
@@ -142,6 +161,30 @@ def test_mask_kernels_match_scalar_kernel(spec, data):
     arr = np.array(ts + ps, dtype=mask_dtype(g.order))
     assert product_masks(lt, arr).tolist() == [product_bits(g, a, s_bits) for a in ts + ps]
     assert closure_masks(lt, arr).tolist() == [closure_bits(lt, a) for a in ts + ps]
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+@given(data=st.data())
+def test_pair_kernels_match_scalar_kernel(spec, data):
+    g = KERNEL_GROUPS[spec]
+    full = g.full_bits
+    masks = st.integers(min_value=0, max_value=full)
+    xs = data.draw(st.lists(masks, min_size=1, max_size=16)) + [0, full]
+    ys = data.draw(st.lists(masks, min_size=len(xs), max_size=len(xs)))
+    table, subgroups = pair_table_and_subgroups(spec)
+    dtype = mask_dtype(g.order)
+    assert pair_products(table, np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)).tolist() == [
+        product_bits(g, x, y) for x, y in zip(xs, ys)]
+    # random sets mostly have a trivial stabilizer, so add sets with a
+    # subgroup on either side: HT is fixed by H on the left, TH on the right
+    periodic = [product_bits(g, h, t) for h in subgroups for t in xs[:4]]
+    periodic += [product_bits(g, t, h) for h in subgroups for t in xs[:4]]
+    nonempty = [a for a in xs + periodic if a]
+    assert stabilizer_masks(g, table, np.array(nonempty, dtype=dtype)).tolist() == [
+        left_stabilizer(ElementSet(g, a)).bits for a in nonempty]
+    if g.order <= 9:
+        every = pair_products_every_x(table, np.array(ys[:3], dtype=dtype))
+        assert every.tolist() == [[product_bits(g, x, y) for x in range(full + 1)] for y in ys[:3]]
 
 
 # -- worked examples ------------------------------------------------------

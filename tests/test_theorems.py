@@ -387,11 +387,15 @@ def counts_from_summary(summary):
 
 
 def test_kneser_sweep_counting_equals_per_instance_mode():
-    # the vectorized prefilter and the saturated-product shortcut must agree
-    # with running the scalar checker on every pair; sampled pairs have no
-    # prefilter, and must be the same draws either way
-    configs = [dict(groups=(spec,)) for spec in ("Z5", "Z6", "Z2xZ2")]
-    configs.append(dict(groups=("D3",), mode="sampled", samples=3000, seed=4))
+    # the vectorized Kneser evaluation must agree with running the scalar
+    # checker on every pair. Groups with many subgroups have periodic
+    # products, D3 and Q8 tell left from right, Z40 has uint64 masks, and
+    # --wide Z70 pairs all take the scalar path; sampled pairs must be the
+    # same draws either way
+    configs = [dict(groups=(spec,)) for spec in ("Z5", "Z6", "Z2xZ2", "D3", "Q8", "Z2xZ4", "Z2xZ2xZ2")]
+    configs += [dict(groups=(spec,), mode="sampled", samples=3000, seed=4)
+                for spec in ("D3", "Z8", "Z2xZ2xZ2", "Z40")]
+    configs.append(dict(groups=("Z70",), mode="sampled", samples=300, seed=4, wide=True))
     for kwargs in configs:
         cfg = SweepConfig(theorems=("kneser",), **kwargs)
         counted = run_sweep(cfg)
@@ -442,6 +446,18 @@ def test_sampled_kneser_draws_do_not_depend_on_the_chunk(monkeypatch):
     chunked = []
     run_sweep(cfg, sink=chunked.append)
     assert chunked == whole
+
+
+def test_kneser_counting_does_not_depend_on_the_chunk(monkeypatch):
+    # sampled chunks of 7 pairs; exhaustive blocks of one Y, then of two Ys
+    # with a short last block
+    for mode in ("sampled", "exhaustive"):
+        cfg = SweepConfig(groups=("Z2xZ4",), theorems=("kneser",), mode=mode, samples=500, seed=3)
+        whole = run_sweep(cfg).summary
+        for chunk in (7, 600):
+            monkeypatch.setattr(theorems, "_CHUNK", chunk)
+            assert run_sweep(cfg).summary == whole
+        monkeypatch.undo()
 
 
 def test_kneser_sweep_frozen_counts():
@@ -534,6 +550,8 @@ CAP_REFUSAL = "exhaustive enumeration sweeps 2^6 candidate products; refusing or
 REFUSALS = {
     "kneser": (dict(theorems=("kneser",), max_instances=10),
                "KNESER", "exhaustive pair space 3969 exceeds max_instances 10"),
+    "kneser-wide": (dict(groups=("Z70",), theorems=("kneser",), wide=True, max_instances=1 << 150),
+                    "KNESER", "subset masks of order 70 do not fit a 64-bit integer"),
     "olson": (dict(theorems=("olson",), max_instances=10),
               "OLSON", "exhaustive coset-union space 74^2 exceeds max_instances 10"),
     "olson-wide": (dict(groups=("Z70",), theorems=("olson",), mode="sampled", samples=5, seed=1,
