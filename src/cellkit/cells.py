@@ -6,10 +6,13 @@ X*S only for z already in X. Equivalently X is a fixed point of the
 closure operator T -> {z : z*S subset of T*S}. The deficiency of a cell
 is |X*S| - |X|; a u-kernel is a u-cell of minimal cardinality.
 
-Over numpy arrays of masks, product_masks and closure_masks are byte-table
-driven: one gather per mask byte from 256-entry tables built per call.
-When both factors vary, pair_products reads the group's byte-pair table
-(pair_table): one gather per pair of byte positions.
+Over numpy arrays of masks the one set kernel is a byte-table product,
+and _byte_unions its one table builder. product_masks ORs one gather per
+mask byte from 256-entry tables built per call. closure_masks is such a
+product too: {z : z*S subset of A} = G \\ ((G \\ A) * S^-1), over the
+transposed translates j*S^-1. When both factors vary, pair_products reads
+the group's byte-pair table (pair_table): one gather per pair of byte
+positions.
 """
 
 from __future__ import annotations
@@ -94,41 +97,6 @@ def mask_dtype(order: int) -> type:
     return np.uint32 if order <= 31 else np.uint64
 
 
-# _BYTE_VALUES[v] = v, and _BIT_MATRIX[v, i] is bit i of v
-_BYTE_VALUES = np.arange(256, dtype=np.uint8)
-_BIT_MATRIX = ((_BYTE_VALUES[:, None] >> np.arange(8, dtype=np.uint8)) & 1).astype(bool)
-
-
-def _gather_bytes(tables: np.ndarray, a: np.ndarray, combine: np.ufunc) -> np.ndarray:
-    """Elementwise combine, over the bytes b of a mask, of tables[b][byte b]."""
-    # the bytes of each mask, least significant first, along a new last axis
-    cols = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))[..., None].view(np.uint8)
-    out = tables[0][cols[..., 0]]
-    for b in range(1, len(tables)):
-        combine(out, tables[b][cols[..., b]], out=out)
-    return out
-
-
-def product_masks(lt: list[int], t: np.ndarray) -> np.ndarray:
-    """Elementwise T*S over an array of T masks, given the translates lt[z] = z*S.
-
-    One gather per byte b of T, ORed: table[b][v] unites lt[8b+i] over the bits i of v.
-    """
-    rows = np.array(lt + [0] * (-len(lt) % 8), dtype=t.dtype).reshape(-1, 1, 8)
-    return _gather_bytes(np.bitwise_or.reduce(np.where(_BIT_MATRIX, rows, 0), axis=2), t, np.bitwise_or)
-
-
-def closure_masks(lt: list[int], a: np.ndarray) -> np.ndarray:
-    """Elementwise {z : z*S subset of A} over an array of masks A.
-
-    One gather per byte b of A, ANDed: table[b][v] holds the z with byte b of lt[z] inside v.
-    """
-    lt_bytes = np.array(lt, dtype=a.dtype.newbyteorder("<"))[:, None].view(np.uint8)
-    outside = lt_bytes[:, :-(-len(lt) // 8), None] & ~_BYTE_VALUES
-    powers = a.dtype.type(1) << np.arange(len(lt), dtype=a.dtype)[:, None, None]
-    return _gather_bytes(np.bitwise_or.reduce(np.where(outside, 0, powers), axis=0), a, np.bitwise_and)
-
-
 def _byte_unions(rows: np.ndarray) -> np.ndarray:
     """out[256*b + v] is the OR of rows[8*b + i] over the bits i of v.
 
@@ -141,6 +109,36 @@ def _byte_unions(rows: np.ndarray) -> np.ndarray:
         lo, span = 256 * (e // 8), 1 << e % 8
         np.bitwise_or(out[lo:lo + span], row, out=out[lo + span:lo + 2 * span])
     return out
+
+
+def product_masks(lt: list[int] | np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Elementwise T*S over an array of T masks, given the translates lt[z] = z*S.
+
+    One gather per byte b of T from the _byte_unions table of lt, ORed.
+    """
+    table = _byte_unions(np.asarray(lt, dtype=t.dtype))
+    # the bytes of each mask, least significant first, along a new last axis
+    cols = np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<"))[..., None].view(np.uint8)
+    out = table[cols[..., 0]]
+    for b in range(1, -(-len(table) // 256)):
+        out |= table[256 * b:][cols[..., b]]
+    return out
+
+
+def _inverse_translates(lt: list[int], dtype: type) -> np.ndarray:
+    """The transposed translates rt[j] = {z : j in lt[z]}, which is j*S^-1 for lt[z] = z*S."""
+    powers = dtype(1) << np.arange(len(lt), dtype=dtype)
+    return ((np.array(lt, dtype=dtype)[:, None] & powers) != 0).T.view(np.uint8) @ powers
+
+
+def closure_masks(lt: list[int], a: np.ndarray) -> np.ndarray:
+    """Elementwise {z : z*S subset of A} over an array of masks A.
+
+    z*S leaves A iff z lies in j*S^-1 for some j outside A, so the closure
+    is the product G \\ ((G \\ A) * S^-1) over the transposed translates.
+    """
+    full = a.dtype.type((1 << len(lt)) - 1)
+    return full & ~product_masks(_inverse_translates(lt, a.dtype.type), full & ~a)
 
 
 def pair_table(g: Group) -> np.ndarray:
@@ -275,8 +273,9 @@ def require_enumerable(order: int, cap: int) -> None:
 def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, int], ...]:
     """All cells of S as (cell bits, product bits), sorted by cell bits.
 
-    Sweeps every candidate product set A and keeps the nonempty closures
-    {z : z*S subset of A}; each cell X arises from A = X*S. The sweep is
+    Each cell X is the closure {z : z*S subset of A} of A = X*S, which is
+    G \\ (B * S^-1) for B = G \\ A. So the sweep takes the products B * S^-1
+    over every mask B and complements only the distinct ones. It is
     chunked so memory stays proportional to the chunk, not to 2^order.
     """
     cached = g._enum_memo.get(s_bits)
@@ -286,12 +285,14 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
     require_enumerable(n, cap)
     lt = left_translate_masks(g, s_bits)
     dtype = mask_dtype(n)
+    rt = _inverse_translates(lt, dtype)
     total = 1 << n
     chunk = min(total, 1 << 18)
-    parts = []
-    for start in range(0, total, chunk):
-        parts.append(np.unique(closure_masks(lt, np.arange(start, start + chunk, dtype=dtype))))
-    cells = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
+    parts = [np.unique(product_masks(rt, np.arange(start, start + chunk, dtype=dtype)))
+             for start in range(0, total, chunk)]
+    products = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
+    # ascending products complement to descending cells
+    cells = (dtype(g.full_bits) & ~products)[::-1]
     cells = cells[cells != 0]
     result = tuple(zip(cells.tolist(), product_masks(lt, cells).tolist()))
     if len(g._enum_memo) >= _MEMO_LIMIT:

@@ -10,8 +10,10 @@ run_sweep drives the checkers over whole families of instances.
 The scalar checkers share one bitmask kernel: products reduce to
 groups.product_bits (through setops.product) and cell tests to
 cells.closure_bits (through cells.is_cell), while the counting paths use
-their byte-table numpy forms cells.product_masks and cells.closure_masks,
-and for Kneser, whose two factors both vary, cells.pair_products.
+one byte-table product kernel: cells.product_masks and cells.closure_masks
+(itself a product) where one factor is fixed, and cells.pair_products on
+the group's pair_table where both vary, as in Kneser and in Olson's
+periodicity tests HX = X. A sweep with a sink builds no pair_table.
 
 Each sweep driver hands batches of instances to _check_batch, which owns
 the sink-or-bulk decision. Without a sink, the Kneser, Olson,
@@ -491,20 +493,6 @@ def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> np.ndar
     return table
 
 
-def _periodic(table: np.ndarray, idx: int | np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Elementwise HA = A, where H is the subgroup of row idx of a coset table.
-
-    A is H-periodic iff each right coset mask c of H meets A in 0 or in c;
-    the zero padding passes trivially. idx is one row or one row per element.
-    """
-    ok = np.ones(a.shape, dtype=bool)
-    for col in table.T:
-        c = col[idx]
-        q = a & c
-        ok &= (q == 0) | (q == c)
-    return ok
-
-
 # the sweeps hand instances to _check_batch in chunks of about this many
 _CHUNK = 1 << 16
 
@@ -625,16 +613,18 @@ def _coset_unions(g: Group, h_bits: int) -> list[int]:
     return _coset_union(cosets, np.arange((1 << len(cosets)) - 1, dtype=np.uint64)).tolist()
 
 
-def _olson_batch(g: Group, subgroup_bits: Sequence[int], hi: np.ndarray, ki: np.ndarray,
+def _olson_batch(table: np.ndarray, subgroup_bits: Sequence[int], hi: np.ndarray, ki: np.ndarray,
                  x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Olson evaluation of instances (H, K, X, Y) with H = subgroup_bits[hi].
 
     Returns (applicable, holds): whether all four hypotheses hold, and
-    whether they do and both conclusions follow.
+    whether they do and both conclusions follow. The periodicity tests
+    HX = X and the rest are products from the group's pair_table.
     """
-    table = _coset_table(g, subgroup_bits, x.dtype.type)
-    applicable = (_periodic(table, hi, x) & _periodic(table, ki, y)
-                  & ~_periodic(table, ki, x) & ~_periodic(table, hi, y))
+    subgroups = np.array(subgroup_bits, dtype=x.dtype)
+    h, k = subgroups[hi], subgroups[ki]
+    applicable = ((pair_products(table, h, x) == x) & (pair_products(table, k, y) == y)
+                  & (pair_products(table, k, x) != x) & (pair_products(table, h, y) != y))
     sizes = np.array([h.bit_count() for h in subgroup_bits], dtype=np.int32)
     meets = np.array([[(h & k).bit_count() for k in subgroup_bits] for h in subgroup_bits],
                      dtype=np.int32)
@@ -701,11 +691,14 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
             raise _Refused(
                 f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
 
+    # built by the first settle, so a sweep with a sink builds none
+    table = functools.cache(functools.partial(pair_table, g))
+
     def check(h: int, k: int, x_bits: int, y_bits: int) -> TheoremVerdict:
         return check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits), subs[h], subs[k])
 
     def settle(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        applicable, holds = _olson_batch(g, bits, *columns)
+        applicable, holds = _olson_batch(table(), bits, *columns)
         return ~applicable, holds
 
     for columns in _olson_chunks(g, bits, union_counts, cfg, seed, dtype):

@@ -45,6 +45,7 @@ Z8 = build_group("Z8")
 Z12 = build_group("Z12")
 D3 = build_group("D3")
 D4 = build_group("D4")
+D5 = build_group("D5")
 
 
 # -- oracles --------------------------------------------------------------
@@ -87,7 +88,8 @@ def identity_subsets(g, max_size):
 
 # -- enumeration agreement ------------------------------------------------
 
-@pytest.mark.parametrize("g", [Z6, D3], ids=lambda g: g.label)
+# D5 has order 10, so its masks span two bytes, and S differs from S^-1
+@pytest.mark.parametrize("g", [Z6, D3, D5], ids=lambda g: g.label)
 def test_enumeration_agrees_with_both_oracles(g):
     for s_bits in identity_subsets(g, 3):
         s = ElementSet(g, s_bits)

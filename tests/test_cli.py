@@ -334,6 +334,12 @@ def test_verify_skip_note_for_oversized_tasks(capsys):
                          "--format", "table")
     assert rc == 0
     assert "skipped OLSON on Z70: subset masks of order 70 do not fit a 64-bit integer" in err
+    # a refused task is one error record and a note, never exit 2
+    rc, out, err = run_cli(capsys, "verify", "--groups", "Z6", "--theorem", "chain",
+                           "--enum-cap", "4", "--format", "jsonl")
+    assert rc == 0
+    assert [r["kind"] for r in jsonl_records(out)].count("error") == 1
+    assert "skipped SUBGROUP_KERNEL_CHAIN on Z6" in err
 
 
 def test_verify_usage_errors(capsys):

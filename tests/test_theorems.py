@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cellkit.theorems as theorems
-from cellkit.cells import mask_dtype
+from cellkit.cells import mask_dtype, pair_table
 from cellkit import (
     ElementSet,
     Status,
@@ -143,7 +143,7 @@ def test_olson_batch_matches_scalar(g):
             for x in unions[hi] for y in unions[ki]]
     rows += [(hi, ki, y, x) for hi, ki, x, y in rows]
     hi, ki, x, y = (np.array(col) for col in zip(*rows))
-    applicable, holds = theorems._olson_batch(g, bits, hi, ki, x.astype(np.uint32),
+    applicable, holds = theorems._olson_batch(pair_table(g), bits, hi, ki, x.astype(np.uint32),
                                               y.astype(np.uint32))
     assert not applicable.all()
     for row, a, ok in zip(rows, applicable.tolist(), holds.tolist()):
@@ -412,11 +412,14 @@ OLSON_INTERSECTION_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("spec", ["Z6", "D3", "Z2xZ4", "Q8"])
-@pytest.mark.parametrize("config", OLSON_INTERSECTION_CONFIGS)
+@pytest.mark.parametrize("config, spec",
+                         [(config, spec) for config in OLSON_INTERSECTION_CONFIGS
+                          for spec in ("Z6", "D3", "Z2xZ4", "Q8")]
+                         + [("olson-sampled", "D5"), ("olson-sampled", "Z40")])
 def test_olson_and_intersection_counting_equals_per_instance_mode(config, spec):
     # bulk HOLDS / NOT_APPLICABLE counts must agree with running the scalar
-    # checker on every instance, which is what a sink forces
+    # checker on every instance, which is what a sink forces. Sampled D5 has
+    # masks over two bytes in a nonabelian group, Z40 has uint64 masks
     cfg = SweepConfig(groups=(spec,), **OLSON_INTERSECTION_CONFIGS[config])
     counted = run_sweep(cfg)
     records = []
