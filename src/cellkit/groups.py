@@ -14,8 +14,7 @@ import numpy as np
 DEFAULT_ORDER_CAP = 64
 WIDE_ORDER_CAP = 1024
 
-_CYCLIC_RE = re.compile(r"[Zz](\d+)")
-_PRODUCT_RE = re.compile(r"[Zz]\d+(?:[xX][Zz]\d+)+")
+_PRODUCT_RE = re.compile(r"[Zz]\d+(?:[xX][Zz]\d+)*")
 _DIHEDRAL_RE = re.compile(r"[Dd](\d+)")
 _SYMMETRIC_RE = re.compile(r"[Ss](\d+)")
 
@@ -260,11 +259,6 @@ def require_same_group(*sets: ElementSet) -> Group:
 
 # -- table constructions --------------------------------------------------
 
-def _cyclic_table(n: int) -> list[list[int]]:
-    a = np.arange(n)
-    return ((a[:, None] + a[None, :]) % n).tolist()
-
-
 def _product_table(factors: Sequence[int]) -> list[list[int]]:
     dims = np.asarray(factors, dtype=np.int64)
     n = int(dims.prod())
@@ -371,11 +365,6 @@ def build_group(spec: str, *, wide: bool = False, validate: bool = True) -> Grou
         label = "x".join(f"Z{f}" for f in factors)
         builder = lambda: _product_table(factors)
         abelian = True
-    elif _CYCLIC_RE.fullmatch(token):
-        n = int(token[1:])
-        if n < 1:
-            raise GroupSpecError(f"cyclic order must be positive in {spec!r}")
-        order, label, builder, abelian = n, f"Z{n}", lambda: _cyclic_table(n), True
     elif _DIHEDRAL_RE.fullmatch(token):
         m = int(token[1:])
         if m < 1:

@@ -14,6 +14,9 @@ one byte-table product kernel: cells.product_masks and cells.closure_masks
 (itself a product) where one factor is fixed, and cells.pair_products on
 the group's pair_table where both vary, as in Kneser and in Olson's
 periodicity tests HX = X. A sweep with a sink builds no pair_table.
+Olson's instances are coset unions named by rank in both modes, drawn or
+walked; one byte table of every subgroup's right cosets (_coset_table)
+turns ranks into masks.
 
 Each sweep driver hands batches of instances to _check_batch, which owns
 the sink-or-bulk decision. Without a sink, the Kneser, Olson,
@@ -43,7 +46,10 @@ from .cells import (
     MAX_MASK_ORDER,
     CellRecord,
     EnumerationCapError,
+    _byte_index,
+    _byte_unions,
     _kernel_chain,
+    _require_identity,
     balandraud_details,
     closure_masks,
     enumerate_cells,
@@ -63,6 +69,7 @@ from .groups import (
     all_subgroups,
     build_group,
     is_subgroup,
+    iter_bits,
     product_bits,
     require_same_group,
 )
@@ -187,7 +194,7 @@ def check_theorem_subgroup_kernels(s: ElementSet, *, cap: int = ENUMERATION_CAP)
     and its chain_ok; should (i) and (ii) hold while chain_ok is false, the
     verdict is VIOLATED with the chain's first offending pair.
     """
-    _require_identity_in(s)
+    _require_identity(s)
     g = s.group
     cells, report = _kernel_chain(s, cap)
     base = {"group": g.label, "s": s.spec_string(), "chain_ok": report.chain_ok,
@@ -227,7 +234,7 @@ def check_corollary_kernel_structure(s: ElementSet, *, explore: bool = False,
     v-kernel with u < v <= |S|-2 must be a proper subgroup of M (part III).
     Returns one verdict per part, in order.
     """
-    _require_identity_in(s)
+    _require_identity(s)
     g = s.group
     size = len(s)
     base = {"group": g.label, "s": s.spec_string()}
@@ -305,7 +312,7 @@ def check_dichotomy(s: ElementSet, h: ElementSet, t: ElementSet, *,
     with explore=True.
     """
     g = require_same_group(s, h, t)
-    _require_identity_in(s)
+    _require_identity(s)
     if not t:
         raise ValueError("the dichotomy check needs a nonempty t")
     base = {"group": g.label, "s": s.spec_string(), "h": h.spec_string(), "t": t.spec_string()}
@@ -322,11 +329,6 @@ def check_dichotomy(s: ElementSet, h: ElementSet, t: ElementSet, *,
                    ht_size=len(ht), h_size=len(h), coset_bound=len(hs) + len(ht) - len(h))
     ok = periodic and len(ts) <= witness["coset_bound"]
     return _conclude(Theorem.DICHOTOMY, ok, witness, explore and not g.is_abelian)
-
-
-def _require_identity_in(s: ElementSet) -> None:
-    if not s.bits & 1:
-        raise ValueError(f"s = {s.spec_string()} does not contain the identity")
 
 
 # -- sweep orchestration --------------------------------------------------
@@ -471,28 +473,6 @@ def _s_space(g: Group, cfg: SweepConfig, seed: int) -> list[ElementSet]:
     return list(iter_identity_subsets(g, cfg.s_min, hi))
 
 
-def _right_coset_masks(g: Group, h_bits: int) -> list[int]:
-    """Masks of the right cosets Hx, ascending."""
-    masks = []
-    seen = 0
-    for x in range(g.order):
-        if (seen >> x) & 1:
-            continue
-        m = product_bits(g, h_bits, 1 << x)
-        masks.append(m)
-        seen |= m
-    return sorted(masks)
-
-
-def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> np.ndarray:
-    """One row of right coset masks per subgroup, ascending, zero-padded at the end."""
-    rows = [_right_coset_masks(g, h) for h in subgroup_bits]
-    table = np.zeros((len(rows), max(len(r) for r in rows)), dtype=dtype)
-    for i, r in enumerate(rows):
-        table[i, :len(r)] = r
-    return table
-
-
 # the sweeps hand instances to _check_batch in chunks of about this many
 _CHUNK = 1 << 16
 
@@ -592,60 +572,63 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
 
 # -- olson sweep ----------------------------------------------------------
 
-def _coset_union(cosets: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Elementwise the k-th (from 0) smallest nonempty union of disjoint masks.
+def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> np.ndarray:
+    """The byte table of right coset unions, one column per subgroup.
 
-    cosets holds the masks ascending along its last axis, zero-padded at the
-    end; k is uint64. Disjoint masks compare by their highest element, so a
-    union ranks by the masks it takes read as binary digits: the k-th is
-    the union of the masks picked by the bits of k+1.
+    Entry [256*b + v, i] is the union of the right cosets of subgroup i
+    picked by byte value v at byte position b, the cosets listed distinct
+    and ascending.
     """
-    pick = k + np.uint64(1)
-    x = np.zeros(pick.shape, dtype=cosets.dtype)
-    for i in range(cosets.shape[-1]):
-        x |= np.where(((pick >> np.uint64(i)) & np.uint64(1)).astype(bool), cosets[..., i], 0)
-    return x
+    single = dtype(1) << g.mul_array().astype(dtype)  # single[a, x] = {a*x}
+    cosets = [np.unique(np.bitwise_or.reduce(single[list(iter_bits(h))])) for h in subgroup_bits]
+    padded = np.zeros((max(map(len, cosets)), len(cosets)), dtype=dtype)
+    for i, c in enumerate(cosets):
+        padded[:len(c), i] = c
+    return _byte_unions(padded)
 
 
-def _coset_unions(g: Group, h_bits: int) -> list[int]:
-    """Every nonempty union of right cosets of H, ascending."""
-    cosets = np.array(_right_coset_masks(g, h_bits), dtype=mask_dtype(g.order))
-    return _coset_union(cosets, np.arange((1 << len(cosets)) - 1, dtype=np.uint64)).tolist()
+def _coset_union(table: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Elementwise the k-th (from 0) smallest nonempty union of right cosets of subgroup hi.
 
-
-def _olson_batch(table: np.ndarray, subgroup_bits: Sequence[int], hi: np.ndarray, ki: np.ndarray,
-                 x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Olson evaluation of instances (H, K, X, Y) with H = subgroup_bits[hi].
-
-    Returns (applicable, holds): whether all four hypotheses hold, and
-    whether they do and both conclusions follow. The periodicity tests
-    HX = X and the rest are products from the group's pair_table.
+    Disjoint masks compare by their highest element, so a union ranks by
+    the cosets it takes read as binary digits: the k-th is the union of the
+    cosets picked by the bits of k+1, one _coset_table gather per byte.
     """
-    subgroups = np.array(subgroup_bits, dtype=x.dtype)
-    h, k = subgroups[hi], subgroups[ki]
+    idx = _byte_index(k + 1, -(-len(table) // 256))
+    out = table[idx[0], hi]
+    for i in idx[1:]:
+        out |= table[i, hi]
+    return out
+
+
+def _olson_batch(table: np.ndarray, h: np.ndarray, k: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized check_olson over mask columns (H, K, X, Y).
+
+    Returns (not_applicable, holds): whether one of the four hypotheses
+    fails, and whether all hold and both conclusions follow. The
+    periodicity tests HX = X and the rest are products from the group's
+    pair_table.
+    """
     applicable = ((pair_products(table, h, x) == x) & (pair_products(table, k, y) == y)
                   & (pair_products(table, k, x) != x) & (pair_products(table, h, y) != y))
-    sizes = np.array([h.bit_count() for h in subgroup_bits], dtype=np.int32)
-    meets = np.array([[(h & k).bit_count() for k in subgroup_bits] for h in subgroup_bits],
-                     dtype=np.int32)
-    h_size, k_size, meet = sizes[hi], sizes[ki], meets[hi, ki]
-    dxy = np.bitwise_count(x & ~y).astype(np.int32)
-    dyx = np.bitwise_count(y & ~x).astype(np.int32)
+    h_size, k_size, meet, dxy, dyx = (np.bitwise_count(a).astype(np.int32)
+                                      for a in (h, k, h & k, x & ~y, y & ~x))
     ok = (dxy + dyx >= h_size + k_size - 2 * meet) & ((dxy >= h_size - meet) | (dyx >= k_size - meet))
-    return applicable, applicable & ok
+    return ~applicable, applicable & ok
 
 
-def _olson_chunks(g: Group, subgroup_bits: Sequence[int], union_counts: Sequence[int],
-                  cfg: SweepConfig, seed: int, dtype: type) -> Iterator[tuple[np.ndarray, ...]]:
-    """The sweep's Olson instances as arrays (hi, ki, x, y), in instance order.
+def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
+                 dtype: type) -> Iterator[tuple[np.ndarray, ...]]:
+    """The sweep's Olson instances as rank columns (hi, ki, rank_x, rank_y), in instance order.
 
-    Sampled mode draws H, K and then X and Y, each as the k-th smallest
-    nonempty union of right cosets for a uniform k below union_counts;
-    exhaustive mode walks every subgroup pair and, within it, the outer
-    product of the coset unions. Chunks hold about _CHUNK instances.
+    X is the rank_x-th smallest nonempty union of right cosets of subgroup
+    hi, and Y the rank_y-th of subgroup ki. Sampled mode draws hi, ki and
+    then the two ranks, each uniform below union_counts; exhaustive mode
+    walks every subgroup pair and, within it, every pair of ranks, X outer.
+    Chunks hold about _CHUNK instances.
     """
     if cfg.mode == "sampled":
-        table = _coset_table(g, subgroup_bits, dtype)
         rng = random.Random(f"{seed}|olson")
         for start in range(0, cfg.samples, _CHUNK):
             draws = []
@@ -654,14 +637,13 @@ def _olson_chunks(g: Group, subgroup_bits: Sequence[int], union_counts: Sequence
                 ki = rng.randrange(len(union_counts))
                 draws.append((hi, ki, rng.randrange(union_counts[hi]), rng.randrange(union_counts[ki])))
             hs, ks, xs, ys = zip(*draws)
-            hs, ks = np.array(hs, dtype=np.intp), np.array(ks, dtype=np.intp)
-            yield (hs, ks, _coset_union(table[hs], np.array(xs, dtype=np.uint64)),
-                   _coset_union(table[ks], np.array(ys, dtype=np.uint64)))
+            yield (np.array(hs, dtype=np.intp), np.array(ks, dtype=np.intp),
+                   np.array(xs, dtype=dtype), np.array(ys, dtype=dtype))
         return
-    arrays = [np.array(_coset_unions(g, h), dtype=dtype) for h in subgroup_bits]
+    ranks = [np.arange(c, dtype=dtype) for c in union_counts]
     parts, size = [], 0
-    for hi, xs in enumerate(arrays):
-        for ki, ys in enumerate(arrays):
+    for hi, xs in enumerate(ranks):
+        for ki, ys in enumerate(ranks):
             rows = max(1, _CHUNK // len(ys))
             for start in range(0, len(xs), rows):
                 block = xs[start:start + rows]
@@ -681,8 +663,8 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
         dtype = mask_dtype(g.order)
     except ValueError as exc:
         raise _Refused(str(exc)) from None
-    subs = all_subgroups(g)
-    bits = [h.bits for h in subs]
+    subs = {h.bits: h for h in all_subgroups(g)}
+    bits = list(subs)
     # H has order/|H| right cosets, hence 2^that - 1 nonempty unions of them
     union_counts = [(1 << (g.order // h.bit_count())) - 1 for h in bits]
     if cfg.mode == "exhaustive":
@@ -690,19 +672,19 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
         if per_side * per_side > cfg.max_instances:
             raise _Refused(
                 f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
-
+    cosets = _coset_table(g, bits, dtype)
+    subgroups = np.array(bits, dtype=dtype)
     # built by the first settle, so a sweep with a sink builds none
     table = functools.cache(functools.partial(pair_table, g))
 
     def check(h: int, k: int, x_bits: int, y_bits: int) -> TheoremVerdict:
         return check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits), subs[h], subs[k])
 
-    def settle(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        applicable, holds = _olson_batch(table(), bits, *columns)
-        return ~applicable, holds
-
-    for columns in _olson_chunks(g, bits, union_counts, cfg, seed, dtype):
-        _check_batch(state, g.label, Theorem.OLSON, columns, check, settle)
+    for hi, ki, rank_x, rank_y in _olson_ranks(union_counts, cfg, seed, dtype):
+        columns = (subgroups[hi], subgroups[ki], _coset_union(cosets, hi, rank_x),
+                   _coset_union(cosets, ki, rank_y))
+        _check_batch(state, g.label, Theorem.OLSON, columns, check,
+                     lambda *masks: _olson_batch(table(), *masks))
 
 
 # -- cell intersection sweep ----------------------------------------------

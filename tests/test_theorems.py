@@ -6,6 +6,9 @@ counts were produced by the scalar checkers and pinned; the sweep tests
 then hold the vectorized counting paths to those same numbers.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -119,10 +122,24 @@ def test_kneser_rejects_empty_factors():
 
 # -- olson ----------------------------------------------------------------
 
+def coset_unions(g, subgroup_bits):
+    """Every nonempty union of right cosets of each subgroup, ascending, by rank
+    through the sweep's coset table; subgroups of more than 16 cosets are left out."""
+    dtype = mask_dtype(g.order)
+    table = theorems._coset_table(g, subgroup_bits, dtype)
+    out = {}
+    for i, h in enumerate(subgroup_bits):
+        cosets = g.order // h.bit_count()
+        if cosets <= 16:
+            ranks = np.arange((1 << cosets) - 1, dtype=dtype)
+            out[h] = theorems._coset_union(table, np.full(len(ranks), i), ranks).tolist()
+    return out
+
+
 @pytest.mark.parametrize("g", [Z6, D3], ids=lambda g: g.label)
 def test_olson_matches_oracle_on_all_coset_unions(g):
     subs = all_subgroups(g)
-    unions = {h.bits: theorems._coset_unions(g, h.bits) for h in subs}
+    unions = coset_unions(g, [h.bits for h in subs])
     for h in subs:
         for k in subs:
             for x_bits in unions[h.bits]:
@@ -137,21 +154,16 @@ def test_olson_matches_oracle_on_all_coset_unions(g):
 def test_olson_batch_matches_scalar(g):
     # every coset-union pair of the sweep, and each pair swapped so that the
     # hypotheses HX = X and KY = Y fail too
-    bits = [h.bits for h in all_subgroups(g)]
-    unions = [theorems._coset_unions(g, b) for b in bits]
-    rows = [(hi, ki, x, y) for hi in range(len(bits)) for ki in range(len(bits))
-            for x in unions[hi] for y in unions[ki]]
-    rows += [(hi, ki, y, x) for hi, ki, x, y in rows]
-    hi, ki, x, y = (np.array(col) for col in zip(*rows))
-    applicable, holds = theorems._olson_batch(pair_table(g), bits, hi, ki, x.astype(np.uint32),
-                                              y.astype(np.uint32))
-    assert not applicable.all()
-    for row, a, ok in zip(rows, applicable.tolist(), holds.tolist()):
-        h, k, x_bits, y_bits = row
-        v = check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits),
-                        ElementSet(g, bits[h]), ElementSet(g, bits[k]))
-        assert (v.status is not Status.NOT_APPLICABLE) == a, row
-        assert (v.status is Status.HOLDS) == ok, row
+    unions = coset_unions(g, [h.bits for h in all_subgroups(g)])
+    rows = [(h, k, x, y) for h in unions for k in unions for x in unions[h] for y in unions[k]]
+    rows += [(h, k, y, x) for h, k, x, y in rows]
+    not_applicable, holds = theorems._olson_batch(
+        pair_table(g), *(np.array(col, dtype=np.uint32) for col in zip(*rows)))
+    assert not_applicable.any()
+    for (h, k, x, y), na, ok in zip(rows, not_applicable.tolist(), holds.tolist()):
+        v = check_olson(ElementSet(g, x), ElementSet(g, y), ElementSet(g, h), ElementSet(g, k))
+        assert (v.status is Status.NOT_APPLICABLE) == na, (h, k, x, y)
+        assert (v.status is Status.HOLDS) == ok, (h, k, x, y)
 
 
 def sorted_coset_unions(g, h_bits):
@@ -171,9 +183,8 @@ def test_coset_union_rank_matches_the_sorted_list(spec):
     # sampled Olson draws the k-th smallest union by rank instead of listing
     # them all; the trivial subgroup of S4 (2^24 unions) is left out
     g = build_group(spec)
-    for h in all_subgroups(g):
-        if g.order // len(h) <= 16:
-            assert theorems._coset_unions(g, h.bits) == sorted_coset_unions(g, h.bits), h
+    for h, listed in coset_unions(g, [sub.bits for sub in all_subgroups(g)]).items():
+        assert listed == sorted_coset_unions(g, h), h
 
 
 def test_olson_sweep_on_z30_lists_no_coset_unions():
@@ -452,15 +463,51 @@ def test_sampled_kneser_draws_do_not_depend_on_the_chunk(monkeypatch):
 
 
 def test_kneser_counting_does_not_depend_on_the_chunk(monkeypatch):
-    # sampled chunks of 7 pairs; exhaustive blocks of one Y, then of two Ys
-    # with a short last block
-    for mode in ("sampled", "exhaustive"):
-        cfg = SweepConfig(groups=("Z2xZ4",), theorems=("kneser",), mode=mode, samples=500, seed=3)
-        whole = run_sweep(cfg).summary
+    # Kneser: sampled chunks of 7 pairs; exhaustive blocks of one Y, then of
+    # two Ys with a short last block. Olson: chunks that split one subgroup
+    # pair's block, then chunks that join several; its records must match too
+    cases = [(dict(groups=("Z2xZ4",), theorems=("kneser",), mode=mode, samples=500, seed=3), False)
+             for mode in ("sampled", "exhaustive")]
+    cases += [(dict(groups=("Z6", "D3"), theorems=("olson",)), True),
+              (dict(groups=("Z6", "D3", "Q8"), theorems=("olson",), mode="sampled", samples=3000,
+                    seed=17), True)]
+    for kwargs, with_records in cases:
+        cfg = SweepConfig(**kwargs)
+
+        def outcome():
+            records = []
+            if with_records:
+                run_sweep(cfg, sink=records.append)
+            return run_sweep(cfg).summary, records
+
+        whole = outcome()
         for chunk in (7, 600):
             monkeypatch.setattr(theorems, "_CHUNK", chunk)
-            assert run_sweep(cfg).summary == whole
+            assert outcome() == whole, (kwargs, chunk)
         monkeypatch.undo()
+
+
+# (config, records, sha256 of the records as compact sorted-key JSON lines),
+# pinned from the sink streams of the scalar checkers: a changed draw,
+# verdict, witness or record order moves the digest
+PINNED_STREAMS = [
+    (dict(groups=("Z6", "D3"), theorems=theorems.DRIVER_NAMES, s_max=3), 31_930,
+     "373d3e824c6ac4631c8c57da91e08f5a554cc703d42d9a41cb261d689aad4a5d"),
+    (dict(groups=("Z6", "D3", "Q8", "D5"), theorems=("olson",), mode="sampled", samples=3000,
+          seed=17), 12_000,
+     "897008f8fc0dd5effd5de54aacc145575486bec1322014daad5039ea96f4562a"),
+    (dict(groups=("Z6", "D3"), theorems=("kneser",), mode="sampled", samples=3000, seed=4), 6_000,
+     "df18c771177875cf9ae6a004b3fff20269e9045d467f47afcba743c0f2721005"),
+]
+
+
+def test_sweep_record_streams_match_pinned_digests():
+    for kwargs, count, digest in PINNED_STREAMS:
+        lines = []
+        run_sweep(SweepConfig(**kwargs), sink=lambda rec: lines.append(
+            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"))
+        assert len(lines) == count, kwargs
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest, kwargs
 
 
 def test_kneser_sweep_frozen_counts():
