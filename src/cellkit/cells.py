@@ -13,6 +13,10 @@ product too: {z : z*S subset of A} = G \\ ((G \\ A) * S^-1), over the
 transposed translates j*S^-1. When both factors vary, pair_products reads
 the group's byte-pair table (pair_table): one gather per pair of byte
 positions.
+
+_full_cell_enumeration lists every cell sorted by (deficiency, size, bits).
+enumerate_cells, its one caller, reads that order up to u_max; kernels, the
+chain and the attached subgroup are all answered from enumerate_cells.
 """
 
 from __future__ import annotations
@@ -271,18 +275,19 @@ def require_enumerable(order: int, cap: int) -> None:
 
 
 def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, int], ...]:
-    """All cells of S as (cell bits, product bits), sorted by cell bits.
+    """All cells of S as (cell bits, product bits), sorted by (deficiency, |X|, cell bits).
 
     Each cell X is the closure {z : z*S subset of A} of A = X*S, which is
     G \\ (B * S^-1) for B = G \\ A. So the sweep takes the products B * S^-1
     over every mask B and complements only the distinct ones. It is
     chunked so memory stays proportional to the chunk, not to 2^order.
+    The cap is checked before the memo; enumerate_cells is the one caller.
     """
+    n = g.order
+    require_enumerable(n, cap)
     cached = g._enum_memo.get(s_bits)
     if cached is not None:
         return cached
-    n = g.order
-    require_enumerable(n, cap)
     lt = left_translate_masks(g, s_bits)
     dtype = mask_dtype(n)
     rt = _inverse_translates(lt, dtype)
@@ -291,10 +296,13 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
     parts = [np.unique(product_masks(rt, np.arange(start, start + chunk, dtype=dtype)))
              for start in range(0, total, chunk)]
     products = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-    # ascending products complement to descending cells
-    cells = (dtype(g.full_bits) & ~products)[::-1]
+    cells = dtype(g.full_bits) & ~products
     cells = cells[cells != 0]
-    result = tuple(zip(cells.tolist(), product_masks(lt, cells).tolist()))
+    products = product_masks(lt, cells)
+    # |X*S| >= |X|, so the uint8 deficiency cannot wrap
+    size = np.bitwise_count(cells)
+    order = np.lexsort((cells, size, np.bitwise_count(products) - size))
+    result = tuple(zip(cells[order].tolist(), products[order].tolist()))
     if len(g._enum_memo) >= _MEMO_LIMIT:
         g._enum_memo.pop(next(iter(g._enum_memo)))
     g._enum_memo[s_bits] = result
@@ -306,7 +314,8 @@ def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
                     cap: int = ENUMERATION_CAP) -> list[CellRecord]:
     """Cells of s with deficiency at most u_max, sorted by (deficiency, size, bits).
 
-    Exhaustive mode is complete but refuses groups of order above cap.
+    Exhaustive mode is complete but refuses groups of order above cap; it
+    reads the sorted enumeration up to the first cell above u_max.
     Sampled mode closes count random seeds drawn with the given seed and
     returns the distinct cells found, a reproducible subset of the truth.
     """
@@ -326,11 +335,15 @@ def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
         for _ in range(count):
             p = product_bits(g, random_nonempty_bits(n, rng), s.bits)
             seen[closure_bits(lt, p)] = p
-        pairs = sorted(seen.items())
+        pairs = sorted(seen.items(), key=lambda xp: (xp[1].bit_count() - xp[0].bit_count(),
+                                                     xp[0].bit_count(), xp[0]))
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}; expected 'exhaustive' or 'sampled'")
-    records = [make_record(g, xb, pb) for xb, pb in pairs if pb.bit_count() - xb.bit_count() <= u_max]
-    records.sort(key=lambda r: (r.deficiency, len(r.cell), r.cell.bits))
+    records = []
+    for xb, pb in pairs:
+        if pb.bit_count() - xb.bit_count() > u_max:
+            break
+        records.append(make_record(g, xb, pb))
     return records
 
 
@@ -368,18 +381,12 @@ def balandraud_details(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> Balandra
     size = len(s)
     if size <= 1:
         return BalandraudResult(subgroup=g.identity_set(), u_star=None, case="trivial")
-    pairs = _full_cell_enumeration(g, s.bits, cap)
-    u_star = None
-    for xb, pb in pairs:
-        u = pb.bit_count() - xb.bit_count()
-        if 1 <= u <= size - 2 and (u_star is None or u > u_star):
-            u_star = u
-    if u_star is None:
+    cells = enumerate_cells(s, u_max=size - 2, cap=cap)
+    u_star = cells[-1].deficiency  # G itself is a 0-cell, so cells is never empty
+    if u_star < 1:
         return BalandraudResult(subgroup=generated_subgroup(g, s), u_star=None, case="generated")
-    pool = [(xb, pb) for xb, pb in pairs if pb.bit_count() - xb.bit_count() == u_star]
-    m = min(xb.bit_count() for xb, _ in pool)
-    candidates = sorted(xb for xb, _ in pool if xb.bit_count() == m and xb & 1)
-    return BalandraudResult(subgroup=ElementSet(g, candidates[0]), u_star=u_star, case="kernel")
+    kernel = next(k for k in kernels_at(s, u_star, cells).kernels if k.contains_identity)
+    return BalandraudResult(subgroup=kernel.cell, u_star=u_star, case="kernel")
 
 
 def balandraud_subgroup(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> ElementSet:

@@ -395,48 +395,45 @@ def _check_order_cap(label: str, order: int, wide: bool) -> None:
 # -- subgroup machinery ---------------------------------------------------
 
 def generated_subgroup(g: Group, gens: ElementSet) -> ElementSet:
-    """The subgroup generated by gens (the trivial subgroup for an empty set)."""
+    """The subgroup generated by gens (the trivial subgroup for an empty set).
+
+    Closes {1} under right multiplication by gens: every inverse is a positive power.
+    """
     if gens.group is not g:
         raise ValueError(f"generators belong to {gens.group.label}, not {g.label}")
     mul = g.mul
+    zs = tuple(iter_bits(gens.bits))
     members = [0]
     bits = 1
-    for z in iter_bits(gens.bits):
-        if not (bits >> z) & 1:
-            members.append(z)
-            bits |= 1 << z
-    i = 0
-    while i < len(members):
-        x = members[i]
+    for x in members:  # grows while it is walked
         row = mul[x]
-        for j in range(len(members)):
-            y = members[j]
-            for p in (row[y], mul[y][x]):
-                if not (bits >> p) & 1:
-                    members.append(p)
-                    bits |= 1 << p
-        i += 1
+        for z in zs:
+            p = row[z]
+            if not (bits >> p) & 1:
+                members.append(p)
+                bits |= 1 << p
     return ElementSet(g, bits)
 
 
 def all_subgroups(g: Group) -> list[ElementSet]:
     """Every subgroup of g, sorted by (cardinality, bitmask).
 
-    Breadth-first closure of one-generator extensions; exact but exponential
-    in the worst case, intended for the capped orders this package targets.
+    Breadth-first over one-generator extensions: H extended by z closes the
+    generators that first reached H, and z. Exact but exponential in the
+    worst case, intended for the capped orders this package targets.
     """
-    trivial = 1
-    found = {trivial}
-    frontier = [trivial]
+    found = {1: 0}  # subgroup bits -> generators
+    frontier = [1]
     while frontier:
         nxt = []
         for hbits in frontier:
             for z in range(1, g.order):
                 if (hbits >> z) & 1:
                     continue
-                extended = generated_subgroup(g, ElementSet(g, hbits | (1 << z))).bits
+                gens = found[hbits] | 1 << z
+                extended = generated_subgroup(g, ElementSet(g, gens)).bits
                 if extended not in found:
-                    found.add(extended)
+                    found[extended] = gens
                     nxt.append(extended)
         frontier = nxt
     g._subgroup_bits = frozenset(found)

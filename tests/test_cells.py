@@ -93,12 +93,22 @@ def identity_subsets(g, max_size):
 def test_enumeration_agrees_with_both_oracles(g):
     for s_bits in identity_subsets(g, 3):
         s = ElementSet(g, s_bits)
-        got = {r.cell.bits for r in enumerate_cells(s, u_max=g.order)}
+        records = enumerate_cells(s, u_max=g.order)
+        got = {r.cell.bits for r in records}
         assert got == oracle_cells_by_filter(g, s_bits), s.spec_string()
         assert got == oracle_cells_by_seeds(g, s_bits), s.spec_string()
-        for r in enumerate_cells(s, u_max=g.order):
+        for r in records:
             assert r.product == product(r.cell, s)
             assert r.deficiency == len(r.product) - len(r.cell)
+
+        def deficiency(x):
+            return product_bits(g, x, s_bits).bit_count() - x.bit_count()
+
+        ordered = sorted(got, key=lambda x: (deficiency(x), x.bit_count(), x))
+        assert [r.cell.bits for r in records] == ordered, s.spec_string()
+        for u in range(g.order + 1):
+            prefix = [x for x in ordered if deficiency(x) <= u]
+            assert [r.cell.bits for r in enumerate_cells(s, u)] == prefix, (s.spec_string(), u)
 
 
 masks8 = st.integers(min_value=1, max_value=255)
@@ -300,11 +310,12 @@ def test_enumeration_refuses_orders_above_cap():
     s = g.subset([0, 1])
     with pytest.raises(EnumerationCapError, match="2\\^21"):
         enumerate_cells(s, u_max=1)
-    # a fresh instance, because a memoized enumeration is served without
-    # consulting the cap
-    fresh = build_group("Z12")
+    s = Z12.subset([0, 1, 6, 7])
+    balandraud_details(s)
     with pytest.raises(EnumerationCapError):
-        balandraud_details(fresh.subset([0, 1, 6, 7]), cap=10)
+        balandraud_details(s, cap=10)
+    with pytest.raises(EnumerationCapError):
+        enumerate_cells(s, 2, cap=10)
 
 
 def test_cells_require_identity_and_nonempty():

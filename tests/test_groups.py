@@ -229,6 +229,13 @@ def test_generated_subgroup():
     assert len(generated_subgroup(d4, d4.subset([1, 4]))) == 8
     with pytest.raises(ValueError, match="belong to"):
         generated_subgroup(g, d4.subset([1]))
+    # right multiplication alone closes every subset, nonabelian ones included
+    for spec in ("D3", "D4", "Q8"):
+        h = build_group(spec)
+        subgroups = sorted(oracle_subgroup_bits(h), key=lambda b: (b.bit_count(), b))
+        for bits in range(1 << h.order):
+            smallest = next(b for b in subgroups if not bits & ~b)
+            assert generated_subgroup(h, ElementSet(h, bits)).bits == smallest, (spec, bits)
 
 
 def test_all_subgroups_matches_bruteforce():
@@ -246,6 +253,8 @@ def test_subgroup_counts_frozen():
         "Z1": 1, "Z2": 2, "Z4": 3, "Z2xZ2": 5, "Z6": 4, "D3": 6,
         "Z8": 4, "Z2xZ4": 8, "Z2xZ2xZ2": 16, "D4": 10, "Q8": 6,
         "Z12": 6, "D6": 16, "S4": 30,
+        # D_n has tau(n) + sigma(n) subgroups; 374 is the Gaussian-binomial sum for 2^5
+        "D16": 36, "D32": 69, "Z2xZ2xZ2xZ2xZ2": 374, "Z4xZ4xZ4": 129,
     }
     for spec, count in expected.items():
         assert len(all_subgroups(build_group(spec))) == count, spec

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cellkit.cells as cells_module
 import cellkit.theorems as theorems
 from cellkit.cells import mask_dtype, pair_table
 from cellkit import (
@@ -33,6 +34,7 @@ from cellkit import (
     check_theorem_subgroup_kernels,
     enumerate_cells,
     balandraud_subgroup,
+    kernel_chain,
     make_record,
     run_sweep,
 )
@@ -255,6 +257,31 @@ def test_chain_checker_runs_on_nonabelian_groups():
         from cellkit.specs import iter_identity_subsets
         for s in iter_identity_subsets(g, 1, 3):
             assert check_theorem_subgroup_kernels(s).status is Status.HOLDS
+
+
+@pytest.mark.parametrize("cell, product, part, reason", [
+    ((0, 4, 8), (0, 1, 4, 8), "i", "kernels are incomparable"),
+    ((0, 2, 4, 6, 8, 10), (0, 1, 2, 3, 4, 5, 6, 8, 10), "ii",
+     "deficiency-3 kernel is not contained in the deficiency-2 kernel"),
+], ids=["incomparable", "not-nested"])
+def test_chain_checker_reports_each_violated_route(monkeypatch, cell, product, part, reason):
+    # no true statement yields VIOLATED, so a subgroup intruder stands in
+    # for a wrong enumeration: {0,4,8} as a 1-kernel is incomparable with
+    # the 2-kernel {0,6}, and the evens as a 3-kernel are not inside it
+    real = cells_module.enumerate_cells
+    intruder = make_record(Z12, Z12.subset(cell).bits, Z12.subset(product).bits)
+
+    def with_intruder(s, *args, **kwargs):
+        return real(s, *args, **kwargs) + [intruder]
+
+    monkeypatch.setattr(cells_module, "enumerate_cells", with_intruder)
+    s = Z12.subset([0, 1, 6, 7])
+    v = check_theorem_subgroup_kernels(s)
+    assert v.status is Status.VIOLATED
+    assert v.witness["part"] == part and v.witness["m"] == intruder.cell.spec_string()
+    report = kernel_chain(s)
+    assert not report.chain_ok
+    assert [x.reason for x in report.violations] == [reason]
 
 
 # -- corollary kernel structure -------------------------------------------
