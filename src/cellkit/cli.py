@@ -22,6 +22,7 @@ from .cells import (
     MAX_MASK_ORDER,
     CellRecord,
     EnumerationCapError,
+    _attached_subgroup,
     balandraud_details,
     enumerate_cells,
     kernels_at,
@@ -194,7 +195,12 @@ def cmd_cells(args: argparse.Namespace) -> int:
                                   cap=args.enum_cap)
         kernel_records = [kernels_at(s, u, records) for u in range(umax + 1)]
         kernel_sizes = {kr.u: len(kr.kernels[0].cell) for kr in kernel_records if kr.kernels}
-        details = balandraud_details(s, cap=args.enum_cap) if with_balandraud else None
+        if not with_balandraud:
+            details = None
+        elif args.mode == "exhaustive" and umax >= len(s) - 2:
+            details = _attached_subgroup(s, records)  # records holds every cell it reads
+        else:
+            details = balandraud_details(s, cap=args.enum_cap)
         return ([_cell_row(r, kernel_sizes) for r in records],
                 [{"kind": "kernel_summary", "u": kr.u, "kernel_count": len(kr.kernels),
                   "kernel_size": len(kr.kernels[0].cell) if kr.kernels else None,

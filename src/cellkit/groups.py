@@ -76,6 +76,7 @@ class Group:
         self.order = len(self.mul)
         self.identity = 0
         self._mul_np: np.ndarray | None = None
+        self._translate_np: tuple[np.ndarray, np.ndarray] | None = None
         if validate:
             self._validate()
         self.inv = self._invert()
@@ -419,7 +420,8 @@ def all_subgroups(g: Group) -> list[ElementSet]:
     """Every subgroup of g, sorted by (cardinality, bitmask).
 
     Breadth-first over one-generator extensions: H extended by z closes the
-    generators that first reached H, and z. Exact but exponential in the
+    generators that first reached H, and z. Since <H, z> = <H, h*z> for h in
+    H, one z per right coset H*z suffices. Exact but exponential in the
     worst case, intended for the capped orders this package targets.
     """
     found = {1: 0}  # subgroup bits -> generators
@@ -427,9 +429,11 @@ def all_subgroups(g: Group) -> list[ElementSet]:
     while frontier:
         nxt = []
         for hbits in frontier:
+            covered = hbits
             for z in range(1, g.order):
-                if (hbits >> z) & 1:
+                if (covered >> z) & 1:
                     continue
+                covered |= product_bits(g, hbits, 1 << z)
                 gens = found[hbits] | 1 << z
                 extended = generated_subgroup(g, ElementSet(g, gens)).bits
                 if extended not in found:

@@ -48,6 +48,8 @@ from .cells import (
     EnumerationCapError,
     _byte_index,
     _byte_unions,
+    _distinct,
+    _gather,
     _kernel_chain,
     _require_identity,
     balandraud_details,
@@ -62,6 +64,7 @@ from .cells import (
     pair_table,
     product_masks,
     stabilizer_masks,
+    translate_tables,
 )
 from .groups import (
     ElementSet,
@@ -69,7 +72,6 @@ from .groups import (
     all_subgroups,
     build_group,
     is_subgroup,
-    iter_bits,
     product_bits,
     require_same_group,
 )
@@ -574,8 +576,9 @@ def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> np.ndar
     picked by byte value v at byte position b, the cosets listed distinct
     and ascending.
     """
-    single = dtype(1) << g.mul_array().astype(dtype)  # single[a, x] = {a*x}
-    cosets = [np.unique(np.bitwise_or.reduce(single[list(iter_bits(h))])) for h in subgroup_bits]
+    # the right table holds H*x at [H, x], so one gather gives every coset of every subgroup
+    right = translate_tables(g)[0]
+    cosets = [_distinct(row) for row in _gather(right, np.array(subgroup_bits, dtype=dtype))]
     padded = np.zeros((max(map(len, cosets)), len(cosets)), dtype=dtype)
     for i, c in enumerate(cosets):
         padded[:len(c), i] = c

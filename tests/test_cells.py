@@ -28,6 +28,7 @@ from cellkit import (
     product,
 )
 from cellkit.cells import (
+    _attached_subgroup,
     closure_bits,
     closure_masks,
     left_translate_masks,
@@ -37,6 +38,7 @@ from cellkit.cells import (
     pair_table,
     product_masks,
     stabilizer_masks,
+    translate_tables,
 )
 from cellkit.groups import product_bits
 
@@ -46,6 +48,7 @@ Z12 = build_group("Z12")
 D3 = build_group("D3")
 D4 = build_group("D4")
 D5 = build_group("D5")
+D6 = build_group("D6")
 
 
 # -- oracles --------------------------------------------------------------
@@ -88,10 +91,20 @@ def identity_subsets(g, max_size):
 
 # -- enumeration agreement ------------------------------------------------
 
-# D5 has order 10, so its masks span two bytes, and S differs from S^-1
-@pytest.mark.parametrize("g", [Z6, D3, D5], ids=lambda g: g.label)
-def test_enumeration_agrees_with_both_oracles(g):
-    for s_bits in identity_subsets(g, 3):
+def oracle_sets(g, max_size):
+    """Every identity set up to max_size; on order 6 also |S| = n-1 and S = G (no free rows)."""
+    yield from identity_subsets(g, max_size)
+    if g.order == 6:
+        yield from (g.full_bits & ~(1 << z) for z in range(1, g.order))
+        yield g.full_bits
+
+
+# D5 and D6 have orders 10 and 12, so their masks span two bytes, and S
+# differs from S^-1; on D6 the oracles would take 11 s over the size-3 sets
+@pytest.mark.parametrize("g, max_size", [pytest.param(g, k, id=g.label)
+                                         for g, k in ((Z6, 3), (D3, 3), (D5, 3), (D6, 2))])
+def test_enumeration_agrees_with_both_oracles(g, max_size):
+    for s_bits in oracle_sets(g, max_size):
         s = ElementSet(g, s_bits)
         records = enumerate_cells(s, u_max=g.order)
         got = {r.cell.bits for r in records}
@@ -268,12 +281,38 @@ def test_balandraud_small_sets():
     assert balandraud_subgroup(Z6.subset([0, 1])) == Z6.full_set()
 
 
+def test_attached_subgroup_reads_any_longer_enumeration():
+    # the cells command hands its own records, up to any u_max >= |S|-2
+    for g in (Z12, D6):
+        for s_bits in identity_subsets(g, 4):
+            s = ElementSet(g, s_bits)
+            for u_max in {max(len(s) - 2, 0), len(s) - 1, g.order - 1}:
+                assert _attached_subgroup(s, enumerate_cells(s, u_max)) == balandraud_details(s)
+
+
 def test_full_group_set_has_one_cell():
     for g in (Z6, D4):
         cells = enumerate_cells(g.full_set(), u_max=g.order)
         assert len(cells) == 1
         assert cells[0].cell == g.full_set()
         assert cells[0].deficiency == 0
+
+
+def test_enumerations_share_the_group_translate_tables():
+    g = build_group("D6")  # a fresh group, so no enumeration has built its tables yet
+    assert g._translate_np is None
+    enumerate_cells(g.subset([0, 1, 7]), u_max=2)
+    tables = g._translate_np
+    enumerate_cells(g.subset([0, 2, 3, 9]), u_max=3)
+    assert g._translate_np is tables
+    assert translate_tables(g) is tables
+    right, left = tables
+    # index 256*b + u names the set B with byte u at byte position b
+    for v in range(len(right)):
+        b_bits = (v % 256) << 8 * (v // 256)
+        for z in range(g.order):
+            assert int(right[v, z]) == product_bits(g, b_bits, 1 << z), (v, z)
+            assert int(left[v, z]) == product_bits(g, 1 << z, b_bits), (v, z)
 
 
 # -- modes, ordering, and refusals ----------------------------------------

@@ -145,6 +145,18 @@ def test_cells_umax_is_bounded_by_the_largest_deficiency(capsys):
     assert [r["u"] for r in records if r["kind"] == "kernel_summary"] == list(range(12))
 
 
+def test_cells_builds_each_record_once(capsys, monkeypatch):
+    # the balandraud row reads the records of the cell rows, so none is built twice
+    calls = []
+    make_record = cells_module.make_record
+    monkeypatch.setattr(cells_module, "make_record", lambda *a: calls.append(a) or make_record(*a))
+    rc, out, _ = run_cli(capsys, "cells", "Z12", "{0,1,6,7}", "--format", "jsonl")
+    assert rc == 0
+    rows = jsonl_records(out)
+    assert len(calls) == sum(row["kind"] == "cell" for row in rows) > 0
+    assert [row["subgroup"] for row in rows if row["kind"] == "balandraud"] == ["{0,6}"]
+
+
 def test_cells_cache_roundtrip(tmp_path, capsys, monkeypatch):
     argv = ("cells", "Z12", "{0,1,6,7}", "--umax", "2", "--format", "jsonl",
             "--cache-dir", str(tmp_path))

@@ -623,7 +623,8 @@ def test_sweep_refuses_oversized_tasks_with_an_error_record():
     assert r.violated == 0
 
 
-CAP_REFUSAL = "exhaustive enumeration sweeps 2^6 candidate products; refusing order 6 above cap 4"
+CAP_REFUSAL = ("exhaustive enumeration lists up to 2^6 cells from 2^(6-|S|) candidate products; "
+               "refusing order 6 above cap 4")
 REFUSALS = {
     "kneser": (dict(theorems=("kneser",), max_instances=10),
                "KNESER", "exhaustive pair space 3969 exceeds max_instances 10"),
