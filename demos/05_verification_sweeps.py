@@ -6,6 +6,8 @@ stream is a pure function of the configuration and seed, so a run can be
 reproduced bit for bit. The command-line tool wraps exactly this API.
 """
 
+import json
+
 from cellkit import SweepConfig, builtin_specs, run_sweep
 
 # -- an exhaustive sweep --------------------------------------------------
@@ -44,10 +46,12 @@ if result.findings:
 
 # -- streaming records ----------------------------------------------------
 
-# a sink receives every verdict as it is produced; the command line uses
-# this to emit JSON lines
+# a sink receives every record as it is produced, as the JSON line the
+# command line writes for it ("\n" included); the command line passes
+# sys.stdout.write. Kneser and dichotomy lines are rendered from the
+# vectorized batch's columns, the rest come from the scalar checkers
 records = []
 run_sweep(SweepConfig(groups=("Z6",), theorems=("chain",), s_max=3),
-          sink=records.append)
+          sink=lambda line: records.append(json.loads(line)))
 print(f"\nstreamed {len(records)} chain records; first:",
       {k: records[0][k] for k in ("theorem", "group", "status")})

@@ -9,11 +9,11 @@ is |X*S| - |X|; a u-kernel is a u-cell of minimal cardinality.
 Over numpy arrays of masks the one set kernel is a byte-table product,
 and _byte_unions its one table builder. _gather ORs one gather per mask
 byte from such a table; product_masks applies it to a table built per
-call. closure_masks is such a product too: {z : z*S subset of A} =
-G \\ ((G \\ A) * S^-1), over the transposed translates j*S^-1. Each group
-keeps two translate tables (translate_tables), built once: the OR of
-columns of one gives the table of X -> X*S for any S, and a gather from
-the other every left translate z*X. When both factors vary,
+call. Each group keeps two translate tables (translate_tables), built
+once: column_union of one over S gives the table of X -> X*S for any S,
+and over H of the other the table of X -> H*X; a gather from the left
+table gives every left translate z*X. closure_masks is such a product
+too: {z : z*S subset of A} = G \\ ((G \\ A) * S^-1). When both factors vary,
 pair_products reads the group's byte-pair table (pair_table): one gather
 per pair of byte positions.
 
@@ -153,22 +153,6 @@ def product_masks(lt: list[int] | np.ndarray, t: np.ndarray) -> np.ndarray:
     return _gather(_byte_unions(np.asarray(lt, dtype=t.dtype)), t)
 
 
-def _inverse_translates(lt: list[int], dtype: type) -> np.ndarray:
-    """The transposed translates rt[j] = {z : j in lt[z]}, which is j*S^-1 for lt[z] = z*S."""
-    powers = dtype(1) << np.arange(len(lt), dtype=dtype)
-    return ((np.array(lt, dtype=dtype)[:, None] & powers) != 0).T.view(np.uint8) @ powers
-
-
-def closure_masks(lt: list[int], a: np.ndarray) -> np.ndarray:
-    """Elementwise {z : z*S subset of A} over an array of masks A.
-
-    z*S leaves A iff z lies in j*S^-1 for some j outside A, so the closure
-    is the product G \\ ((G \\ A) * S^-1) over the transposed translates.
-    """
-    full = a.dtype.type((1 << len(lt)) - 1)
-    return full & ~product_masks(_inverse_translates(lt, a.dtype.type), full & ~a)
-
-
 def translate_tables(g: Group) -> tuple[np.ndarray, np.ndarray]:
     """The group's byte tables (right, left) of translates, in g's mask dtype.
 
@@ -182,6 +166,32 @@ def translate_tables(g: Group) -> tuple[np.ndarray, np.ndarray]:
         single = dtype(1) << g.mul_array().astype(dtype)  # single[x, y] = {x*y}
         g._translate_np = (_byte_unions(single), _byte_unions(np.ascontiguousarray(single.T)))
     return g._translate_np
+
+
+def column_union(table: np.ndarray, bits: int) -> np.ndarray:
+    """The OR of a translate table's columns over the elements of bits.
+
+    Over the right table of translate_tables this is the byte table of
+    X -> X*B for the set B that bits names, over the left table that of
+    X -> B*X.
+    """
+    return np.bitwise_or.reduce(table[:, [z for z in range(table.shape[1]) if bits >> z & 1]], axis=1)
+
+
+def inverse_bits(g: Group, bits: int) -> int:
+    """The mask of {x^-1 : x in the set that bits names}."""
+    return sum(1 << g.inv[x] for x in range(g.order) if bits >> x & 1)
+
+
+def closure_masks(g: Group, times_inverse: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Elementwise {z : z*S subset of A} over an array of masks A.
+
+    times_inverse is the byte table of B -> B*S^-1, the column_union of the
+    group's right table over S^-1. z*S leaves A iff z lies in j*S^-1 for
+    some j outside A, so the closure is the product G \\ ((G \\ A) * S^-1).
+    """
+    full = a.dtype.type(g.full_bits)
+    return full & ~_gather(times_inverse, full & ~a)
 
 
 def pair_table(g: Group) -> np.ndarray:
@@ -335,12 +345,10 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
         return cached
     right, left = translate_tables(g)
     dtype = right.dtype.type
-    members = [z for z in range(n) if s_bits >> z & 1]
     free = [j for j in range(n) if not s_bits >> j & 1]
     if free:
-        inverse = sum(1 << g.inv[s] for s in members)
         # the translates j * S^-1 for j outside S, the rows of the sweep's table
-        table = _byte_unions(_gather(left, np.array([inverse], dtype=dtype))[0, free])
+        table = _byte_unions(_gather(left, np.array([inverse_bits(g, s_bits)], dtype=dtype))[0, free])
         total = 1 << len(free)
         chunk = min(total, 1 << 18)
         parts = [_distinct(_gather(table, np.arange(start, start + chunk, dtype=dtype)))
@@ -351,7 +359,7 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
     translates = _gather(left, dtype(g.full_bits) & ~products)  # [i, z] = z * (rooted cell i)
     below = left[1] - dtype(1)  # left[1, z] = z * {1} = {z}, so below[z] holds the elements below z
     cells = translates[(translates & below) == 0]
-    products = _gather(np.bitwise_or.reduce(right[:, members], axis=1), cells)
+    products = _gather(column_union(right, s_bits), cells)
     # |X*S| >= |X|, so the uint8 deficiency cannot wrap
     size = np.bitwise_count(cells)
     order = np.lexsort((cells, size, np.bitwise_count(products) - size))

@@ -31,7 +31,7 @@ from .cells import (
 )
 from .groups import GroupAxiomError, GroupSpecError, all_subgroups, build_group
 from .specs import SubsetSpecError, parse_group_tokens, parse_subset_spec
-from .theorems import DRIVER_NAMES, SweepConfig, SweepConfigError, run_sweep
+from .theorems import DRIVER_NAMES, SweepConfig, SweepConfigError, jsonl_line, run_sweep
 
 _FORMATS = ("jsonl", "csv", "table")
 
@@ -43,7 +43,7 @@ def _resolve_format(value: str | None) -> str:
 
 
 def _emit_jsonl(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(jsonl_line(record))
 
 
 def _emit_fields(record: dict, fmt: str) -> None:
@@ -354,7 +354,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     if fmt == "jsonl":
         _emit_jsonl(manifest)
-        result = run_sweep(cfg, sink=_emit_jsonl)
+        result = run_sweep(cfg, sink=sys.stdout.write)
         _emit_jsonl({"kind": "summary", **result.summary})
     else:
         result = run_sweep(cfg, sink=None)

@@ -10,29 +10,37 @@ run_sweep drives the checkers over whole families of instances.
 The scalar checkers share one bitmask kernel: products reduce to
 groups.product_bits (through setops.product) and cell tests to
 cells.closure_bits (through cells.is_cell), while the counting paths use
-one byte-table product kernel: cells.product_masks and cells.closure_masks
-(itself a product) where one factor is fixed, and cells.pair_products on
-the group's pair_table where both vary, as in Kneser and in Olson's
-periodicity tests HX = X. A sweep with a sink builds no pair_table.
-Olson's instances are coset unions named by rank in both modes, drawn or
-walked; one byte table of every subgroup's right cosets (_coset_table)
-turns ranks into masks.
+one byte-table product kernel: gathers from column unions of the group's
+translate tables (cells.column_union) where one factor is fixed, as in
+the dichotomy and the intersection's closure test, and
+cells.pair_products on the group's pair_table where both vary, as in
+Kneser and in Olson's periodicity tests HX = X. Olson's instances are
+coset unions named by rank in both modes, drawn or walked; one byte table
+of every subgroup's right cosets (_coset_table) turns ranks into masks.
 
-Each sweep driver hands batches of instances to _check_batch, which owns
-the sink-or-bulk decision. Without a sink, the Kneser, Olson,
-cell-intersection and dichotomy batches take a numpy counting path:
-instances it settles are tallied in bulk, and only the rest reach the
-scalar checker, in instance order. Kneser settles every verdict that
-holds, periodic XY included, in exhaustive pair blocks and in sampled
-pairs alike. With a sink, every instance goes through the scalar checker
-and yields one record (three for the corollary). _run_task notes
-exploration mode and turns a refused task into its one error record.
+Each sweep driver hands batches of instances to _check_batch. The Kneser,
+Olson, cell-intersection and dichotomy batches have one vectorized path
+each, which settles a whole batch: instances it decides are tallied in
+bulk, and only the rest reach the scalar checker, in instance order.
+Kneser settles every verdict that holds, periodic XY included, in
+exhaustive pair blocks and in sampled pairs alike. A sink receives each
+record as its finished JSON line (jsonl_line). The Kneser and dichotomy
+batches also return their witness columns, and with a sink their
+NOT_APPLICABLE and HOLDS lines are rendered from those columns through
+fixed templates (_template); every other instance, each VIOLATED and
+FINDING among them, still goes to the scalar checker, the oracle, in its
+place in the stream. With a sink, Olson and the cell intersection send
+every instance to the checker (so Olson builds no pair_table), as the
+chain and the corollary, which have no vectorized path, always do.
+_run_task notes exploration mode and turns a refused task into its one
+error record.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -54,15 +62,15 @@ from .cells import (
     _require_identity,
     balandraud_details,
     closure_masks,
+    column_union,
     enumerate_cells,
+    inverse_bits,
     is_cell,
     kernels_at,
-    left_translate_masks,
     mask_dtype,
     pair_products,
     pair_products_every_x,
     pair_table,
-    product_masks,
     stabilizer_masks,
     translate_tables,
 )
@@ -117,6 +125,9 @@ def _conclude(theorem: Theorem, ok: bool, witness: dict, explore: bool) -> Theor
     return TheoremVerdict(theorem, Status.FINDING if explore else Status.VIOLATED, witness)
 
 
+_KNESER_HYPOTHESIS = "|XY| <= |X|+|Y|-2 does not hold"
+
+
 def check_kneser(x: ElementSet, y: ElementSet, *, explore: bool = False) -> TheoremVerdict:
     """|XY| <= |X|+|Y|-2 forces |XY| = |HX|+|HY|-|H| for a nontrivial H = stab(XY).
 
@@ -133,7 +144,7 @@ def check_kneser(x: ElementSet, y: ElementSet, *, explore: bool = False) -> Theo
     base["xy_size"] = len(xy)
     base["bound"] = len(x) + len(y) - 2
     if len(xy) > len(x) + len(y) - 2:
-        return _na(Theorem.KNESER, "|XY| <= |X|+|Y|-2 does not hold", base)
+        return _na(Theorem.KNESER, _KNESER_HYPOTHESIS, base)
     h = left_stabilizer(xy)
     hx, hy = product(h, x), product(h, y)
     witness = dict(base, h=h.spec_string(), h_size=len(h), hx_size=len(hx),
@@ -402,8 +413,36 @@ class SweepResult:
         return self.summary["totals"].get(Status.VIOLATED.value, 0)
 
 
+def jsonl_line(record: dict) -> str:
+    """record as the one JSON line written for it: keys sorted, compact, ending in a newline."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _verdict_record(group: str, theorem: Theorem, status: Status, witness: dict | None) -> dict:
+    return {"kind": "verdict", "theorem": theorem.value, "group": group, "status": status.value,
+            "witness": witness}
+
+
+def _template(group: str, theorem: Theorem, status: Status, witness: dict) -> str:
+    """The %-format string of a verdict record's jsonl_line.
+
+    A witness value given as the type int or str is a field, %d or "%s" (a
+    spec string, which needs no escape), and the fields take their values
+    in the sorted order of their keys; every other value is fixed and
+    rendered by jsonl_line itself.
+    """
+    fields = {k: "\0d" if v is int else "\0s" if v is str else v for k, v in witness.items()}
+    line = jsonl_line(_verdict_record(group, theorem, status, fields))
+    return line.replace("%", "%%").replace('"\\u0000d"', "%d").replace('"\\u0000s"', '"%s"')
+
+
+def _spec_memo(g: Group) -> Callable[[int], str]:
+    """ElementSet.spec_string by mask, memoized for one task."""
+    return functools.lru_cache(maxsize=1 << 12)(lambda bits: ElementSet(g, bits).spec_string())
+
+
 class _SweepState:
-    def __init__(self, sink: Callable[[dict], None] | None) -> None:
+    def __init__(self, sink: Callable[[str], None] | None) -> None:
         self.sink = sink
         self.counts: dict[tuple[str, str, str], int] = {}
         self.violations: list[dict] = []
@@ -418,14 +457,13 @@ class _SweepState:
 
     def add(self, group: str, verdict: TheoremVerdict) -> None:
         self.tally(verdict.theorem.value, group, verdict.status.value)
-        record = {"kind": "verdict", "theorem": verdict.theorem.value, "group": group,
-                  "status": verdict.status.value, "witness": verdict.witness}
+        record = _verdict_record(group, verdict.theorem, verdict.status, verdict.witness)
         if verdict.status is Status.VIOLATED and len(self.violations) < RECORD_CAP:
             self.violations.append(record)
         elif verdict.status is Status.FINDING and len(self.findings) < RECORD_CAP:
             self.findings.append(record)
         if self.sink is not None:
-            self.sink(record)
+            self.sink(jsonl_line(record))
 
     def merge(self, part: _SweepState) -> None:
         """Fold in the state of the next task, as if its records followed."""
@@ -440,7 +478,7 @@ class _SweepState:
         record = {"kind": "error", "theorem": theorem.value, "group": group, "message": message}
         self.errors.append(record)
         if self.sink is not None:
-            self.sink(record)
+            self.sink(jsonl_line(record))
 
     def note_exploration(self, theorem: Theorem, group: str) -> None:
         self.exploration.add((theorem.value, group))
@@ -476,59 +514,100 @@ _CHUNK = 1 << 16
 
 def _check_batch(state: _SweepState, label: str, tag: Theorem, columns: Sequence[np.ndarray],
                  check: Callable[..., TheoremVerdict | list[TheoremVerdict]],
-                 settle: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None) -> None:
+                 settle: Callable[..., tuple[np.ndarray, ...]] | None = None, *,
+                 render: Callable[..., Iterator[str | None]] | None = None) -> None:
     """Check a batch of instances, given as parallel columns, in instance order.
 
-    Without a sink, settle(*columns) returns the masks (not_applicable,
-    holds) of the instances it decides; those are tallied in bulk and only
-    the rest reach check(*instance). With a sink, every instance reaches
-    check and yields one record per verdict: a check returns one verdict,
-    or a list of them for a statement in parts (the corollary).
+    settle(*columns) returns (not_applicable, holds, *witness): the masks of
+    the instances it decides, tallied in bulk, then its witness columns.
+    Without a sink only the rest reach check(*instance). With a sink,
+    render(not_applicable, holds, *columns, *witness) yields each
+    instance's record line, or None for an instance the columns do not
+    decide, which check then takes in its place; with a sink and no render,
+    every instance reaches check. A check returns one verdict, or a list
+    of them for a statement in parts (the corollary), one record each.
     """
-    if state.sink is None and settle is not None:
-        not_applicable, holds = settle(*columns)
-        state.tally(tag.value, label, Status.NOT_APPLICABLE.value, int(not_applicable.sum()))
-        state.tally(tag.value, label, Status.HOLDS.value, int(holds.sum()))
-        rest = ~(not_applicable | holds)
-        columns = [c[rest] for c in columns]
-    for instance in zip(*(c.tolist() for c in columns)):
+
+    def scalar(*instance: int) -> None:
         verdicts = check(*instance)
         for verdict in verdicts if isinstance(verdicts, list) else (verdicts,):
             state.add(label, verdict)
+
+    if settle is not None and (state.sink is None or render is not None):
+        not_applicable, holds, *witness = settle(*columns)
+        state.tally(tag.value, label, Status.NOT_APPLICABLE.value, int(not_applicable.sum()))
+        state.tally(tag.value, label, Status.HOLDS.value, int(holds.sum()))
+        if state.sink is not None:
+            sink = state.sink
+            for i, line in enumerate(render(not_applicable, holds, *columns, *witness)):
+                if line is None:
+                    scalar(*(c[i].item() for c in columns))
+                else:
+                    sink(line)
+            return
+        rest = ~(not_applicable | holds)
+        columns = [c[rest] for c in columns]
+    for instance in zip(*(c.tolist() for c in columns)):
+        scalar(*instance)
 
 
 # -- kneser sweep ---------------------------------------------------------
 
 def _kneser_batch(g: Group, table: np.ndarray, x: np.ndarray, y: np.ndarray,
-                  xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  xy: np.ndarray) -> tuple[np.ndarray, ...]:
     """Vectorized check_kneser over pair arrays (X, Y), given XY.
 
-    Returns (not_applicable, holds): whether |XY| <= |X|+|Y|-2 fails, and
-    whether it holds with |XY| = |HX|+|HY|-|H| and |H| > 1 for H = stab(XY).
-    Only the unsaturated pairs (XY != G) meeting the hypothesis go through
-    the stabilizer.
+    Returns (not_applicable, holds, |XY|, bound, H, |H|, |HX|, |HY|):
+    whether |XY| <= |X|+|Y|-2 fails, whether it holds with |XY| =
+    |HX|+|HY|-|H| and |H| > 1 for H = stab(XY), then the witness columns
+    of check_kneser. Only the unsaturated pairs (XY != G) meeting the
+    hypothesis go through the stabilizer; every other row has H = G and
+    the sizes |G|, which is the witness of a saturated pair.
     """
     count = np.bitwise_count  # uint8: no sum below reaches 2 * 64
     xy_size = count(xy)
-    hyp = xy_size + 2 <= count(x) + count(y)
-    # XY = G has H = G, so HX = HY = G and the equality holds at once
-    saturated = xy == xy.dtype.type(g.full_bits)
-    i = np.flatnonzero(hyp & ~saturated)
-    h = stabilizer_masks(g, table, xy[i])
-    h_size = count(h)
-    hx_hy = count(pair_products(table, h, x[i])) + count(pair_products(table, h, y[i]))
-    holds = hyp & saturated
-    holds[i] = (xy_size[i] + h_size == hx_hy) & (h_size > 1)
-    return ~hyp, holds
+    bound = count(x) + count(y) - 2  # X and Y are nonempty
+    hyp = xy_size <= bound
+    i = np.flatnonzero(hyp & (xy != xy.dtype.type(g.full_bits)))
+    h = np.full_like(xy, g.full_bits)
+    h_size, hx_size, hy_size = (np.full(len(xy), g.order, dtype=np.uint8) for _ in range(3))
+    h[i] = stab = stabilizer_masks(g, table, xy[i])
+    h_size[i] = count(stab)
+    hx_size[i] = count(pair_products(table, stab, x[i]))
+    hy_size[i] = count(pair_products(table, stab, y[i]))
+    holds = hyp & (xy_size + h_size == hx_size + hy_size) & (h_size > 1)
+    return ~hyp, holds, xy_size, bound, h, h_size, hx_size, hy_size
+
+
+def _kneser_lines(g: Group) -> Callable[..., Iterator[str | None]]:
+    """The render of _check_batch for the Kneser sweep of g, from the columns of _kneser_batch."""
+    label = g.label
+    spec = _spec_memo(g)
+    base = dict(group=label, x=str, y=str, xy_size=int, bound=int)
+    na = _template(label, Theorem.KNESER, Status.NOT_APPLICABLE,
+                   dict(base, failed_hypothesis=_KNESER_HYPOTHESIS))
+    ok = _template(label, Theorem.KNESER, Status.HOLDS,
+                   dict(base, h=str, h_size=int, hx_size=int, hy_size=int, rhs=int))
+
+    def render(*columns: np.ndarray) -> Iterator[str | None]:
+        for a, b, x, y, xy, bound, h, h_size, hx, hy in zip(*(c.tolist() for c in columns)):
+            if a:
+                yield na % (bound, spec(x), xy, spec(y))
+            elif b:
+                yield ok % (bound, spec(h), h_size, hx, hy, hx + hy - h_size, spec(x), xy, spec(y))
+            else:
+                yield None
+    return render
 
 
 def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     explore = not g.is_abelian
     n = g.order
-    # built by the first settle, so a sweep with a sink builds none
+    # built by the first settle, so a --wide group builds none
     table = functools.cache(functools.partial(pair_table, g))
+    render = _kneser_lines(g)
 
-    def settle(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def settle(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, ...]:
         return _kneser_batch(g, table(), x, y, xy)
 
     if cfg.mode == "sampled":
@@ -543,7 +622,7 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
             _check_batch(state, g.label, Theorem.KNESER, draws.reshape(k, 2).T,
                          lambda x, y: check_kneser(ElementSet(g, x), ElementSet(g, y), explore=explore),
                          None if dtype is object
-                         else lambda x, y: settle(x, y, pair_products(table(), x, y)))
+                         else lambda x, y: settle(x, y, pair_products(table(), x, y)), render=render)
         return
     total = ((1 << n) - 1) ** 2
     if total > cfg.max_instances:
@@ -564,7 +643,8 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
     for start in range(0, len(xs), step):
         ys = xs[start:start + step]
         _check_batch(state, g.label, Theorem.KNESER, (np.tile(xs, len(ys)), np.repeat(ys, len(xs))), check,
-                     lambda x, y, ys=ys: settle(x, y, pair_products_every_x(table(), ys)[:, 1:].ravel()))
+                     lambda x, y, ys=ys: settle(x, y, pair_products_every_x(table(), ys)[:, 1:].ravel()),
+                     render=render)
 
 
 # -- olson sweep ----------------------------------------------------------
@@ -694,11 +774,12 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
         if m * (m - 1) // 2 > cfg.max_instances:
             raise _Refused(
                 f"{m} cells give {m * (m - 1) // 2} pairs, above max_instances {cfg.max_instances}")
-        lt = left_translate_masks(g, s.bits)
+        right = translate_tables(g)[0]
+        times_s, times_inverse = column_union(right, s.bits), column_union(right, inverse_bits(g, s.bits))
         bits = np.array([c.cell.bits for c in cells], dtype=mask_dtype(g.order))
 
         def closed(a: np.ndarray) -> np.ndarray:
-            return closure_masks(lt, product_masks(lt, a)) == a
+            return closure_masks(g, times_inverse, _gather(times_s, a)) == a
 
         def settle(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             inter = bits[i] & bits[j]
@@ -732,17 +813,44 @@ def _sweep_corollary(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
 
 # -- dichotomy sweep ------------------------------------------------------
 
-def _dichotomy_batch(g: Group, s_bits: int, h_bits: int, t_arr: np.ndarray) -> np.ndarray:
-    """Vectorized dichotomy evaluation over an array of T bitmasks."""
-    p = product_masks(left_translate_masks(g, s_bits), t_arr)
-    pc_p = np.bitwise_count(p).astype(np.int32)
-    additive = pc_p >= np.bitwise_count(t_arr).astype(np.int32) + (s_bits.bit_count() - 1)
-    # hl[a] = H*a, so product_masks(hl, A) is H*A
-    hl = [product_bits(g, h_bits, 1 << a) for a in range(g.order)]
-    periodic = product_masks(hl, p) == p
-    ht_size = np.bitwise_count(product_masks(hl, t_arr)).astype(np.int32)
-    hs_size = product_bits(g, h_bits, s_bits).bit_count()
-    return additive | (periodic & (pc_p <= hs_size + ht_size - h_bits.bit_count()))
+def _dichotomy_batch(times_s: np.ndarray, h_times: np.ndarray, s_size: int, h_size: int,
+                     hs_size: int, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vectorized check_dichotomy over an array of T masks.
+
+    times_s and h_times are the byte tables of X -> X*S and X -> H*X, and
+    hs_size is |HS|. Returns (not_applicable, holds, |TS|, |T|+|S|-1,
+    additive, |HT|): nothing is NOT_APPLICABLE, and holds is the additive
+    branch, or TS H-periodic with |TS| <= |HS|+|HT|-|H|.
+    """
+    ts = _gather(times_s, t)
+    ts_size = np.bitwise_count(ts).astype(np.int32)
+    additive_bound = np.bitwise_count(t).astype(np.int32) + (s_size - 1)
+    additive = ts_size >= additive_bound
+    periodic = _gather(h_times, ts) == ts
+    ht_size = np.bitwise_count(_gather(h_times, t)).astype(np.int32)
+    holds = additive | (periodic & (ts_size <= hs_size + ht_size - h_size))
+    return np.zeros(len(t), dtype=bool), holds, ts_size, additive_bound, additive, ht_size
+
+
+def _dichotomy_lines(g: Group, spec: Callable[[int], str], s: ElementSet, h: ElementSet,
+                     hs_size: int) -> Callable[..., Iterator[str | None]]:
+    """The render of _check_batch for the dichotomy of one S, from the columns of _dichotomy_batch."""
+    label, h_size = g.label, len(h)
+    base = dict(group=label, s=s.spec_string(), h=h.spec_string(), t=str, ts_size=int, additive_bound=int)
+    additive = _template(label, Theorem.DICHOTOMY, Status.HOLDS, dict(base, branch="additive"))
+    periodic = _template(label, Theorem.DICHOTOMY, Status.HOLDS,
+                         dict(base, branch="periodic", periodic=True, hs_size=hs_size, ht_size=int,
+                              h_size=h_size, coset_bound=int))
+
+    def render(_: np.ndarray, *columns: np.ndarray) -> Iterator[str | None]:
+        for ok, t, ts_size, bound, is_additive, ht_size in zip(*(c.tolist() for c in columns)):
+            if is_additive:
+                yield additive % (bound, spec(t), ts_size)
+            elif ok:
+                yield periodic % (bound, hs_size + ht_size - h_size, ht_size, spec(t), ts_size)
+            else:
+                yield None
+    return render
 
 
 def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -765,8 +873,15 @@ def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarr
 def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     explore = not g.is_abelian
     n = g.order
+    spec = _spec_memo(g)
     for s in _s_space(g, cfg, seed):
         h = balandraud_details(s, cap=cfg.enumeration_cap).subgroup
+        # after the enumeration, which refuses a group too large for mask tables
+        right, left = translate_tables(g)
+        hs_size = product_bits(g, h.bits, s.bits).bit_count()
+        settle = functools.partial(_dichotomy_batch, column_union(right, s.bits), column_union(left, h.bits),
+                                   len(s), len(h), hs_size)
+        render = _dichotomy_lines(g, spec, s, h, hs_size)
         if cfg.mode == "exhaustive":
             total = (1 << n) - 1
             if total > cfg.max_instances:
@@ -779,7 +894,7 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
         for t_arr in batches:
             _check_batch(state, g.label, Theorem.DICHOTOMY, (t_arr,),
                          lambda t: check_dichotomy(s, h, ElementSet(g, t), explore=explore),
-                         lambda t: (np.zeros(len(t), dtype=bool), _dichotomy_batch(g, s.bits, h.bits, t)))
+                         settle, render=render)
 
 
 _DRIVERS = {
@@ -806,7 +921,7 @@ _ABELIAN_ONLY = {"kneser", "corollary", "dichotomy"}
 
 
 def _run_task(g: Group, theorem: str, cfg: SweepConfig,
-              sink: Callable[[dict], None] | None) -> _SweepState:
+              sink: Callable[[str], None] | None) -> _SweepState:
     """Run one (group, theorem) task into a fresh state; a refused task ends in one error record."""
     state = _SweepState(sink)
     seed = _derive_seed(cfg.seed if cfg.seed is not None else 0, g.label, theorem)
@@ -820,24 +935,26 @@ def _run_task(g: Group, theorem: str, cfg: SweepConfig,
     return state
 
 
-def _worker(args: tuple[str, str, SweepConfig, bool]) -> tuple[list[dict], _SweepState]:
+def _worker(args: tuple[str, str, SweepConfig, bool]) -> tuple[list[str], _SweepState]:
     spec, theorem, cfg, collect = args
-    records: list[dict] = []
+    lines: list[str] = []
     state = _run_task(build_group(spec, wide=cfg.wide), theorem, cfg,
-                      records.append if collect else None)
-    state.sink = None  # the records travel once, beside the state
-    return records, state
+                      lines.append if collect else None)
+    state.sink = None  # the lines travel once, beside the state
+    return lines, state
 
 
-def run_sweep(config: SweepConfig, sink: Callable[[dict], None] | None = None) -> SweepResult:
+def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) -> SweepResult:
     """Run the configured checks, streaming records to sink when given.
 
-    The stream and the summary are deterministic functions of the
-    configuration: tasks run in (group, theorem) listing order and sampled
-    draws are seeded per task, so the jobs count never changes the output.
-    Each task fills its own state, merged in task order; serially a task
-    streams straight to sink, while a pool worker collects its records for
-    the parent to pass on.
+    sink is called with one str per record: the exact JSON line the command
+    line writes for it, keys sorted, compact, "\n" included, so
+    sys.stdout.write is a sink. The stream and the summary are
+    deterministic functions of the configuration: tasks run in (group,
+    theorem) listing order and sampled draws are seeded per task, so the
+    jobs count never changes the output. Each task fills its own state,
+    merged in task order; serially a task streams straight to sink, while a
+    pool worker collects its lines for the parent to pass on.
     """
     config.validate()
     tasks = [(spec, theorem) for spec in config.groups for theorem in config.theorems]
@@ -849,9 +966,9 @@ def run_sweep(config: SweepConfig, sink: Callable[[dict], None] | None = None) -
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             args = [(spec, theorem, config, sink is not None) for spec, theorem in tasks]
-            for records, part in pool.map(_worker, args):
-                for rec in records:
-                    sink(rec)
+            for lines, part in pool.map(_worker, args):
+                for line in lines:
+                    sink(line)
                 state.merge(part)
     counts: dict[str, dict[str, dict[str, int]]] = {}
     totals: dict[str, int] = {}

@@ -29,8 +29,11 @@ from cellkit import (
 )
 from cellkit.cells import (
     _attached_subgroup,
+    _byte_unions,
     closure_bits,
     closure_masks,
+    column_union,
+    inverse_bits,
     left_translate_masks,
     mask_dtype,
     pair_products,
@@ -185,7 +188,8 @@ def test_mask_kernels_match_scalar_kernel(spec, data):
     lt = left_translate_masks(g, s_bits)
     arr = np.array(ts + ps, dtype=mask_dtype(g.order))
     assert product_masks(lt, arr).tolist() == [product_bits(g, a, s_bits) for a in ts + ps]
-    assert closure_masks(lt, arr).tolist() == [closure_bits(lt, a) for a in ts + ps]
+    times_inverse = column_union(translate_tables(g)[0], inverse_bits(g, s_bits))
+    assert closure_masks(g, times_inverse, arr).tolist() == [closure_bits(lt, a) for a in ts + ps]
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS)
@@ -296,6 +300,29 @@ def test_full_group_set_has_one_cell():
         assert len(cells) == 1
         assert cells[0].cell == g.full_set()
         assert cells[0].deficiency == 0
+
+
+@pytest.mark.parametrize("spec", ["D4", "Z16"])
+def test_column_unions_equal_the_per_set_byte_tables(spec):
+    # the OR of the right table's columns over S is the byte table that
+    # _byte_unions builds from the translates z*S, and over S^-1 the one
+    # from z*S^-1; the OR of the left table's columns over H is the table
+    # built from the translates H*a. Entry for entry, in the mask dtype
+    g = build_group(spec)
+    right, left = translate_tables(g)
+    dtype = mask_dtype(g.order)
+    rng = np.random.default_rng(5)
+    sets = [int(b) | 1 for b in rng.integers(0, 1 << g.order, size=40)] + [1, g.full_bits]
+    sets += [h.bits for h in all_subgroups(g)]
+    for bits in sets:
+        for side, want in ((right, [product_bits(g, 1 << z, bits) for z in range(g.order)]),
+                           (left, [product_bits(g, bits, 1 << a) for a in range(g.order)])):
+            got = column_union(side, bits)
+            assert got.dtype == dtype
+            assert np.array_equal(got, _byte_unions(np.array(want, dtype=dtype))), bits
+        inverse = inverse_bits(g, bits)
+        assert np.array_equal(column_union(right, inverse),
+                              _byte_unions(np.array(left_translate_masks(g, inverse), dtype=dtype)))
 
 
 def test_enumerations_share_the_group_translate_tables():

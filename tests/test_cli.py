@@ -419,6 +419,27 @@ def test_verify_repeated_runs_are_byte_identical(capsys):
     assert out_a == out_b
 
 
+# (argv, lines, sha256 of stdout): Kneser lines rendered from the batch's
+# columns, D3's FINDINGs from the checker, and --wide pairs all from the
+# checker must reproduce the streams of the scalar checkers byte for byte
+PINNED_VERIFY_STREAMS = [
+    (("verify", "--groups", "D3,Q8,Z40", "--theorem", "kneser", "--mode", "sampled",
+      "--samples", "3000", "--seed", "4", "--format", "jsonl"), 9_002,
+     "cf51b6396c83558ff6a69369d4f5d0acabc18c04639538725dd005e9e30b7ff8"),
+    (("verify", "--groups", "Z70", "--wide", "--theorem", "kneser", "--mode", "sampled",
+      "--samples", "300", "--seed", "4", "--format", "jsonl"), 302,
+     "512248b560bd10b6c35b61b2b28744a6570aea7296d9bfc53ba5719b763b74f1"),
+]
+
+
+@pytest.mark.parametrize("argv, lines, digest", PINNED_VERIFY_STREAMS)
+def test_verify_streams_match_pinned_digests(capsys, argv, lines, digest):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- entry points ---------------------------------------------------------
 
 def test_version_flag(capsys):

@@ -15,7 +15,8 @@ from hypothesis import given, strategies as st
 
 import cellkit.cells as cells_module
 import cellkit.theorems as theorems
-from cellkit.cells import mask_dtype, pair_table
+from cellkit.cells import column_union, mask_dtype, pair_table, translate_tables
+from cellkit.groups import product_bits
 from cellkit import (
     ElementSet,
     Status,
@@ -363,7 +364,10 @@ def test_dichotomy_batch_matches_scalar(spec, s_idx):
     h = balandraud_subgroup(s)
     assert len(h) > 1
     t_arr = np.arange(1, 1 << g.order, dtype=np.uint32)
-    batch = theorems._dichotomy_batch(g, s.bits, h.bits, t_arr)
+    right, left = translate_tables(g)
+    _, batch, *_ = theorems._dichotomy_batch(column_union(right, s.bits), column_union(left, h.bits),
+                                             len(s), len(h), product_bits(g, h.bits, s.bits).bit_count(),
+                                             t_arr)
     for t_bits, ok in zip(t_arr.tolist(), batch.tolist()):
         v = check_dichotomy(s, h, ElementSet(g, int(t_bits)), explore=True)
         assert (v.status is Status.HOLDS) == ok, t_bits
@@ -406,6 +410,11 @@ def test_sampled_t_masks_match_stable_argsort(make_rng, spec, seed):
 
 # -- sweeps ---------------------------------------------------------------
 
+def into(records):
+    """A run_sweep sink that appends each record line, parsed, to records."""
+    return lambda line: records.append(json.loads(line))
+
+
 def counts_from_records(records):
     out = {}
     for r in records:
@@ -425,11 +434,12 @@ def counts_from_summary(summary):
 
 
 def test_kneser_sweep_counting_equals_per_instance_mode():
-    # the vectorized Kneser evaluation must agree with running the scalar
-    # checker on every pair. Groups with many subgroups have periodic
-    # products, D3 and Q8 tell left from right, Z40 has uint64 masks, and
-    # --wide Z70 pairs all take the scalar path; sampled pairs must be the
-    # same draws either way
+    # the counted summary must agree with the streamed records, whose lines
+    # test_rendered_lines_equal_the_scalar_checker_records holds to the
+    # scalar checker on these configurations. Groups with many subgroups
+    # have periodic products, D3 and Q8 tell left from right, Z40 has
+    # uint64 masks, and --wide Z70 pairs all take the scalar path; sampled
+    # pairs must be the same draws either way
     configs = [dict(groups=(spec,)) for spec in ("Z5", "Z6", "Z2xZ2", "D3", "Q8", "Z2xZ4", "Z2xZ2xZ2")]
     configs += [dict(groups=(spec,), mode="sampled", samples=3000, seed=4)
                 for spec in ("D3", "Z8", "Z2xZ2xZ2", "Z40")]
@@ -438,7 +448,7 @@ def test_kneser_sweep_counting_equals_per_instance_mode():
         cfg = SweepConfig(theorems=("kneser",), **kwargs)
         counted = run_sweep(cfg)
         records = []
-        streamed = run_sweep(cfg, sink=records.append)
+        streamed = run_sweep(cfg, sink=into(records))
         assert counts_from_summary(counted.summary) == counts_from_records(records)
         assert counted.summary == streamed.summary
 
@@ -461,7 +471,7 @@ def test_olson_and_intersection_counting_equals_per_instance_mode(config, spec):
     cfg = SweepConfig(groups=(spec,), **OLSON_INTERSECTION_CONFIGS[config])
     counted = run_sweep(cfg)
     records = []
-    streamed = run_sweep(cfg, sink=records.append)
+    streamed = run_sweep(cfg, sink=into(records))
     assert counts_from_summary(counted.summary) == counts_from_records(records)
     assert counted.summary == streamed.summary
 
@@ -482,10 +492,10 @@ def test_intersection_counting_path_still_refuses_a_non_cell(monkeypatch):
 def test_sampled_kneser_draws_do_not_depend_on_the_chunk(monkeypatch):
     cfg = SweepConfig(groups=("Z6",), theorems=("kneser",), mode="sampled", samples=50, seed=3)
     whole = []
-    run_sweep(cfg, sink=whole.append)
+    run_sweep(cfg, sink=into(whole))
     monkeypatch.setattr(theorems, "_CHUNK", 7)
     chunked = []
-    run_sweep(cfg, sink=chunked.append)
+    run_sweep(cfg, sink=into(chunked))
     assert chunked == whole
 
 
@@ -504,7 +514,7 @@ def test_kneser_counting_does_not_depend_on_the_chunk(monkeypatch):
         def outcome():
             records = []
             if with_records:
-                run_sweep(cfg, sink=records.append)
+                run_sweep(cfg, sink=into(records))
             return run_sweep(cfg).summary, records
 
         whole = outcome()
@@ -514,9 +524,9 @@ def test_kneser_counting_does_not_depend_on_the_chunk(monkeypatch):
         monkeypatch.undo()
 
 
-# (config, records, sha256 of the records as compact sorted-key JSON lines),
-# pinned from the sink streams of the scalar checkers: a changed draw,
-# verdict, witness or record order moves the digest
+# (config, records, sha256 of the sink's lines), pinned from the record
+# streams of the scalar checkers as compact sorted-key JSON lines: a changed
+# draw, verdict, witness, record order or rendered line moves the digest
 PINNED_STREAMS = [
     (dict(groups=("Z6", "D3"), theorems=theorems.DRIVER_NAMES, s_max=3), 31_930,
      "373d3e824c6ac4631c8c57da91e08f5a554cc703d42d9a41cb261d689aad4a5d"),
@@ -531,10 +541,75 @@ PINNED_STREAMS = [
 def test_sweep_record_streams_match_pinned_digests():
     for kwargs, count, digest in PINNED_STREAMS:
         lines = []
-        run_sweep(SweepConfig(**kwargs), sink=lambda rec: lines.append(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"))
+        run_sweep(SweepConfig(**kwargs), sink=lines.append)
         assert len(lines) == count, kwargs
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest, kwargs
+
+
+# every configuration of the counting-versus-streaming tests for the two
+# theorems whose streams are rendered from columns, plus sampled two-byte
+# dichotomy masks
+ORACLE_CONFIGS = {
+    **{f"kneser-{spec}": dict(groups=(spec,), theorems=("kneser",))
+       for spec in ("Z5", "Z6", "Z2xZ2", "D3", "Q8", "Z2xZ4", "Z2xZ2xZ2")},
+    **{f"kneser-sampled-{spec}": dict(groups=(spec,), theorems=("kneser",), mode="sampled",
+                                      samples=3000, seed=4)
+       for spec in ("D3", "Z8", "Z2xZ2xZ2", "Z40")},
+    "kneser-wide-Z70": dict(groups=("Z70",), theorems=("kneser",), mode="sampled", samples=300,
+                            seed=4, wide=True),
+    **{f"dichotomy-{spec}": dict(groups=(spec,), theorems=("dichotomy",), s_max=3)
+       for spec in ("Z6", "Z8", "D4")},
+    "dichotomy-sampled-Z12": dict(groups=("Z12",), theorems=("dichotomy",), mode="sampled",
+                                  samples=2000, s_samples=3, seed=7),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CONFIGS)
+def test_rendered_lines_equal_the_scalar_checker_records(case, monkeypatch):
+    # every line of the stream, rendered from a batch's columns or not, must
+    # be the scalar checker's record for that instance as compact sorted-key
+    # JSON; a sink with the render taken away from _check_batch sends every
+    # instance to the checker
+    cfg = SweepConfig(**ORACLE_CONFIGS[case])
+    checker = {"kneser": "check_kneser", "dichotomy": "check_dichotomy"}[cfg.theorems[0]]
+    real_checker, real_batch = getattr(theorems, checker), theorems._check_batch
+    verdicts = []
+
+    def recording(*args, **kwargs):
+        verdicts.append(real_checker(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(theorems, checker, recording)
+    lines = []
+    run_sweep(cfg, sink=lines.append)
+    rendered = len(lines) - len(verdicts)
+    verdicts.clear()
+    monkeypatch.setattr(theorems, "_check_batch",
+                        lambda *args, render=None, **kwargs: real_batch(*args, **kwargs))
+    run_sweep(cfg, sink=lambda line: None)
+    group = cfg.groups[0]
+    want = [json.dumps({"kind": "verdict", "theorem": v.theorem.value, "group": group,
+                        "status": v.status.value, "witness": v.witness},
+                       sort_keys=True, separators=(",", ":")) + "\n" for v in verdicts]
+    assert lines == want
+    # the columns render every line but the checker's own: D3's 54 FINDINGs,
+    # D4's dichotomy FINDINGs, and every --wide pair
+    if case == "kneser-wide-Z70":
+        assert rendered == 0
+    else:
+        assert rendered == len(lines) - sum(v.status is Status.FINDING for v in verdicts) > 0
+
+
+def test_template_escapes_what_json_escapes():
+    # a Cayley-file label may hold %, quotes, backslashes or non-ASCII; the
+    # fixed parts of a template are jsonl_line's own bytes, the fields are not
+    label = 'cayley:a%d "b"\\c\u00e9'
+    witness = {"x": "{0,1}", "n": 3, "note": "100%", "flag": True, "group": label}
+    template = theorems._template(label, Theorem.KNESER, Status.HOLDS,
+                                  dict(witness, x=str, n=int))
+    want = theorems.jsonl_line({"kind": "verdict", "theorem": "KNESER", "group": label,
+                                "status": "HOLDS", "witness": witness})
+    assert template % (3, "{0,1}") == want
 
 
 def test_kneser_sweep_frozen_counts():
@@ -550,7 +625,7 @@ def test_dichotomy_sweep_counting_equals_per_instance_mode():
         cfg = SweepConfig(groups=(spec,), theorems=("dichotomy",), s_max=3)
         counted = run_sweep(cfg)
         records = []
-        run_sweep(cfg, sink=records.append)
+        run_sweep(cfg, sink=into(records))
         assert counts_from_summary(counted.summary) == counts_from_records(records)
 
 
@@ -577,9 +652,9 @@ def test_sweep_is_deterministic_and_jobs_invariant():
     cfg = dict(groups=("Z6", "Z9"), theorems=("kneser", "dichotomy"),
                mode="sampled", samples=400, s_samples=3, seed=11)
     rec_a, rec_b, rec_c = [], [], []
-    a = run_sweep(SweepConfig(**cfg), sink=rec_a.append)
-    b = run_sweep(SweepConfig(**cfg), sink=rec_b.append)
-    c = run_sweep(SweepConfig(**cfg, jobs=2), sink=rec_c.append)
+    a = run_sweep(SweepConfig(**cfg), sink=into(rec_a))
+    b = run_sweep(SweepConfig(**cfg), sink=into(rec_b))
+    c = run_sweep(SweepConfig(**cfg, jobs=2), sink=into(rec_c))
     assert rec_a == rec_b == rec_c
     assert a.summary == b.summary == c.summary
 
@@ -651,7 +726,7 @@ def test_a_refused_task_ends_in_one_error_record(case):
     kwargs, tag, message = REFUSALS[case]
     cfg = SweepConfig(**{"groups": ("Z6",), **kwargs})
     records = []
-    streamed = run_sweep(cfg, sink=records.append)
+    streamed = run_sweep(cfg, sink=into(records))
     error = {"kind": "error", "theorem": tag, "group": cfg.groups[0], "message": message}
     assert records[-1] == error
     assert [r for r in records if r["kind"] == "error"] == [error]
