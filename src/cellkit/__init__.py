@@ -49,6 +49,7 @@ from .groups import (
 from .setops import difference_counts, left_stabilizer, product
 from .specs import (
     SubsetSpecError,
+    check_subset_spec,
     expand_subset_specs,
     iter_identity_subsets,
     parse_group_tokens,
@@ -85,7 +86,7 @@ __all__ = [
     "builtin_specs", "generated_subgroup", "is_subgroup", "iter_bits",
     "require_same_group",
     "difference_counts", "left_stabilizer", "product",
-    "SubsetSpecError", "expand_subset_specs", "iter_identity_subsets",
+    "SubsetSpecError", "check_subset_spec", "expand_subset_specs", "iter_identity_subsets",
     "parse_group_tokens", "parse_subset_spec", "sample_identity_subsets",
     "DRIVER_NAMES", "Status", "SweepConfig", "SweepConfigError", "SweepResult",
     "Theorem", "TheoremVerdict", "check_cell_intersection",

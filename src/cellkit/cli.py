@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -79,7 +80,9 @@ def _add_format_arg(p: argparse.ArgumentParser) -> None:
                    help="output format (default: table on a tty, else jsonl)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="cellkit",
         description="Cells, kernels, and stabilizers of subsets of finite groups, "

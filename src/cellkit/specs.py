@@ -19,6 +19,10 @@ class SubsetSpecError(ValueError):
     """Malformed subset specification, or indices outside the group."""
 
 
+def _unrecognized(spec: str) -> str:
+    return f"unrecognized subset spec {spec!r}; expected '{{i,j,...}}', 'all:<k>', or 'rand:<k>:<n>:<seed>'"
+
+
 def parse_subset_spec(spec: str, g: Group) -> ElementSet:
     """Parse an explicit "{i,j,...}" subset spec against a group.
 
@@ -32,9 +36,7 @@ def parse_subset_spec(spec: str, g: Group) -> ElementSet:
             raise SubsetSpecError(
                 f"subset spec {spec!r} names a family of subsets; use expand_subset_specs"
             )
-        raise SubsetSpecError(
-            f"unrecognized subset spec {spec!r}; expected '{{i,j,...}}', 'all:<k>', or 'rand:<k>:<n>:<seed>'"
-        )
+        raise SubsetSpecError(_unrecognized(spec))
     bits = 0
     body = m.group(1) or ""
     for token in body.split(","):
@@ -101,24 +103,42 @@ def expand_subset_specs(spec: str, g: Group) -> list[ElementSet]:
     size at most k that contains the identity. "rand:<k>:<n>:<seed>" yields
     n seeded random such subsets (deduplicated, so possibly fewer).
     """
+    check_subset_spec(spec)
     text = spec.strip()
     m = _ALL_RE.fullmatch(text)
     if m:
-        k = int(m.group(1))
-        if k < 1:
-            raise SubsetSpecError(f"all:<k> needs k >= 1, got {spec!r}")
-        return list(iter_identity_subsets(g, 1, k))
+        return list(iter_identity_subsets(g, 1, int(m.group(1))))
     m = _RAND_RE.fullmatch(text)
     if m:
         k, n, seed = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if k < 1:
-            raise SubsetSpecError(f"rand:<k>:<n>:<seed> needs k >= 1, got {spec!r}")
         return sample_identity_subsets(g, 1, k, n, random.Random(seed))
     return [parse_subset_spec(text, g)]
 
 
+def check_subset_spec(spec: str) -> None:
+    """Raise SubsetSpecError unless spec has a form expand_subset_specs takes.
+
+    Needs no group, so a sweep can refuse a malformed spec before any task
+    runs; the indices of an explicit spec are checked against each group
+    when it is expanded.
+    """
+    text = spec.strip()
+    for pattern, form in ((_ALL_RE, "all:<k>"), (_RAND_RE, "rand:<k>:<n>:<seed>")):
+        m = pattern.fullmatch(text)
+        if m is not None:
+            if int(m.group(1)) < 1:
+                raise SubsetSpecError(f"{form} needs k >= 1, got {spec!r}")
+            return
+    if _EXPLICIT_RE.fullmatch(text) is None:
+        raise SubsetSpecError(_unrecognized(spec))
+
+
 def parse_group_tokens(expr: str) -> list[str]:
-    """Split a comma-separated group list, expanding Z2..Z10 style ranges."""
+    """Split a comma-separated group list, expanding Z2..Z10 style ranges.
+
+    A group named twice, as in Z6,Z6 or Z2..Z6,Z4, is kept once, where it
+    first appears.
+    """
     specs: list[str] = []
     for token in expr.split(","):
         token = token.strip()
@@ -136,4 +156,4 @@ def parse_group_tokens(expr: str) -> list[str]:
             specs.extend(f"{prefix}{i}" for i in range(lo, hi + 1))
         else:
             specs.append(token)
-    return specs
+    return list(dict.fromkeys(specs))

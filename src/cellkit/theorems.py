@@ -41,8 +41,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import multiprocessing
+import queue
 import random
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -84,7 +86,13 @@ from .groups import (
     require_same_group,
 )
 from .setops import difference_counts, left_stabilizer, product
-from .specs import expand_subset_specs, iter_identity_subsets, random_nonempty_bits, sample_identity_subsets
+from .specs import (
+    check_subset_spec,
+    expand_subset_specs,
+    iter_identity_subsets,
+    random_nonempty_bits,
+    sample_identity_subsets,
+)
 
 
 class Theorem(str, Enum):
@@ -397,6 +405,8 @@ class SweepConfig:
             raise SweepConfigError(
                 f"enumeration cap {self.enumeration_cap} is above {MAX_MASK_ORDER}, "
                 f"the widest cell mask the enumeration holds")
+        if self.set_spec is not None:
+            check_subset_spec(self.set_spec)  # whichever theorems read it
 
 
 @dataclass
@@ -935,13 +945,118 @@ def _run_task(g: Group, theorem: str, cfg: SweepConfig,
     return state
 
 
-def _worker(args: tuple[str, str, SweepConfig, bool]) -> tuple[list[str], _SweepState]:
-    spec, theorem, cfg, collect = args
-    lines: list[str] = []
-    state = _run_task(build_group(spec, wide=cfg.wide), theorem, cfg,
-                      lines.append if collect else None)
-    state.sink = None  # the lines travel once, beside the state
-    return lines, state
+# a pool worker sends a task's lines in chunks of this many, through its
+# own queue of at most this many messages; a waiting parent polls for dead
+# workers this often
+_LINE_CHUNK = 1 << 12
+_QUEUE_DEPTH = 2
+_POLL_S = 0.1
+
+
+def _worker(w: int, tasks: list[tuple[str, str]], cfg: SweepConfig, collect: bool,
+            next_task, claims, out) -> None:
+    """Pool worker w: claim tasks from the shared counter next_task until none is left.
+
+    Each claim is announced on claims as (task, w). Then the task's lines go
+    on out, w's own bounded queue, as (lines, None) messages of _LINE_CHUNK
+    lines, and one (lines, state) message ends the task with the rest of
+    its lines and its _SweepState. A task that raises ends in (None,
+    (exception, traceback)) instead, and the worker stops. While out is
+    full the worker waits, so it never runs further ahead of the parent.
+    """
+    groups: dict[str, Group] = {}
+    while True:
+        with next_task.get_lock():
+            i = next_task.value
+            next_task.value = i + 1
+        if i >= len(tasks):
+            return
+        claims.put((i, w))
+        spec, theorem = tasks[i]
+        lines: list[str] = []
+
+        def sink(line: str) -> None:
+            nonlocal lines
+            lines.append(line)
+            if len(lines) == _LINE_CHUNK:
+                out.put((lines, None))
+                lines = []
+
+        try:
+            if spec not in groups:
+                groups[spec] = build_group(spec, wide=cfg.wide)
+            state = _run_task(groups[spec], theorem, cfg, sink if collect else None)
+        except Exception as exc:
+            out.put((None, (exc, traceback.format_exc())))
+            return
+        state.sink = None  # the lines travel on their own
+        out.put((lines, state))
+
+
+def _receive(q, running: Callable[[], bool]):
+    """The next message on q, or None once running() is false and q is empty."""
+    while True:
+        up = running()  # read first: a worker that has ended has flushed its messages
+        try:
+            return q.get(block=up, timeout=_POLL_S)
+        except queue.Empty:
+            if not up:
+                return None
+
+
+def _pool_sweep(tasks: list[tuple[str, str]], config: SweepConfig,
+                sink: Callable[[str], None] | None, state: _SweepState) -> None:
+    """Run tasks on config.jobs worker processes and merge them into state in task order.
+
+    The parent walks the tasks in order: it reads claims until it knows
+    which worker holds the task, passes that worker's lines to sink as
+    they arrive and merges the task's state. A worker that raises makes
+    this raise its exception, and a worker that ends without finishing its
+    task raises RuntimeError; either names the task. No worker outlives
+    the call.
+    """
+    ctx = multiprocessing.get_context()
+    next_task, claims = ctx.Value("q", 0), ctx.Queue()
+    outs = [ctx.Queue(_QUEUE_DEPTH) for _ in range(min(config.jobs, len(tasks)))]
+    procs: list = []
+
+    def claiming() -> bool:
+        codes = [p.exitcode for p in procs]
+        return None in codes and not any(codes)
+
+    try:
+        for w, out in enumerate(outs):
+            procs.append(ctx.Process(target=_worker, name=f"cellkit-sweep-{w}",
+                                     args=(w, tasks, config, sink is not None, next_task, claims, out)))
+            procs[-1].start()
+        owner: dict[int, int] = {}
+        for i, (spec, theorem) in enumerate(tasks):
+            label = f"task {i} ({theorem} on {spec})"
+            while i not in owner:
+                claim = _receive(claims, claiming)
+                if claim is None:
+                    code = next((p.exitcode for p in procs if p.exitcode), 0)
+                    raise RuntimeError(f"{label} did not finish: a sweep worker exited with code {code}")
+                owner[claim[0]] = claim[1]
+            w = owner.pop(i)
+            while True:
+                message = _receive(outs[w], procs[w].is_alive)
+                if message is None:
+                    raise RuntimeError(f"{label} did not finish: a sweep worker exited with code "
+                                       f"{procs[w].exitcode}")
+                lines, part = message
+                if lines is None:
+                    exc, trace = part
+                    raise exc from RuntimeError(f"{label} failed in a sweep worker:\n{trace}")
+                for line in lines:
+                    sink(line)
+                if part is not None:
+                    break
+            state.merge(part)
+    finally:
+        for p in procs:
+            p.terminate()
+            p.join()
 
 
 def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) -> SweepResult:
@@ -953,8 +1068,10 @@ def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) ->
     deterministic functions of the configuration: tasks run in (group,
     theorem) listing order and sampled draws are seeded per task, so the
     jobs count never changes the output. Each task fills its own state,
-    merged in task order; serially a task streams straight to sink, while a
-    pool worker collects its lines for the parent to pass on.
+    merged in task order. Serially a task streams straight to sink; with
+    more than one job, worker processes claim tasks in order and stream
+    their lines back in chunks through bounded queues (_pool_sweep), so
+    memory stays bounded per worker however long the stream.
     """
     config.validate()
     tasks = [(spec, theorem) for spec in config.groups for theorem in config.theorems]
@@ -964,12 +1081,7 @@ def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) ->
         for spec, theorem in tasks:
             state.merge(_run_task(groups[spec], theorem, config, sink))
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            args = [(spec, theorem, config, sink is not None) for spec, theorem in tasks]
-            for lines, part in pool.map(_worker, args):
-                for line in lines:
-                    sink(line)
-                state.merge(part)
+        _pool_sweep(tasks, config, sink, state)
     counts: dict[str, dict[str, dict[str, int]]] = {}
     totals: dict[str, int] = {}
     for (theorem, group, status), k in sorted(state.counts.items()):

@@ -380,6 +380,30 @@ def test_verify_usage_errors(capsys):
     assert err == "error: max_instances must be at least 1, got -1\n"
 
 
+@pytest.mark.parametrize("theorem", ["kneser", "chain", "olson,dichotomy"])
+def test_verify_refuses_a_malformed_set_before_any_task(capsys, theorem):
+    # whether or not a selected theorem reads --set: one line, exit 2, no stream
+    for spec in ("garbage", "{0,1", "all:0", "rand:0:5:1"):
+        rc, out, err = run_cli(capsys, "verify", "--groups", "Z6", "--theorem", theorem,
+                               "--set", spec, "--format", "jsonl")
+        assert rc == 2, spec
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_verify_runs_a_repeated_group_once(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--groups", "Z6,Z6", "--theorem", "chain",
+                         "--format", "jsonl")
+    assert rc == 0
+    records = jsonl_records(out)
+    assert records[0]["groups"] == ["Z6"]
+    assert records[-1]["instances"] == 32
+    rc, out, _ = run_cli(capsys, "verify", "--groups", "Z2..Z4,Z3,Z2", "--theorem", "chain",
+                         "--format", "jsonl")
+    assert rc == 0
+    assert jsonl_records(out)[0]["groups"] == ["Z2", "Z3", "Z4"]
+
+
 @pytest.mark.parametrize("argv", [
     ("cells", "Z70", "{0,1}", "--wide", "--enum-cap", "80"),
     ("subgroup", "Z70", "{0,1}", "--wide", "--enum-cap", "80"),
@@ -438,6 +462,40 @@ def test_verify_streams_match_pinned_digests(capsys, argv, lines, digest):
     assert rc == 0
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the jsonl stream at --jobs 2 may cost one more interpreter with its
+# modules loaded (a pool worker) over --jobs 1, never memory that grows with
+# the records: at about 1x and 4x the records of the first workload
+PEAK_RSS_MARGIN_MB = 64
+PEAK_RSS_SCRIPT = """
+import resource, sys
+from cellkit.cli import main
+rc = main(sys.argv[1:])
+peak = sum(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+print(rc, peak // 1024, file=sys.stderr)
+"""
+
+
+def peak_rss_mb(*argv):
+    """Self + children peak RSS, in MB, of one command line run in a child process with stdout to /dev/null."""
+    package_root = str(Path(cellkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300)
+    rc, peak = proc.stderr.split()[-2:]
+    assert proc.returncode == 0 and rc == "0", proc.stderr
+    return int(peak)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("groups", ["Z6,Z8,Z2xZ4", "Z8,Z2xZ4,Z9,Z3xZ3"])  # 134,021 and 652,294 lines
+def test_verify_jobs_peak_memory_does_not_grow_with_the_stream(groups):
+    argv = ("verify", "--groups", groups, "--theorem", "kneser", "--format", "jsonl")
+    serial = peak_rss_mb(*argv, "--jobs", "1")
+    pooled = peak_rss_mb(*argv, "--jobs", "2")
+    assert pooled <= serial + PEAK_RSS_MARGIN_MB, (serial, pooled)
 
 
 # -- entry points ---------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from cellkit import (
     SubsetSpecError,
     build_group,
+    check_subset_spec,
     expand_subset_specs,
     iter_identity_subsets,
     parse_group_tokens,
@@ -71,12 +72,29 @@ def test_expand_subset_specs():
         expand_subset_specs("rand:0:5:1", Z6)
 
 
+def test_check_subset_spec_needs_no_group():
+    for spec in ("{0,1,6,7}", " { 3 , 1 } ", "{}", "all:2", "rand:3:8:42"):
+        check_subset_spec(spec)
+    with pytest.raises(SubsetSpecError, match="unrecognized subset spec"):
+        check_subset_spec("garbage")
+    with pytest.raises(SubsetSpecError, match="unrecognized subset spec"):
+        check_subset_spec("{0,1")
+    with pytest.raises(SubsetSpecError, match="all:<k> needs k >= 1"):
+        check_subset_spec("all:0")
+    with pytest.raises(SubsetSpecError, match="needs k >= 1"):
+        check_subset_spec("rand:0:5:1")
+
+
 def test_parse_group_tokens():
     assert parse_group_tokens("Z6") == ["Z6"]
     assert parse_group_tokens("Z2..Z5,D3, Q8") == ["Z2", "Z3", "Z4", "Z5", "D3", "Q8"]
     assert parse_group_tokens("D3..D5") == ["D3", "D4", "D5"]
     assert parse_group_tokens("Z2..5") == ["Z2", "Z3", "Z4", "Z5"]
     assert parse_group_tokens(" , Z6 , ") == ["Z6"]
+    # a repeat is dropped where it recurs, inside a range too
+    assert parse_group_tokens("Z6,Z6") == ["Z6"]
+    assert parse_group_tokens("Z2..Z6,Z4") == ["Z2", "Z3", "Z4", "Z5", "Z6"]
+    assert parse_group_tokens("Z4,Q8,Z2..Z5,Q8") == ["Z4", "Q8", "Z2", "Z3", "Z5"]
 
 
 def test_parse_group_token_errors():

@@ -6,8 +6,12 @@ counts were produced by the scalar checkers and pinned; the sweep tests
 then hold the vectorized counting paths to those same numbers.
 """
 
+import contextlib
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ import cellkit.cells as cells_module
 import cellkit.theorems as theorems
 from cellkit.cells import column_union, mask_dtype, pair_table, translate_tables
 from cellkit.groups import product_bits
+from cellkit.specs import SubsetSpecError
 from cellkit import (
     ElementSet,
     Status,
@@ -659,6 +664,92 @@ def test_sweep_is_deterministic_and_jobs_invariant():
     assert a.summary == b.summary == c.summary
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread if the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# the pool's workers see a monkeypatch only when they are forked from the test
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="monkeypatches reach pool workers through fork only")
+
+POOL_CASES = {
+    # six tasks on two or three workers, each stream many chunks long
+    "more-tasks-than-jobs": dict(groups=("Z6", "D3", "Z2xZ2"), theorems=("kneser", "dichotomy"),
+                                 s_max=3),
+    # two tasks, the third worker finds none
+    "more-jobs-than-tasks": dict(groups=("Z6",), theorems=("kneser", "chain")),
+    # Z6's 3969 pairs are refused between Z5's 961 and Z2xZ2's 225
+    "refused-in-the-middle": dict(groups=("Z5", "Z6", "Z2xZ2"), theorems=("kneser",),
+                                  max_instances=1000),
+}
+
+
+@fork_only
+@pytest.mark.parametrize("case", POOL_CASES)
+def test_pool_streams_the_serial_records_in_small_chunks(case, monkeypatch):
+    # chunks of 7 lines through queues one message deep: each task's stream
+    # crosses many chunk and backpressure boundaries, in sink and counting mode
+    monkeypatch.setattr(theorems, "_LINE_CHUNK", 7)
+    monkeypatch.setattr(theorems, "_QUEUE_DEPTH", 1)
+    serial_lines = []
+    serial = run_sweep(SweepConfig(**POOL_CASES[case]), sink=serial_lines.append)
+    counted = run_sweep(SweepConfig(**POOL_CASES[case])).summary
+    assert counted == serial.summary
+    if case == "refused-in-the-middle":
+        assert [r["group"] for r in serial.errors] == ["Z6"]
+    for jobs in (2, 3):
+        lines = []
+        with deadline(120):
+            pooled = run_sweep(SweepConfig(**POOL_CASES[case], jobs=jobs), sink=lines.append)
+            pooled_count = run_sweep(SweepConfig(**POOL_CASES[case], jobs=jobs)).summary
+        assert lines == serial_lines, jobs
+        assert (pooled.summary, pooled.violations, pooled.findings, pooled.errors) == (
+            serial.summary, serial.violations, serial.findings, serial.errors), jobs
+        assert pooled_count == counted, jobs
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_a_failed_pool_worker_makes_the_sweep_raise(failure, monkeypatch):
+    # task 1, Kneser on Z3, fails in its worker: by an exception, or by the
+    # process ending without a word, as an OOM kill would end it
+    real = theorems._DRIVERS["kneser"]
+
+    def failing(g, cfg, state, seed):
+        if g.label == "Z3":
+            if failure == "raises":
+                raise ValueError("the driver failed")
+            os._exit(3)
+        real(g, cfg, state, seed)
+
+    monkeypatch.setitem(theorems._DRIVERS, "kneser", failing)
+    cfg = SweepConfig(groups=("Z2", "Z3", "Z4"), theorems=("kneser",), jobs=2)
+    task = r"task 1 \(kneser on Z3\)"
+    for sink in ([].append, None):
+        with deadline(60):
+            if failure == "raises":
+                with pytest.raises(ValueError, match="the driver failed") as excinfo:
+                    run_sweep(cfg, sink=sink)
+                # the cause carries the worker's traceback and names the task
+                assert "task 1 (kneser on Z3) failed in a sweep worker" in str(excinfo.value.__cause__)
+            else:
+                with pytest.raises(RuntimeError, match=task + ".*exited with code 3"):
+                    run_sweep(cfg, sink=sink)
+        assert multiprocessing.active_children() == []
+
+
 def test_sampled_sweeps_cover_remaining_drivers_deterministically():
     cfg = dict(groups=("Z6", "D3"), theorems=("olson", "intersection", "chain", "corollary"),
                mode="sampled", samples=50, s_samples=2, seed=5, s_max=4)
@@ -688,6 +779,9 @@ def test_sweep_config_validation():
         SweepConfig(groups=("Z6",), theorems=("kneser",), max_instances=-1).validate()
     with pytest.raises(SweepConfigError, match="enumeration cap 80 is above 64"):
         SweepConfig(groups=("Z6",), theorems=("chain",), enumeration_cap=80).validate()
+    # a malformed --set is refused whether or not a selected theorem reads it
+    with pytest.raises(SubsetSpecError, match="unrecognized subset spec"):
+        SweepConfig(groups=("Z6",), theorems=("kneser",), set_spec="garbage").validate()
 
 
 def test_sweep_refuses_oversized_tasks_with_an_error_record():
