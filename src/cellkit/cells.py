@@ -17,12 +17,14 @@ too: {z : z*S subset of A} = G \\ ((G \\ A) * S^-1). When both factors vary,
 pair_products reads the group's byte-pair table (pair_table): one gather
 per pair of byte positions.
 
-_full_cell_enumeration lists every cell sorted by (deficiency, size, bits).
-A rooted sweep over the 2^(order-|S|) masks of G \\ S gives the cells that
-contain the identity, and one gather from the group's left-translate
-table expands them to all cells. enumerate_cells, its one caller, reads
-that order up to u_max; kernels, the chain and the attached subgroup are
-all answered from enumerate_cells.
+_full_cell_enumeration lists every cell sorted by (deficiency, size, bits),
+as read-only numpy columns of cells, products and deficiencies, memoized
+per S on the group. A rooted sweep over the 2^(order-|S|) masks of G \\ S
+gives the cells that contain the identity, and one gather from the group's
+left-translate table expands them to all cells. Its readers slice the
+deficiency prefix they need: enumerate_cells turns that prefix into
+CellRecords, from which kernels and the chain are answered, and
+balandraud_details reads u* and the identity kernel from the columns.
 """
 
 from __future__ import annotations
@@ -322,9 +324,12 @@ def require_enumerable(order: int, cap: int) -> None:
                                   f"refusing order {order} above cap {cap}")
 
 
-def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, int], ...]:
-    """All cells of S as (cell bits, product bits), sorted by (deficiency, |X|, cell bits).
+def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All cells of S as read-only columns (cells, products, deficiency).
 
+    Sorted by (deficiency, |X|, cell bits); the masks in g's mask dtype,
+    the deficiency |X*S| - |X| as uint8, so a reader slices the prefix it
+    needs with np.searchsorted on the last column.
     Each cell X is the closure {z : z*S subset of A} of A = X*S, which is
     G \\ (B * S^-1) for B = G \\ A; X contains the identity iff B misses S.
     So the rooted sweep takes the products B * S^-1 over the 2^(order-|S|)
@@ -335,8 +340,8 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
     translate z*X, and the cells are the translates whose least element is
     z. The tables are the group's (translate_tables): per S only the free
     rows are built. The sweep is chunked so memory stays proportional to
-    the chunk, not to 2^order. The cap is checked before the memo;
-    enumerate_cells is the one caller.
+    the chunk, not to 2^order. The cap is checked before the memo, which
+    keeps the columns of the last _MEMO_LIMIT sets on g._enum_memo.
     """
     n = g.order
     require_enumerable(n, cap)
@@ -362,12 +367,20 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[tuple[int, 
     products = _gather(column_union(right, s_bits), cells)
     # |X*S| >= |X|, so the uint8 deficiency cannot wrap
     size = np.bitwise_count(cells)
-    order = np.lexsort((cells, size, np.bitwise_count(products) - size))
-    result = tuple(zip(cells[order].tolist(), products[order].tolist()))
+    deficiency = np.bitwise_count(products) - size
+    order = np.lexsort((cells, size, deficiency))
+    result = (cells[order], products[order], deficiency[order])
+    for column in result:
+        column.flags.writeable = False
     if len(g._enum_memo) >= _MEMO_LIMIT:
         g._enum_memo.pop(next(iter(g._enum_memo)))
     g._enum_memo[s_bits] = result
     return result
+
+
+def _prefix_end(deficiency: np.ndarray, u_max: int) -> int:
+    """The number of cells with deficiency at most u_max, from the sorted uint8 column."""
+    return int(np.searchsorted(deficiency, min(u_max, 255), side="right"))
 
 
 def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
@@ -376,16 +389,18 @@ def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
     """Cells of s with deficiency at most u_max, sorted by (deficiency, size, bits).
 
     Exhaustive mode is complete but refuses groups of order above cap; it
-    reads the sorted enumeration up to the first cell above u_max.
-    Sampled mode closes count random seeds drawn with the given seed and
-    returns the distinct cells found, a reproducible subset of the truth.
+    builds records only for the prefix of the sorted enumeration up to
+    u_max. Sampled mode closes count random seeds drawn with the given seed
+    and returns the distinct cells found, a reproducible subset of the truth.
     """
     _require_identity(s)
     if u_max < 0:
         raise ValueError(f"u_max must be nonnegative, got {u_max}")
     g = s.group
     if mode == "exhaustive":
-        pairs = _full_cell_enumeration(g, s.bits, cap)
+        cells, products, deficiency = _full_cell_enumeration(g, s.bits, cap)
+        end = _prefix_end(deficiency, u_max)
+        pairs = zip(cells[:end].tolist(), products[:end].tolist())
     elif mode == "sampled":
         if count is None or seed is None:
             raise ValueError("sampled mode requires both count and seed")
@@ -396,16 +411,11 @@ def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
         for _ in range(count):
             p = product_bits(g, random_nonempty_bits(n, rng), s.bits)
             seen[closure_bits(lt, p)] = p
-        pairs = sorted(seen.items(), key=lambda xp: (xp[1].bit_count() - xp[0].bit_count(),
-                                                     xp[0].bit_count(), xp[0]))
+        pairs = sorted(((x, p) for x, p in seen.items() if p.bit_count() - x.bit_count() <= u_max),
+                       key=lambda xp: (xp[1].bit_count() - xp[0].bit_count(), xp[0].bit_count(), xp[0]))
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}; expected 'exhaustive' or 'sampled'")
-    records = []
-    for xb, pb in pairs:
-        if pb.bit_count() - xb.bit_count() > u_max:
-            break
-        records.append(make_record(g, xb, pb))
-    return records
+    return [make_record(g, xb, pb) for xb, pb in pairs]
 
 
 def kernels_at(s: ElementSet, u: int, cells: list[CellRecord]) -> KernelRecord:
@@ -435,25 +445,24 @@ def balandraud_details(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> Balandra
     For |s| >= 2 the subgroup is the smallest identity-containing u*-kernel,
     where u* is the largest deficiency in 1..|s|-2 attained by a cell; if no
     such cell exists it is the subgroup generated by s. For |s| <= 1 it is
-    the trivial subgroup.
+    the trivial subgroup. Read from the enumeration's columns: the u*-cells
+    are sorted by (size, bits), so the kernel is the first identity-containing
+    cell of the smallest size among them.
     """
     _require_identity(s)
-    cells = enumerate_cells(s, u_max=len(s) - 2, cap=cap) if len(s) >= 2 else []
-    return _attached_subgroup(s, cells)
-
-
-def _attached_subgroup(s: ElementSet, cells: list[CellRecord]) -> BalandraudResult:
-    """balandraud_details from sorted exhaustive cells of s, complete at least to deficiency |s|-2."""
     g = s.group
     size = len(s)
     if size <= 1:
         return BalandraudResult(subgroup=g.identity_set(), u_star=None, case="trivial")
-    cells = [c for c in cells if c.deficiency <= size - 2]
-    u_star = cells[-1].deficiency  # G itself is a 0-cell, so cells is never empty
+    cells, _, deficiency = _full_cell_enumeration(g, s.bits, cap)
+    end = _prefix_end(deficiency, size - 2)
+    u_star = int(deficiency[end - 1])  # G itself is a 0-cell, so the prefix is never empty
     if u_star < 1:
         return BalandraudResult(subgroup=generated_subgroup(g, s), u_star=None, case="generated")
-    kernel = next(k for k in kernels_at(s, u_star, cells).kernels if k.contains_identity)
-    return BalandraudResult(subgroup=kernel.cell, u_star=u_star, case="kernel")
+    block = cells[_prefix_end(deficiency, u_star - 1):end]
+    kernels = block[np.bitwise_count(block) == np.bitwise_count(block[0])]
+    kernel = int(kernels[(kernels & 1) == 1][0])
+    return BalandraudResult(subgroup=ElementSet(g, kernel), u_star=u_star, case="kernel")
 
 
 def balandraud_subgroup(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> ElementSet:

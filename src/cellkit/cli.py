@@ -23,7 +23,6 @@ from .cells import (
     MAX_MASK_ORDER,
     CellRecord,
     EnumerationCapError,
-    _attached_subgroup,
     balandraud_details,
     enumerate_cells,
     kernels_at,
@@ -32,7 +31,14 @@ from .cells import (
 )
 from .groups import GroupAxiomError, GroupSpecError, all_subgroups, build_group
 from .specs import SubsetSpecError, parse_group_tokens, parse_subset_spec
-from .theorems import DRIVER_NAMES, SweepConfig, SweepConfigError, jsonl_line, run_sweep
+from .theorems import (
+    DRIVER_NAMES,
+    SweepConfig,
+    SweepConfigError,
+    check_set_spec,
+    jsonl_line,
+    run_sweep,
+)
 
 _FORMATS = ("jsonl", "csv", "table")
 
@@ -198,12 +204,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
                                   cap=args.enum_cap)
         kernel_records = [kernels_at(s, u, records) for u in range(umax + 1)]
         kernel_sizes = {kr.u: len(kr.kernels[0].cell) for kr in kernel_records if kr.kernels}
-        if not with_balandraud:
-            details = None
-        elif args.mode == "exhaustive" and umax >= len(s) - 2:
-            details = _attached_subgroup(s, records)  # records holds every cell it reads
-        else:
-            details = balandraud_details(s, cap=args.enum_cap)
+        details = balandraud_details(s, cap=args.enum_cap) if with_balandraud else None
         return ([_cell_row(r, kernel_sizes) for r in records],
                 [{"kind": "kernel_summary", "u": kr.u, "kernel_count": len(kr.kernels),
                   "kernel_size": len(kr.kernels[0].cell) if kr.kernels else None,
@@ -346,6 +347,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         set_spec=args.set_spec, wide=args.wide, jobs=args.jobs,
         enumeration_cap=args.enum_cap, max_instances=args.max_instances)
     cfg.validate()
+    # a spec some group cannot take is refused before the manifest; only a spec builds the groups
+    check_set_spec(cfg.set_spec, (build_group(spec, wide=cfg.wide) for spec in groups))
     fmt = _resolve_format(args.format)
     # jobs is deliberately absent: the report is a function of what was
     # verified, and the worker count never changes that

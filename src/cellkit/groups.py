@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
@@ -38,6 +39,18 @@ def iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+# _BYTE_SPECS[b][v]: the elements 8b+i for the bits i of byte value v, comma-joined
+_BYTE_SPECS: list[tuple[str, ...]] = []
+_BYTE_SPECS_LOCK = threading.Lock()
+
+
+def _byte_specs(positions: int) -> None:
+    """Extend _BYTE_SPECS to the given number of byte positions."""
+    with _BYTE_SPECS_LOCK:
+        for b in range(len(_BYTE_SPECS), positions):
+            _BYTE_SPECS.append(tuple(",".join(str(8 * b + i) for i in iter_bits(v)) for v in range(256)))
 
 
 def product_bits(g: Group, a_bits: int, b_bits: int) -> int:
@@ -81,7 +94,8 @@ class Group:
             self._validate()
         self.inv = self._invert()
         self._abelian = abelian
-        self._enum_memo: dict[int, tuple[tuple[int, int], ...]] = {}
+        # cells.py's enumeration columns (cells, products, deficiency) per S mask
+        self._enum_memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._subgroup_bits: frozenset[int] | None = None
 
     def _validate(self) -> None:
@@ -230,8 +244,14 @@ class ElementSet:
         return tuple(iter_bits(self.bits))
 
     def spec_string(self) -> str:
-        """Render as "{i,j,...}" with ascending indices; parseable back."""
-        return "{" + ",".join(str(i) for i in iter_bits(self.bits)) + "}"
+        """Render as "{i,j,...}" with ascending indices; parseable back.
+
+        Joins one cached string per nonzero byte of the mask (_byte_specs).
+        """
+        data = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
+        if len(data) > len(_BYTE_SPECS):
+            _byte_specs(len(data))
+        return "{" + ",".join([table[v] for table, v in zip(_BYTE_SPECS, data) if v]) + "}"
 
     @property
     def contains_identity(self) -> bool:

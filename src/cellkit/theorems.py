@@ -47,7 +47,7 @@ import random
 import traceback
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .cells import (
     _byte_index,
     _byte_unions,
     _distinct,
+    _full_cell_enumeration,
     _gather,
     _kernel_chain,
     _require_identity,
@@ -90,6 +91,7 @@ from .specs import (
     check_subset_spec,
     expand_subset_specs,
     iter_identity_subsets,
+    parse_subset_spec,
     random_nonempty_bits,
     sample_identity_subsets,
 )
@@ -503,14 +505,25 @@ class _Refused(Exception):
     """A task refused as a whole; _run_task records it as the task's one error."""
 
 
+def check_set_spec(spec: str | None, groups: Iterable[Group]) -> None:
+    """Refuse an explicit set spec that some group cannot take, before any task runs.
+
+    An index outside a group raises SubsetSpecError, a set without the
+    identity SweepConfigError. A family spec (all:, rand:) names only
+    identity-containing subsets of each group, so groups is iterated only
+    for an explicit spec.
+    """
+    if spec is None or spec.strip().startswith(("all:", "rand:")):
+        return
+    for g in groups:
+        s = parse_subset_spec(spec, g)
+        if not s.bits & 1:
+            raise SweepConfigError(f"--set produced {s.spec_string()}, which lacks the identity")
+
+
 def _s_space(g: Group, cfg: SweepConfig, seed: int) -> list[ElementSet]:
     if cfg.set_spec is not None:
-        sets = expand_subset_specs(cfg.set_spec, g)
-        bad = [s for s in sets if not s.bits & 1]
-        if bad:
-            raise SweepConfigError(
-                f"--set produced {bad[0].spec_string()}, which lacks the identity")
-        return sets
+        return expand_subset_specs(cfg.set_spec, g)  # refused up front by check_set_spec
     hi = g.order if cfg.s_max is None else min(cfg.s_max, g.order)
     if cfg.mode == "sampled":
         rng = random.Random(f"{seed}|s-space")
@@ -779,14 +792,13 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
 
 def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     for s in _s_space(g, cfg, seed):
-        cells = enumerate_cells(s, u_max=g.order, cap=cfg.enumeration_cap)
-        m = len(cells)
+        bits = _full_cell_enumeration(g, s.bits, cfg.enumeration_cap)[0]
+        m = len(bits)
         if m * (m - 1) // 2 > cfg.max_instances:
             raise _Refused(
                 f"{m} cells give {m * (m - 1) // 2} pairs, above max_instances {cfg.max_instances}")
         right = translate_tables(g)[0]
         times_s, times_inverse = column_union(right, s.bits), column_union(right, inverse_bits(g, s.bits))
-        bits = np.array([c.cell.bits for c in cells], dtype=mask_dtype(g.order))
 
         def closed(a: np.ndarray) -> np.ndarray:
             return closure_masks(g, times_inverse, _gather(times_s, a)) == a
@@ -801,7 +813,8 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
         for start in range(0, m - 1, step):
             i, j = np.triu_indices(min(step, m - 1 - start), 1, m - start)
             _check_batch(state, g.label, Theorem.CELL_INTERSECT, (i + start, j + start),
-                         lambda a, b: check_cell_intersection(s, cells[a].cell, cells[b].cell), settled)
+                         lambda a, b: check_cell_intersection(s, ElementSet(g, int(bits[a])),
+                                                              ElementSet(g, int(bits[b]))), settled)
 
 
 # -- chain sweep ----------------------------------------------------------
@@ -1076,6 +1089,7 @@ def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) ->
     config.validate()
     tasks = [(spec, theorem) for spec in config.groups for theorem in config.theorems]
     groups = {spec: build_group(spec, wide=config.wide) for spec in config.groups}
+    check_set_spec(config.set_spec, groups.values())
     state = _SweepState(None)
     if config.jobs <= 1 or len(tasks) <= 1:
         for spec, theorem in tasks:

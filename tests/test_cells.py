@@ -20,6 +20,7 @@ from cellkit import (
     build_group,
     cell_closure,
     enumerate_cells,
+    generated_subgroup,
     is_cell,
     kernel_chain,
     kernels_at,
@@ -28,8 +29,8 @@ from cellkit import (
     product,
 )
 from cellkit.cells import (
-    _attached_subgroup,
     _byte_unions,
+    _full_cell_enumeration,
     closure_bits,
     closure_masks,
     column_union,
@@ -285,13 +286,49 @@ def test_balandraud_small_sets():
     assert balandraud_subgroup(Z6.subset([0, 1])) == Z6.full_set()
 
 
-def test_attached_subgroup_reads_any_longer_enumeration():
-    # the cells command hands its own records, up to any u_max >= |S|-2
+def test_balandraud_details_agrees_with_the_kernels_of_the_records():
+    # the column reading against the definition over every cell's record:
+    # u* the largest deficiency in 1..|S|-2, then the identity u*-kernel
     for g in (Z12, D6):
         for s_bits in identity_subsets(g, 4):
             s = ElementSet(g, s_bits)
-            for u_max in {max(len(s) - 2, 0), len(s) - 1, g.order - 1}:
-                assert _attached_subgroup(s, enumerate_cells(s, u_max)) == balandraud_details(s)
+            records = enumerate_cells(s, g.order)
+            got = balandraud_details(s)
+            below = [r.deficiency for r in records if 1 <= r.deficiency <= len(s) - 2]
+            if len(s) <= 1:
+                assert (got.subgroup, got.u_star, got.case) == (g.identity_set(), None, "trivial")
+            elif not below:
+                assert (got.subgroup, got.u_star, got.case) == (generated_subgroup(g, s), None,
+                                                                "generated")
+            else:
+                kernels = kernels_at(s, max(below), records).kernels
+                kernel = next(k.cell for k in kernels if k.contains_identity)
+                assert (got.subgroup, got.u_star, got.case) == (kernel, max(below), "kernel"), \
+                    s.spec_string()
+
+
+def test_enumerate_cells_reads_the_same_prefix_at_any_u_max():
+    # u_max past the largest deficiency (and past the uint8 column) reads every cell
+    for g in (Z12, D6):
+        for s_bits in identity_subsets(g, 4):
+            s = ElementSet(g, s_bits)
+            every = [(r.cell.bits, r.product.bits) for r in enumerate_cells(s, g.order)]
+            for u_max in (0, len(s) - 1, g.order, 300):
+                got = [(r.cell.bits, r.product.bits) for r in enumerate_cells(s, u_max)]
+                assert got == [(x, p) for x, p in every
+                               if p.bit_count() - x.bit_count() <= u_max], (s.spec_string(), u_max)
+
+
+def test_memo_columns_are_read_only():
+    g = build_group("Z8")
+    s = g.subset([0, 1, 3])
+    before = [r.cell.bits for r in enumerate_cells(s, g.order)]
+    columns = _full_cell_enumeration(g, s.bits, g.order)
+    assert g._enum_memo[s.bits] is columns
+    for column in columns:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    assert [r.cell.bits for r in enumerate_cells(s, g.order)] == before
 
 
 def test_full_group_set_has_one_cell():

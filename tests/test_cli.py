@@ -382,9 +382,10 @@ def test_verify_usage_errors(capsys):
 
 @pytest.mark.parametrize("theorem", ["kneser", "chain", "olson,dichotomy"])
 def test_verify_refuses_a_malformed_set_before_any_task(capsys, theorem):
-    # whether or not a selected theorem reads --set: one line, exit 2, no stream
-    for spec in ("garbage", "{0,1", "all:0", "rand:0:5:1"):
-        rc, out, err = run_cli(capsys, "verify", "--groups", "Z6", "--theorem", theorem,
+    # whether or not a selected theorem reads --set: one line, exit 2, no stream;
+    # {0,9} fits Z12 but not Z6, and {1,3} lacks the identity
+    for spec in ("garbage", "{0,1", "all:0", "rand:0:5:1", "{0,9}", "{1,3}"):
+        rc, out, err = run_cli(capsys, "verify", "--groups", "Z12,Z6", "--theorem", theorem,
                                "--set", spec, "--format", "jsonl")
         assert rc == 2, spec
         assert out == ""

@@ -4,6 +4,8 @@ Frozen counts in this file were produced by the brute-force oracles defined
 alongside them and then pinned.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -325,6 +327,13 @@ def test_spec_string_rendering():
     assert Z6.empty_set().spec_string() == "{}"
     assert Z6.identity_set().spec_string() == "{0}"
     assert Z6.full_set().spec_string() == "{0,1,2,3,4,5}"
+    # the per-byte table against the bit-by-bit rendering, up to the widest order
+    rng = random.Random(5)
+    for order in (1, 7, 8, 9, 20, 64, 1024):
+        g = build_group(f"Z{order}", wide=order > 64, validate=False)
+        for bits in [0, 1, g.full_bits, 1 << (order - 1)] + [rng.getrandbits(order) for _ in range(50)]:
+            want = "{" + ",".join(str(i) for i in iter_bits(bits)) + "}"
+            assert ElementSet(g, bits).spec_string() == want
 
 
 def test_sets_refuse_to_mix_groups():

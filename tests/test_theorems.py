@@ -483,12 +483,14 @@ def test_olson_and_intersection_counting_equals_per_instance_mode(config, spec):
 
 def test_intersection_counting_path_still_refuses_a_non_cell(monkeypatch):
     # {0,2} is not a cell of {0,1} in Z6: {0,2}S = {0,1,2,3} also absorbs 1+S
-    real = theorems.enumerate_cells
+    real = theorems._full_cell_enumeration
 
-    def with_intruder(s, *args, **kwargs):
-        return real(s, *args, **kwargs) + [make_record(s.group, 0b101, 0b1111)]
+    def with_intruder(g, s_bits, cap):
+        cells, products, deficiency = real(g, s_bits, cap)
+        return tuple(np.append(column, column.dtype.type(v))
+                     for column, v in ((cells, 0b101), (products, 0b1111), (deficiency, 2)))
 
-    monkeypatch.setattr(theorems, "enumerate_cells", with_intruder)
+    monkeypatch.setattr(theorems, "_full_cell_enumeration", with_intruder)
     cfg = SweepConfig(groups=("Z6",), theorems=("intersection",), set_spec="{0,1}")
     with pytest.raises(ValueError, match="not a cell"):
         run_sweep(cfg)
