@@ -8,14 +8,14 @@ is |X*S| - |X|; a u-kernel is a u-cell of minimal cardinality.
 
 Over numpy arrays of masks the one set kernel is a byte-table product,
 and _byte_unions its one table builder. _gather ORs one gather per mask
-byte from such a table; product_masks applies it to a table built per
-call. Each group keeps two translate tables (translate_tables), built
-once: column_union of one over S gives the table of X -> X*S for any S,
-and over H of the other the table of X -> H*X; a gather from the left
-table gives every left translate z*X. closure_masks is such a product
-too: {z : z*S subset of A} = G \\ ((G \\ A) * S^-1). When both factors vary,
-pair_products reads the group's byte-pair table (pair_table): one gather
-per pair of byte positions.
+byte from such a table. Each group keeps two translate tables
+(translate_tables), built once: column_union of one over S gives the
+table of X -> X*S for any S, and over H of the other the table of
+X -> H*X; a gather from the left table gives every left translate z*X.
+closure_masks is such a product too: {z : z*S subset of A} =
+G \\ ((G \\ A) * S^-1). When both factors vary, pair_products reads the
+group's byte-pair table (pair_table): one gather per pair of byte
+positions.
 
 _full_cell_enumeration lists every cell sorted by (deficiency, size, bits),
 as read-only numpy columns of cells, products and deficiencies, memoized
@@ -43,7 +43,7 @@ _MEMO_LIMIT = 512
 
 
 class EnumerationCapError(ValueError):
-    """Exhaustive enumeration refused because the group is too large."""
+    """Work refused as too large: an exhaustive enumeration above its cap, or masks above 64 bits."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,9 +103,9 @@ def closure_bits(lt: list[int], p: int) -> int:
 
 
 def mask_dtype(order: int) -> type:
-    """The numpy dtype holding one subset mask: uint32 to order 31, uint64 to 64."""
+    """The numpy dtype holding one subset mask: uint32 to order 31, uint64 to 64, refused above."""
     if order > MAX_MASK_ORDER:
-        raise ValueError(f"subset masks of order {order} do not fit a {MAX_MASK_ORDER}-bit integer")
+        raise EnumerationCapError(f"subset masks of order {order} do not fit a {MAX_MASK_ORDER}-bit integer")
     return np.uint32 if order <= 31 else np.uint64
 
 
@@ -145,14 +145,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     """
     a = np.sort(a)
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
-def product_masks(lt: list[int] | np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Elementwise T*S over an array of T masks, given the translates lt[z] = z*S.
-
-    One gather per byte b of T from the _byte_unions table of lt, ORed.
-    """
-    return _gather(_byte_unions(np.asarray(lt, dtype=t.dtype)), t)
 
 
 def translate_tables(g: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -255,10 +247,10 @@ def stabilizer_masks(g: Group, table: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Elementwise left stabilizer {z : z*A = A} over an array of nonempty masks A.
 
     As in setops.left_stabilizer, z*A = A fails iff z lies in (G \\ A) * A^-1;
-    A^-1 comes from product_masks with the translates {z^-1}.
+    A^-1 is a gather from the _byte_unions table of the singletons {z^-1}.
     """
     full = a.dtype.type(g.full_bits)
-    inverse = product_masks([1 << i for i in g.inv], a)
+    inverse = _gather(_byte_unions(np.array([1 << i for i in g.inv], dtype=a.dtype)), a)
     return full & ~pair_products(table, full & ~a, inverse)
 
 

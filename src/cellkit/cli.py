@@ -35,9 +35,9 @@ from .theorems import (
     DRIVER_NAMES,
     SweepConfig,
     SweepConfigError,
-    check_set_spec,
     jsonl_line,
-    run_sweep,
+    prepare_sweep,
+    sweep_groups,
 )
 
 _FORMATS = ("jsonl", "csv", "table")
@@ -346,9 +346,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         s_samples=args.s_samples, seed=args.seed, s_min=args.smin, s_max=args.smax,
         set_spec=args.set_spec, wide=args.wide, jobs=args.jobs,
         enumeration_cap=args.enum_cap, max_instances=args.max_instances)
-    cfg.validate()
-    # a spec some group cannot take is refused before the manifest; only a spec builds the groups
-    check_set_spec(cfg.set_spec, (build_group(spec, wide=cfg.wide) for spec in groups))
+    # a bad group or set spec is refused here, before the manifest
+    built = prepare_sweep(cfg)
     fmt = _resolve_format(args.format)
     # jobs is deliberately absent: the report is a function of what was
     # verified, and the worker count never changes that
@@ -360,10 +359,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     if fmt == "jsonl":
         _emit_jsonl(manifest)
-        result = run_sweep(cfg, sink=sys.stdout.write)
+        result = sweep_groups(cfg, built, sink=sys.stdout.write)
         _emit_jsonl({"kind": "summary", **result.summary})
     else:
-        result = run_sweep(cfg, sink=None)
+        result = sweep_groups(cfg, built, sink=None)
         if fmt == "csv":
             writer = csv.writer(sys.stdout)
             writer.writerow(["theorem", "group", "status", "count"])

@@ -32,8 +32,11 @@ FINDING among them, still goes to the scalar checker, the oracle, in its
 place in the stream. With a sink, Olson and the cell intersection send
 every instance to the checker (so Olson builds no pair_table), as the
 chain and the corollary, which have no vectorized path, always do.
-_run_task notes exploration mode and turns a refused task into its one
-error record.
+run_sweep is prepare_sweep, which builds every group once and checks the
+set spec against each before anything is written, then sweep_groups, the
+task loop on those groups. _run_task notes exploration mode and turns a
+refused task into its one error record, the width refusal that
+cells.mask_dtype raises (an EnumerationCapError) among them.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ import json
 import multiprocessing
 import queue
 import random
+import time
 import traceback
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -351,8 +355,6 @@ def check_dichotomy(s: ElementSet, h: ElementSet, t: ElementSet, *,
 
 # -- sweep orchestration --------------------------------------------------
 
-DRIVER_NAMES = ("kneser", "olson", "intersection", "chain", "corollary", "dichotomy")
-
 # a SweepResult keeps at most this many violation records, and as many findings
 RECORD_CAP = 200
 
@@ -492,9 +494,6 @@ class _SweepState:
         if self.sink is not None:
             self.sink(jsonl_line(record))
 
-    def note_exploration(self, theorem: Theorem, group: str) -> None:
-        self.exploration.add((theorem.value, group))
-
 
 def _derive_seed(*parts: object) -> int:
     text = "|".join(str(p) for p in parts)
@@ -505,25 +504,9 @@ class _Refused(Exception):
     """A task refused as a whole; _run_task records it as the task's one error."""
 
 
-def check_set_spec(spec: str | None, groups: Iterable[Group]) -> None:
-    """Refuse an explicit set spec that some group cannot take, before any task runs.
-
-    An index outside a group raises SubsetSpecError, a set without the
-    identity SweepConfigError. A family spec (all:, rand:) names only
-    identity-containing subsets of each group, so groups is iterated only
-    for an explicit spec.
-    """
-    if spec is None or spec.strip().startswith(("all:", "rand:")):
-        return
-    for g in groups:
-        s = parse_subset_spec(spec, g)
-        if not s.bits & 1:
-            raise SweepConfigError(f"--set produced {s.spec_string()}, which lacks the identity")
-
-
 def _s_space(g: Group, cfg: SweepConfig, seed: int) -> list[ElementSet]:
     if cfg.set_spec is not None:
-        return expand_subset_specs(cfg.set_spec, g)  # refused up front by check_set_spec
+        return expand_subset_specs(cfg.set_spec, g)  # checked against g by prepare_sweep
     hi = g.order if cfg.s_max is None else min(cfg.s_max, g.order)
     if cfg.mode == "sampled":
         rng = random.Random(f"{seed}|s-space")
@@ -630,6 +613,9 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
     table = functools.cache(functools.partial(pair_table, g))
     render = _kneser_lines(g)
 
+    def check(x: int, y: int) -> TheoremVerdict:
+        return check_kneser(ElementSet(g, x), ElementSet(g, y), explore=explore)
+
     def settle(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, ...]:
         return _kneser_batch(g, table(), x, y, xy)
 
@@ -642,24 +628,14 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
             # x and y draws alternate
             k = min(_CHUNK, cfg.samples - start)
             draws = np.array([random_nonempty_bits(n, rng) for _ in range(2 * k)], dtype=dtype)
-            _check_batch(state, g.label, Theorem.KNESER, draws.reshape(k, 2).T,
-                         lambda x, y: check_kneser(ElementSet(g, x), ElementSet(g, y), explore=explore),
+            _check_batch(state, g.label, Theorem.KNESER, draws.reshape(k, 2).T, check,
                          None if dtype is object
                          else lambda x, y: settle(x, y, pair_products(table(), x, y)), render=render)
         return
     total = ((1 << n) - 1) ** 2
     if total > cfg.max_instances:
         raise _Refused(f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
-    try:
-        dtype = mask_dtype(n)
-    except ValueError as exc:
-        raise _Refused(str(exc)) from None
-    # Y stays fixed along a row of pairs, so its set is built once per row
-    y_set = functools.lru_cache(maxsize=1)(functools.partial(ElementSet, g))
-
-    def check(x_bits: int, y_bits: int) -> TheoremVerdict:
-        return check_kneser(ElementSet(g, x_bits), y_set(y_bits), explore=explore)
-
+    dtype = mask_dtype(n)
     # blocks of whole Y rows, Y outer and X inner as the records run
     xs = np.arange(1, 1 << n, dtype=dtype)
     step = max(1, _CHUNK // len(xs))
@@ -760,10 +736,7 @@ def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
 
 
 def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    try:
-        dtype = mask_dtype(g.order)
-    except ValueError as exc:
-        raise _Refused(str(exc)) from None
+    dtype = mask_dtype(g.order)
     subs = {h.bits: h for h in all_subgroups(g)}
     bits = list(subs)
     # H has order/|H| right cosets, hence 2^that - 1 nonempty unions of them
@@ -928,6 +901,7 @@ _DRIVERS = {
     "corollary": _sweep_corollary,
     "dichotomy": _sweep_dichotomy,
 }
+DRIVER_NAMES = tuple(_DRIVERS)
 
 
 # the statements each task checks; a refused task's error record names the first
@@ -950,7 +924,7 @@ def _run_task(g: Group, theorem: str, cfg: SweepConfig,
     seed = _derive_seed(cfg.seed if cfg.seed is not None else 0, g.label, theorem)
     if theorem in _ABELIAN_ONLY and not g.is_abelian:
         for tag in _TAGS[theorem]:
-            state.note_exploration(tag, g.label)
+            state.exploration.add((tag.value, g.label))
     try:
         _DRIVERS[theorem](g, cfg, state, seed)
     except (_Refused, EnumerationCapError) as exc:
@@ -960,31 +934,34 @@ def _run_task(g: Group, theorem: str, cfg: SweepConfig,
 
 # a pool worker sends a task's lines in chunks of this many, through its
 # own queue of at most this many messages; a waiting parent polls for dead
-# workers this often
+# workers this often, and for the claim of its next task this often
 _LINE_CHUNK = 1 << 12
 _QUEUE_DEPTH = 2
 _POLL_S = 0.1
+_CLAIM_POLL_S = 0.001
 
 
-def _worker(w: int, tasks: list[tuple[str, str]], cfg: SweepConfig, collect: bool,
-            next_task, claims, out) -> None:
+def _worker(w: int, tasks: list[tuple[str, str]], groups: dict[str, Group], cfg: SweepConfig,
+            collect: bool, next_task, owners, out) -> None:
     """Pool worker w: claim tasks from the shared counter next_task until none is left.
 
-    Each claim is announced on claims as (task, w). Then the task's lines go
+    A claim of task i sets owners[i] = w under next_task's lock, so once
+    the counter has passed i the parent knows who holds i. Then its lines go
     on out, w's own bounded queue, as (lines, None) messages of _LINE_CHUNK
     lines, and one (lines, state) message ends the task with the rest of
     its lines and its _SweepState. A task that raises ends in (None,
     (exception, traceback)) instead, and the worker stops. While out is
     full the worker waits, so it never runs further ahead of the parent.
+    groups are the parent's, built once by prepare_sweep: inherited under
+    fork, pickled under spawn and forkserver.
     """
-    groups: dict[str, Group] = {}
     while True:
         with next_task.get_lock():
             i = next_task.value
+            if i == len(tasks):
+                return
+            owners[i] = w
             next_task.value = i + 1
-        if i >= len(tasks):
-            return
-        claims.put((i, w))
         spec, theorem = tasks[i]
         lines: list[str] = []
 
@@ -996,8 +973,6 @@ def _worker(w: int, tasks: list[tuple[str, str]], cfg: SweepConfig, collect: boo
                 lines = []
 
         try:
-            if spec not in groups:
-                groups[spec] = build_group(spec, wide=cfg.wide)
             state = _run_task(groups[spec], theorem, cfg, sink if collect else None)
         except Exception as exc:
             out.put((None, (exc, traceback.format_exc())))
@@ -1017,19 +992,20 @@ def _receive(q, running: Callable[[], bool]):
                 return None
 
 
-def _pool_sweep(tasks: list[tuple[str, str]], config: SweepConfig,
+def _pool_sweep(tasks: list[tuple[str, str]], groups: dict[str, Group], config: SweepConfig,
                 sink: Callable[[str], None] | None, state: _SweepState) -> None:
     """Run tasks on config.jobs worker processes and merge them into state in task order.
 
-    The parent walks the tasks in order: it reads claims until it knows
-    which worker holds the task, passes that worker's lines to sink as
-    they arrive and merges the task's state. A worker that raises makes
-    this raise its exception, and a worker that ends without finishing its
-    task raises RuntimeError; either names the task. No worker outlives
-    the call.
+    The parent walks the tasks in order: it waits until the task is
+    claimed, passes the claiming worker's lines to sink as they arrive and
+    merges the task's state. A worker that raises makes this raise its
+    exception, naming the task. A worker that ends without finishing its
+    task raises RuntimeError, naming the last task that worker claimed: it
+    ended in that one, and the messages of an earlier task it had not yet
+    flushed ended with it. No worker outlives the call.
     """
     ctx = multiprocessing.get_context()
-    next_task, claims = ctx.Value("q", 0), ctx.Queue()
+    next_task, owners = ctx.Value("q", 0), ctx.Array("i", len(tasks), lock=False)
     outs = [ctx.Queue(_QUEUE_DEPTH) for _ in range(min(config.jobs, len(tasks)))]
     procs: list = []
 
@@ -1037,30 +1013,33 @@ def _pool_sweep(tasks: list[tuple[str, str]], config: SweepConfig,
         codes = [p.exitcode for p in procs]
         return None in codes and not any(codes)
 
+    def named(i: int) -> str:
+        spec, theorem = tasks[i]
+        return f"task {i} ({theorem} on {spec})"
+
     try:
         for w, out in enumerate(outs):
             procs.append(ctx.Process(target=_worker, name=f"cellkit-sweep-{w}",
-                                     args=(w, tasks, config, sink is not None, next_task, claims, out)))
+                                     args=(w, tasks, groups, config, sink is not None, next_task,
+                                           owners, out)))
             procs[-1].start()
-        owner: dict[int, int] = {}
-        for i, (spec, theorem) in enumerate(tasks):
-            label = f"task {i} ({theorem} on {spec})"
-            while i not in owner:
-                claim = _receive(claims, claiming)
-                if claim is None:
+        for i in range(len(tasks)):
+            while next_task.value <= i:
+                if not claiming() and next_task.value <= i:
                     code = next((p.exitcode for p in procs if p.exitcode), 0)
-                    raise RuntimeError(f"{label} did not finish: a sweep worker exited with code {code}")
-                owner[claim[0]] = claim[1]
-            w = owner.pop(i)
+                    raise RuntimeError(f"{named(i)} did not finish: a sweep worker exited with code {code}")
+                time.sleep(_CLAIM_POLL_S)
+            w = owners[i]
             while True:
                 message = _receive(outs[w], procs[w].is_alive)
                 if message is None:
-                    raise RuntimeError(f"{label} did not finish: a sweep worker exited with code "
+                    last = max(j for j in range(i, next_task.value) if owners[j] == w)
+                    raise RuntimeError(f"{named(last)} did not finish: a sweep worker exited with code "
                                        f"{procs[w].exitcode}")
                 lines, part = message
                 if lines is None:
                     exc, trace = part
-                    raise exc from RuntimeError(f"{label} failed in a sweep worker:\n{trace}")
+                    raise exc from RuntimeError(f"{named(i)} failed in a sweep worker:\n{trace}")
                 for line in lines:
                     sink(line)
                 if part is not None:
@@ -1072,30 +1051,40 @@ def _pool_sweep(tasks: list[tuple[str, str]], config: SweepConfig,
             p.join()
 
 
-def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) -> SweepResult:
-    """Run the configured checks, streaming records to sink when given.
+def prepare_sweep(config: SweepConfig) -> dict[str, Group]:
+    """The pre-flight of a sweep: validate config and build each group once, by spec.
 
-    sink is called with one str per record: the exact JSON line the command
-    line writes for it, keys sorted, compact, "\n" included, so
-    sys.stdout.write is a sink. The stream and the summary are
-    deterministic functions of the configuration: tasks run in (group,
-    theorem) listing order and sampled draws are seeded per task, so the
-    jobs count never changes the output. Each task fills its own state,
-    merged in task order. Serially a task streams straight to sink; with
-    more than one job, worker processes claim tasks in order and stream
-    their lines back in chunks through bounded queues (_pool_sweep), so
-    memory stays bounded per worker however long the stream.
+    An explicit set spec is parsed against every group, so an index outside
+    one raises SubsetSpecError, a set without the identity SweepConfigError,
+    before any task runs. A family spec (all:, rand:) names only
+    identity-containing subsets.
     """
     config.validate()
-    tasks = [(spec, theorem) for spec in config.groups for theorem in config.theorems]
     groups = {spec: build_group(spec, wide=config.wide) for spec in config.groups}
-    check_set_spec(config.set_spec, groups.values())
+    if config.set_spec is not None and not config.set_spec.strip().startswith(("all:", "rand:")):
+        for g in groups.values():
+            s = parse_subset_spec(config.set_spec, g)
+            if not s.bits & 1:
+                raise SweepConfigError(f"--set produced {s.spec_string()}, which lacks the identity")
+    return groups
+
+
+def sweep_groups(config: SweepConfig, groups: dict[str, Group],
+                 sink: Callable[[str], None] | None = None) -> SweepResult:
+    """The task loop of a sweep, over the groups that prepare_sweep(config) returned.
+
+    Serially a task streams straight to sink; with more than one job,
+    worker processes claim tasks in order and stream their lines back in
+    chunks through bounded queues (_pool_sweep), so memory stays bounded
+    per worker however long the stream.
+    """
+    tasks = [(spec, theorem) for spec in config.groups for theorem in config.theorems]
     state = _SweepState(None)
     if config.jobs <= 1 or len(tasks) <= 1:
         for spec, theorem in tasks:
             state.merge(_run_task(groups[spec], theorem, config, sink))
     else:
-        _pool_sweep(tasks, config, sink, state)
+        _pool_sweep(tasks, groups, config, sink, state)
     counts: dict[str, dict[str, dict[str, int]]] = {}
     totals: dict[str, int] = {}
     for (theorem, group, status), k in sorted(state.counts.items()):
@@ -1110,3 +1099,18 @@ def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) ->
     }
     return SweepResult(summary=summary, violations=state.violations,
                        findings=state.findings, errors=state.errors)
+
+
+def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) -> SweepResult:
+    """Run the configured checks, streaming records to sink when given.
+
+    sink is called with one str per record: the exact JSON line the command
+    line writes for it, keys sorted, compact, "\n" included, so
+    sys.stdout.write is a sink. The stream and the summary are
+    deterministic functions of the configuration: tasks run in (group,
+    theorem) listing order and sampled draws are seeded per task, so the
+    jobs count never changes the output. Each task fills its own state,
+    merged in task order. A bad input raises (prepare_sweep) before sink
+    sees a line.
+    """
+    return sweep_groups(config, prepare_sweep(config), sink)

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, caching, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cellkit
 import cellkit.cells as cells_module
@@ -392,6 +395,43 @@ def test_verify_refuses_a_malformed_set_before_any_task(capsys, theorem):
         assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
+MISSING_TABLE = str(ROOT / "tests" / "no-such-cayley-table.txt")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("groups", ["Z6,K9", "Z6,Z100", f"Z6,cayley:{MISSING_TABLE}"])
+def test_verify_refuses_a_bad_group_before_the_manifest(capsys, groups, jobs):
+    # the second group fails to build: one line, exit 2, not even a manifest
+    rc, out, err = run_cli(capsys, "verify", "--groups", groups, "--theorem", "kneser",
+                           "--jobs", jobs, "--format", "jsonl")
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_verify_builds_each_group_once(capsys, monkeypatch):
+    built = []
+    real = theorems.build_group
+    parent = os.getpid()
+
+    def counted(spec, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError(f"a pool worker built {spec}")
+        built.append(spec)
+        return real(spec, **kwargs)
+
+    # every name the command line could build a group through
+    for module in (theorems, cellkit.cli):
+        monkeypatch.setattr(module, "build_group", counted)
+    for jobs in ("1", "2"):
+        built.clear()
+        rc, out, _ = run_cli(capsys, "verify", "--groups", "Z6,Z8", "--theorem", "chain",
+                             "--set", "{0,1}", "--jobs", jobs, "--format", "jsonl")
+        assert rc == 0
+        assert jsonl_records(out)[-1]["instances"] == 2
+        assert built == ["Z6", "Z8"], jobs
+
+
 def test_verify_runs_a_repeated_group_once(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--groups", "Z6,Z6", "--theorem", "chain",
                          "--format", "jsonl")
@@ -497,6 +537,78 @@ def test_verify_jobs_peak_memory_does_not_grow_with_the_stream(groups):
     serial = peak_rss_mb(*argv, "--jobs", "1")
     pooled = peak_rss_mb(*argv, "--jobs", "2")
     assert pooled <= serial + PEAK_RSS_MARGIN_MB, (serial, pooled)
+
+
+# -- the exit-code contract, fuzzed ---------------------------------------
+
+GOOD_GROUPS = ["Z1", "Z2", "Z6", "Z2xZ3", "D3", "S3", "Z4..Z6"]
+BAD_GROUPS = ["K9", "Z0", "Z100", "D0", "S6", f"cayley:{MISSING_TABLE}", "Z5..Z2"]
+GOOD_SETS = ["{0,1}", "{0,2,3}", "{0}", "{1,3}", "all:2", "rand:2:3:1"]
+BAD_SETS = ["{}", "{0,99}", "{-1,0}", "{0,1", "garbage", "all:0", "rand:0:3:1"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for verify, cells, subgroup or info, valid or not, that runs in well under a second."""
+    def option(flag, values):
+        return [flag, str(draw(values))] if draw(st.booleans()) else []
+
+    # about half the command lines draw only good tokens, so that most of those run to the end
+    valid = draw(st.booleans())
+
+    def good_or_bad(good, bad):
+        return st.sampled_from(good if valid else good + bad)
+
+    small = good_or_bad([1, 2, 3, 4], [-1, 0])
+    samples = good_or_bad([1, 7, 50], [-1, 0])
+    enum_cap = good_or_bad([4, 20], [-1, 80])
+    group = good_or_bad(GOOD_GROUPS, BAD_GROUPS)
+    subset = good_or_bad(GOOD_SETS, BAD_SETS)
+    command = draw(st.sampled_from(["verify", "cells", "subgroup", "info"]))
+    if command == "verify":
+        theorem_names = good_or_bad([*theorems.DRIVER_NAMES, "all"], ["fermat", ""])
+        argv = ["verify", "--groups", ",".join(draw(st.lists(group, min_size=1, max_size=3))),
+                "--theorem", ",".join(draw(st.lists(theorem_names, min_size=1, max_size=2))),
+                "--max-instances", str(draw(good_or_bad([1, 40, 400], [-1, 0])))]
+        argv += option("--set", subset) + option("--smin", small) + option("--smax", small)
+        argv += option("--jobs", st.sampled_from([1, 2])) + option("--enum-cap", enum_cap)
+        if draw(st.booleans()):
+            argv += ["--mode", "sampled", "--seed", str(draw(small)), "--samples", str(draw(samples)),
+                     *option("--s-samples", small)]
+    elif command == "info":
+        argv = ["info", draw(group)]
+    else:
+        argv = [command, draw(group), draw(subset), *option("--enum-cap", enum_cap)]
+        if command == "cells":
+            argv += option("--umax", good_or_bad([0, 1, 2, 5], [-1, 6]))
+            if draw(st.booleans()):
+                argv += ["--mode", "sampled", "--seed", str(draw(small)), "--samples", str(draw(samples))]
+    # not for verify: a chain or corollary task on a wide group lists every
+    # identity-containing subset before its first refusal
+    if command != "verify" and draw(st.booleans()):
+        argv.append("--wide")
+    return argv + option("--format", st.sampled_from(["jsonl", "csv", "table"]))
+
+
+@settings(max_examples=100, derandomize=True)
+@example(argv=["verify", "--groups", "Z6,K9", "--theorem", "kneser", "--format", "jsonl"])
+@given(argv=cli_argvs())
+def test_the_exit_code_contract_holds_on_fuzzed_command_lines(argv):
+    # 0 or 2, or 1 with a VIOLATED line on stdout; 2 leaves stdout empty;
+    # an exception escaping main would be a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            rc = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2), (rc, err)
+    assert "Traceback" not in err
+    if rc == 1:
+        assert "VIOLATED" in out
+    if rc == 2:
+        assert out == "", err
 
 
 # -- entry points ---------------------------------------------------------

@@ -752,6 +752,21 @@ def test_a_failed_pool_worker_makes_the_sweep_raise(failure, monkeypatch):
         assert multiprocessing.active_children() == []
 
 
+def test_pool_under_spawn_streams_the_serial_records(monkeypatch):
+    # spawned workers share no memory with the parent: the groups built by
+    # the pre-flight reach them pickled, as under forkserver
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+    cfg = dict(groups=("Z6", "D3"), theorems=("kneser", "chain"), s_max=2)
+    serial_lines, pooled_lines = [], []
+    serial = run_sweep(SweepConfig(**cfg), sink=serial_lines.append)
+    with deadline(120):
+        pooled = run_sweep(SweepConfig(**cfg, jobs=2), sink=pooled_lines.append)
+    assert pooled_lines == serial_lines
+    assert pooled.summary == serial.summary
+    assert multiprocessing.active_children() == []
+
+
 def test_sampled_sweeps_cover_remaining_drivers_deterministically():
     cfg = dict(groups=("Z6", "D3"), theorems=("olson", "intersection", "chain", "corollary"),
                mode="sampled", samples=50, s_samples=2, seed=5, s_max=4)
