@@ -21,10 +21,15 @@ _full_cell_enumeration lists every cell sorted by (deficiency, size, bits),
 as read-only numpy columns of cells, products and deficiencies, memoized
 per S on the group. A rooted sweep over the 2^(order-|S|) masks of G \\ S
 gives the cells that contain the identity, and one gather from the group's
-left-translate table expands them to all cells. Its readers slice the
-deficiency prefix they need: enumerate_cells turns that prefix into
-CellRecords, from which kernels and the chain are answered, and
-balandraud_details reads u* and the identity kernel from the columns.
+left-translate table expands them to all cells. cell_columns slices the
+deficiency prefix a reader needs; in sampled mode it builds the same three
+columns from seeded closures, sorted by the same key. Its readers:
+`cellkit cells` renders its rows from the columns, with subgroup_flags (one
+gather from the left table) and kernel_cells, the one reading of the
+smallest cells at a deficiency, which balandraud_details shares to read the
+identity u*-kernel; enumerate_cells turns the prefix into CellRecords, from
+which the kernel chain and the corollary are answered, and which tests
+hold the columns to.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .specs import random_nonempty_bits
 ENUMERATION_CAP = 20
 MAX_MASK_ORDER = 64
 _MEMO_LIMIT = 512
+_SUBGROUP_CHUNK = 1 << 14
 
 
 class EnumerationCapError(ValueError):
@@ -107,6 +113,18 @@ def mask_dtype(order: int) -> type:
     if order > MAX_MASK_ORDER:
         raise EnumerationCapError(f"subset masks of order {order} do not fit a {MAX_MASK_ORDER}-bit integer")
     return np.uint32 if order <= 31 else np.uint64
+
+
+def column_dtype(order: int) -> type:
+    """The dtype of a column of masks: mask_dtype to order 64, object (Python ints) above, where only sampled mode runs."""
+    return mask_dtype(order) if order <= MAX_MASK_ORDER else object
+
+
+def bit_counts(masks: np.ndarray) -> np.ndarray:
+    """|X| for each mask X of a column; an object column is counted one Python int at a time."""
+    if masks.dtype == object:
+        return np.array([x.bit_count() for x in masks.tolist()], dtype=np.int64)
+    return np.bitwise_count(masks)
 
 
 def _byte_unions(rows: np.ndarray) -> np.ndarray:
@@ -371,43 +389,95 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray,
 
 
 def _prefix_end(deficiency: np.ndarray, u_max: int) -> int:
-    """The number of cells with deficiency at most u_max, from the sorted uint8 column."""
-    return int(np.searchsorted(deficiency, min(u_max, 255), side="right"))
+    """The number of cells with deficiency at most u_max, from the sorted deficiency column."""
+    return int(np.searchsorted(deficiency, min(u_max, np.iinfo(deficiency.dtype).max), side="right"))
 
 
-def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
-                    count: int | None = None, seed: int | None = None,
-                    cap: int = ENUMERATION_CAP) -> list[CellRecord]:
-    """Cells of s with deficiency at most u_max, sorted by (deficiency, size, bits).
+def _sampled_cells(g: Group, s_bits: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct cells that count seeded closures reach, as columns sorted like _full_cell_enumeration's.
 
-    Exhaustive mode is complete but refuses groups of order above cap; it
-    builds records only for the prefix of the sorted enumeration up to
-    u_max. Sampled mode closes count random seeds drawn with the given seed
-    and returns the distinct cells found, a reproducible subset of the truth.
+    The masks are in column_dtype, the deficiency in the smallest unsigned
+    dtype that holds order - 1.
+    """
+    rng = random.Random(seed)
+    n = g.order
+    seen: dict[int, int] = {}
+    lt = left_translate_masks(g, s_bits)
+    for _ in range(count):
+        p = product_bits(g, random_nonempty_bits(n, rng), s_bits)
+        seen[closure_bits(lt, p)] = p
+    rows = sorted((p.bit_count() - x.bit_count(), x.bit_count(), x, p) for x, p in seen.items())
+    dtype = column_dtype(n)
+    return (np.array([r[2] for r in rows], dtype=dtype), np.array([r[3] for r in rows], dtype=dtype),
+            np.array([r[0] for r in rows], dtype=np.min_scalar_type(n - 1)))
+
+
+def cell_columns(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
+                 count: int | None = None, seed: int | None = None,
+                 cap: int = ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of s with deficiency at most u_max, as columns (cells, products, deficiency).
+
+    Sorted by (deficiency, size, bits). Exhaustive mode is complete but
+    refuses groups of order above cap; it slices the prefix of the memoized
+    enumeration up to u_max. Sampled mode closes count random seeds drawn
+    with the given seed and keeps the distinct cells found, a reproducible
+    subset of the truth.
     """
     _require_identity(s)
     if u_max < 0:
         raise ValueError(f"u_max must be nonnegative, got {u_max}")
     g = s.group
     if mode == "exhaustive":
-        cells, products, deficiency = _full_cell_enumeration(g, s.bits, cap)
-        end = _prefix_end(deficiency, u_max)
-        pairs = zip(cells[:end].tolist(), products[:end].tolist())
+        columns = _full_cell_enumeration(g, s.bits, cap)
     elif mode == "sampled":
         if count is None or seed is None:
             raise ValueError("sampled mode requires both count and seed")
-        rng = random.Random(seed)
-        n = g.order
-        seen: dict[int, int] = {}
-        lt = left_translate_masks(g, s.bits)
-        for _ in range(count):
-            p = product_bits(g, random_nonempty_bits(n, rng), s.bits)
-            seen[closure_bits(lt, p)] = p
-        pairs = sorted(((x, p) for x, p in seen.items() if p.bit_count() - x.bit_count() <= u_max),
-                       key=lambda xp: (xp[1].bit_count() - xp[0].bit_count(), xp[0].bit_count(), xp[0]))
+        columns = _sampled_cells(g, s.bits, count, seed)
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}; expected 'exhaustive' or 'sampled'")
-    return [make_record(g, xb, pb) for xb, pb in pairs]
+    end = _prefix_end(columns[2], u_max)
+    return tuple(column[:end] for column in columns)
+
+
+def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
+                    count: int | None = None, seed: int | None = None,
+                    cap: int = ENUMERATION_CAP) -> list[CellRecord]:
+    """The CellRecords of cell_columns: cells of s with deficiency at most u_max, sorted by (deficiency, size, bits)."""
+    cells, products, _ = cell_columns(s, u_max, mode, count=count, seed=seed, cap=cap)
+    g = s.group
+    return [make_record(g, xb, pb) for xb, pb in zip(cells.tolist(), products.tolist())]
+
+
+def kernel_cells(cells: np.ndarray, deficiency: np.ndarray, u: int) -> np.ndarray:
+    """The u-kernels among sorted columns: the smallest cells of deficiency u, ascending by bits.
+
+    The columns are sorted by (deficiency, size, bits), so they lead the block of deficiency u.
+    """
+    block = cells[_prefix_end(deficiency, u - 1) if u else 0:_prefix_end(deficiency, u)]
+    size = bit_counts(block)
+    return block[size == size[:1]]
+
+
+def subgroup_flags(g: Group, cells: np.ndarray) -> np.ndarray:
+    """Which masks X of a column name subgroups: 1 in X, and z*X inside X for every z in X.
+
+    Only the X that hold 1 and whose size divides the order are tested, by a
+    gather from the group's left translate table, _SUBGROUP_CHUNK of them at
+    a time so memory stays bounded. An object column goes to is_subgroup one
+    mask at a time.
+    """
+    if cells.dtype == object:
+        return np.array([is_subgroup(ElementSet(g, x)) for x in cells.tolist()], dtype=bool)
+    out = ((cells & 1) == 1) & (g.order % bit_counts(cells) == 0)
+    left = translate_tables(g)[1]
+    singles = left[1]  # left[1, z] = z * {1} = {z}
+    rows = np.flatnonzero(out)
+    for start in range(0, len(rows), _SUBGROUP_CHUNK):
+        i = rows[start:start + _SUBGROUP_CHUNK]
+        x = cells[i][:, None]
+        leaves = (_gather(left, x[:, 0]) & ~x) != 0  # [k, z]: z * X_k is not inside X_k
+        out[i] = ~(leaves & ((x & singles) != 0)).any(axis=1)
+    return out
 
 
 def kernels_at(s: ElementSet, u: int, cells: list[CellRecord]) -> KernelRecord:
@@ -437,9 +507,8 @@ def balandraud_details(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> Balandra
     For |s| >= 2 the subgroup is the smallest identity-containing u*-kernel,
     where u* is the largest deficiency in 1..|s|-2 attained by a cell; if no
     such cell exists it is the subgroup generated by s. For |s| <= 1 it is
-    the trivial subgroup. Read from the enumeration's columns: the u*-cells
-    are sorted by (size, bits), so the kernel is the first identity-containing
-    cell of the smallest size among them.
+    the trivial subgroup. Read from the enumeration's columns: the kernel is
+    the first identity-containing u*-kernel of kernel_cells.
     """
     _require_identity(s)
     g = s.group
@@ -451,8 +520,7 @@ def balandraud_details(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> Balandra
     u_star = int(deficiency[end - 1])  # G itself is a 0-cell, so the prefix is never empty
     if u_star < 1:
         return BalandraudResult(subgroup=generated_subgroup(g, s), u_star=None, case="generated")
-    block = cells[_prefix_end(deficiency, u_star - 1):end]
-    kernels = block[np.bitwise_count(block) == np.bitwise_count(block[0])]
+    kernels = kernel_cells(cells, deficiency, u_star)
     kernel = int(kernels[(kernels & 1) == 1][0])
     return BalandraudResult(subgroup=ElementSet(g, kernel), u_star=u_star, case="kernel")
 

@@ -16,31 +16,43 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .cache import DiskCache, resolve_cache_dir
 from .cells import (
     ENUMERATION_CAP,
     MAX_MASK_ORDER,
-    CellRecord,
     EnumerationCapError,
     balandraud_details,
-    enumerate_cells,
-    kernels_at,
+    bit_counts,
+    cell_columns,
+    column_dtype,
+    kernel_cells,
     normalize_s,
     require_enumerable,
+    subgroup_flags,
 )
-from .groups import GroupAxiomError, GroupSpecError, all_subgroups, build_group
+from .groups import GroupAxiomError, GroupSpecError, all_subgroups, build_group, mask_spec
 from .specs import SubsetSpecError, parse_group_tokens, parse_subset_spec
 from .theorems import (
     DRIVER_NAMES,
     SweepConfig,
     SweepConfigError,
     jsonl_line,
+    line_template,
     prepare_sweep,
     sweep_groups,
 )
 
 _FORMATS = ("jsonl", "csv", "table")
+
+# the jsonl line of a cell row, one per flags value 4*contains_identity + 2*is_kernel + is_subgroup
+_CELL_LINES = tuple(
+    line_template({"kind": "cell", "cell": str, "bits": hex, "size": int, "product": str,
+                   "product_size": int, "deficiency": int, "is_kernel": bool(flags & 2),
+                   "is_subgroup": bool(flags & 1), "contains_identity": bool(flags & 4)})
+    for flags in range(8))
 
 
 def _resolve_format(value: str | None) -> str:
@@ -154,19 +166,31 @@ def _check_enum_cap(cap: int) -> None:
             f"--enum-cap {cap} is above {MAX_MASK_ORDER}, the widest cell mask the enumeration holds")
 
 
-def _cell_row(rec: CellRecord, kernel_sizes: dict[int, int]) -> dict:
-    return {
-        "kind": "cell",
-        "cell": rec.cell.spec_string(),
-        "bits": f"0x{rec.cell.bits:x}",
-        "size": len(rec.cell),
-        "product": rec.product.spec_string(),
-        "product_size": len(rec.product),
-        "deficiency": rec.deficiency,
-        "is_kernel": len(rec.cell) == kernel_sizes.get(rec.deficiency),
-        "is_subgroup": rec.is_subgroup,
-        "contains_identity": rec.contains_identity,
-    }
+def _kernel_row(u: int, kernels: np.ndarray) -> dict:
+    masks = kernels.tolist()
+    with_identity = [x for x in masks if x & 1]
+    return {"kind": "kernel_summary", "u": u, "kernel_count": len(masks),
+            "kernel_size": masks[0].bit_count() if masks else None,
+            "kernels": [mask_spec(x) for x in masks],
+            "unique_identity_kernel": mask_spec(with_identity[0]) if len(with_identity) == 1 else None}
+
+
+def _cell_values(order: int, answer: dict) -> zip:
+    """Per listed cell: bits, product bits, size, product size, deficiency and flags.
+
+    flags is 4*contains_identity + 2*is_kernel + is_subgroup. The cells come
+    sorted by (deficiency, size, bits), so a cell is a kernel when its size is
+    that of the first cell of its deficiency.
+    """
+    dtype = column_dtype(order)
+    cells = np.array(answer["cells"], dtype=dtype)
+    size = bit_counts(cells)
+    product_size = bit_counts(np.array(answer["products"], dtype=dtype))
+    deficiency = product_size - size
+    flags = ((cells & 1) == 1) * 4 + (size == size[np.searchsorted(deficiency, deficiency)]) * 2
+    flags[answer["subgroups"]] += 1
+    return zip(answer["cells"], answer["products"], size.tolist(), product_size.tolist(),
+               deficiency.tolist(), flags.tolist())
 
 
 def cmd_cells(args: argparse.Namespace) -> int:
@@ -199,29 +223,25 @@ def cmd_cells(args: argparse.Namespace) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
     cache = DiskCache(cache_dir) if cache_dir is not None else None
 
-    def answer() -> tuple[list[dict], list[dict], list[dict]]:
-        records = enumerate_cells(s, umax, args.mode, count=args.samples, seed=args.seed,
-                                  cap=args.enum_cap)
-        kernel_records = [kernels_at(s, u, records) for u in range(umax + 1)]
-        kernel_sizes = {kr.u: len(kr.kernels[0].cell) for kr in kernel_records if kr.kernels}
+    def answer() -> dict:
+        cells, products, deficiency = cell_columns(s, umax, args.mode, count=args.samples,
+                                                   seed=args.seed, cap=args.enum_cap)
         details = balandraud_details(s, cap=args.enum_cap) if with_balandraud else None
-        return ([_cell_row(r, kernel_sizes) for r in records],
-                [{"kind": "kernel_summary", "u": kr.u, "kernel_count": len(kr.kernels),
-                  "kernel_size": len(kr.kernels[0].cell) if kr.kernels else None,
-                  "kernels": [k.cell.spec_string() for k in kr.kernels],
-                  "unique_identity_kernel": kr.unique_identity_kernel.cell.spec_string()
-                  if kr.unique_identity_kernel else None} for kr in kernel_records],
-                [{"kind": "balandraud", "subgroup": details.subgroup.spec_string(),
-                  "subgroup_size": len(details.subgroup), "u_star": details.u_star,
-                  "case": details.case}] if details else [])
+        return {"cells": cells.tolist(), "products": products.tolist(),
+                "subgroups": np.flatnonzero(subgroup_flags(g, cells)).tolist(),
+                "kernels": [_kernel_row(u, kernel_cells(cells, deficiency, u)) for u in range(umax + 1)],
+                "balandraud": [{"kind": "balandraud", "subgroup": details.subgroup.spec_string(),
+                                "subgroup_size": len(details.subgroup), "u_star": details.u_star,
+                                "case": details.case}] if details else []}
 
-    # the key covers every row, and names the table, not a cayley: path whose file can change
+    # the key covers the whole answer, and names the table, not a cayley: path whose file can change
     table = hashlib.sha256(g.mul_array().tobytes()).hexdigest()
-    key = {"command": "cells-answer", "version": __version__, "table": table, "s_bits": s.bits,
+    key = {"command": "cells-columns", "version": __version__, "table": table, "s_bits": s.bits,
            "umax": umax, "mode": args.mode, "samples": args.samples, "seed": args.seed,
            "balandraud": with_balandraud}
     t0 = time.monotonic()
-    cell_rows, kernel_rows, balandraud_rows = cache.get_or_compute(key, answer) if cache else answer()
+    found = cache.get_or_compute(key, answer) if cache else answer()
+    kernel_rows, balandraud_rows = found["kernels"], found["balandraud"]
     if not with_balandraud:
         print(f"cellkit: no balandraud row: the attached subgroup needs an exhaustive "
               f"enumeration, and order {g.order} is above --enum-cap {args.enum_cap}",
@@ -231,18 +251,21 @@ def cmd_cells(args: argparse.Namespace) -> int:
                 "version": __version__, "group": g.label, "set": s.spec_string(),
                 "normalized_from": raw.spec_string() if shifted else None,
                 "umax": umax, "mode": args.mode, "samples": args.samples, "seed": args.seed}
+    rows = _cell_values(g.order, found)
     fmt = _resolve_format(args.format)
     if fmt == "jsonl":
         _emit_jsonl(manifest)
-        for row in cell_rows + kernel_rows + balandraud_rows:
+        sys.stdout.writelines(_CELL_LINES[flags] % (x, mask_spec(x), d, mask_spec(p), ps, size)
+                              for x, p, size, ps, d, flags in rows)
+        for row in kernel_rows + balandraud_rows:
             _emit_jsonl(row)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
-        fields = ["cell", "bits", "size", "product_size", "deficiency",
-                  "is_kernel", "is_subgroup", "contains_identity"]
-        writer.writerow(fields)
-        for row in cell_rows:
-            writer.writerow([row[f] for f in fields])
+        writer.writerow(["cell", "bits", "size", "product_size", "deficiency",
+                         "is_kernel", "is_subgroup", "contains_identity"])
+        writer.writerows([mask_spec(x), f"0x{x:x}", size, ps, d,
+                          bool(flags & 2), bool(flags & 1), bool(flags & 4)]
+                         for x, p, size, ps, d, flags in rows)
         for row in kernel_rows + balandraud_rows:
             print(json.dumps(row, sort_keys=True), file=sys.stderr)
     else:
@@ -251,9 +274,9 @@ def cmd_cells(args: argparse.Namespace) -> int:
             print(f"  normalized from {raw.spec_string()} by dividing out element {shifted}")
         _print_table(
             ["cell", "size", "deficiency", "kernel", "subgroup", "has-identity"],
-            [[row["cell"], str(row["size"]), str(row["deficiency"]),
-              "yes" if row["is_kernel"] else "", "yes" if row["is_subgroup"] else "",
-              "yes" if row["contains_identity"] else ""] for row in cell_rows])
+            [[mask_spec(x), str(size), str(d), "yes" if flags & 2 else "",
+              "yes" if flags & 1 else "", "yes" if flags & 4 else ""]
+             for x, p, size, ps, d, flags in rows])
         for row in kernel_rows:
             if row["kernel_count"]:
                 unique = row["unique_identity_kernel"] or "none"
@@ -263,7 +286,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
             print(f"subgroup: {row['subgroup']} (u* = {row['u_star']}, case {row['case']})")
     if cache is not None:
         print(cache.stats(), file=sys.stderr)
-    print(f"cells: {len(cell_rows)} cell(s) in {time.monotonic() - t0:.3f}s", file=sys.stderr)
+    print(f"cells: {len(found['cells'])} cell(s) in {time.monotonic() - t0:.3f}s", file=sys.stderr)
     return 0
 
 

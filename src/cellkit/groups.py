@@ -18,6 +18,8 @@ WIDE_ORDER_CAP = 1024
 _PRODUCT_RE = re.compile(r"[Zz]\d+(?:[xX][Zz]\d+)*")
 _DIHEDRAL_RE = re.compile(r"[Dd](\d+)")
 _SYMMETRIC_RE = re.compile(r"[Ss](\d+)")
+# products compared per block of the associativity check (fastest near 2^17 from order 20 to 200)
+_ASSOCIATIVITY_BLOCK = 1 << 17
 
 
 class GroupSpecError(ValueError):
@@ -53,6 +55,19 @@ def _byte_specs(positions: int) -> None:
             _BYTE_SPECS.append(tuple(",".join(str(8 * b + i) for i in iter_bits(v)) for v in range(256)))
 
 
+def mask_spec(bits: int) -> str:
+    """The set that bits names as "{i,j,...}", ascending; parseable back.
+
+    Joins one cached string per nonzero byte of the mask (_byte_specs).
+    """
+    if bits < 256 and _BYTE_SPECS:  # one byte: one cached string
+        return f"{{{_BYTE_SPECS[0][bits]}}}"
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    if len(data) > len(_BYTE_SPECS):
+        _byte_specs(len(data))
+    return f"{{{','.join([table[v] for table, v in zip(_BYTE_SPECS, data) if v])}}}"
+
+
 def product_bits(g: Group, a_bits: int, b_bits: int) -> int:
     """Bits of the product set {a*b : a in A, b in B}; 0 if either is empty."""
     bs = tuple(iter_bits(b_bits))
@@ -85,7 +100,7 @@ class Group:
     def __init__(self, label: str, mul: Sequence[Sequence[int]], *,
                  validate: bool = True, abelian: bool | None = None) -> None:
         self.label = str(label)
-        self.mul = tuple(tuple(int(v) for v in row) for row in mul)
+        self.mul = tuple(tuple(map(int, row)) for row in mul)
         self.order = len(self.mul)
         self.identity = 0
         self._mul_np: np.ndarray | None = None
@@ -99,38 +114,46 @@ class Group:
         self._subgroup_bits: frozenset[int] | None = None
 
     def _validate(self) -> None:
+        """Check the group axioms, one numpy pass each; a failure names the first offending row or column."""
         n = self.order
         if n == 0:
             raise GroupAxiomError("order", "multiplication table is empty")
-        for i, row in enumerate(self.mul):
-            if len(row) != n:
-                raise GroupAxiomError("shape", f"row {i} has {len(row)} entries, expected {n}")
-            for v in row:
-                if not 0 <= v < n:
-                    raise GroupAxiomError("range", f"entry {v} in row {i} is outside 0..{n - 1}")
-        for x in range(n):
-            if self.mul[0][x] != x:
-                raise GroupAxiomError("identity", f"0*{x} = {self.mul[0][x]}, expected {x}")
-            if self.mul[x][0] != x:
-                raise GroupAxiomError("identity", f"{x}*0 = {self.mul[x][0]}, expected {x}")
-        for i, row in enumerate(self.mul):
-            if len(set(row)) != n:
-                dup = _first_duplicate(row)
-                raise GroupAxiomError("latin-square", f"row {i} repeats entry {dup}")
-        for j in range(n):
-            col = [self.mul[i][j] for i in range(n)]
-            if len(set(col)) != n:
-                dup = _first_duplicate(col)
-                raise GroupAxiomError("latin-square", f"column {j} repeats entry {dup}")
-        t = self.mul_array()
-        for a in range(n):
-            left = t[t[a]]
-            right = t[a][t]
-            if not np.array_equal(left, right):
-                b, c = (int(v) for v in np.argwhere(left != right)[0])
+        # a short or long row is reported after any range error in the rows above it
+        ragged = next((i for i, row in enumerate(self.mul) if len(row) != n), n)
+        rows = np.array(self.mul[:ragged]).reshape(ragged, n)  # object dtype if an entry passes int64
+        if ragged and (rows.min() < 0 or rows.max() >= n):
+            i, j = (int(v) for v in np.argwhere((rows < 0) | (rows >= n))[0])
+            raise GroupAxiomError("range", f"entry {self.mul[i][j]} in row {i} is outside 0..{n - 1}")
+        if ragged < n:
+            raise GroupAxiomError("shape", f"row {ragged} has {len(self.mul[ragged])} entries, expected {n}")
+        t = self._mul_np = rows.astype(np.int32)
+        idx = np.arange(n)
+        if (t[0] != idx).any() or (t[:, 0] != idx).any():
+            x = int(np.argmax((t[0] != idx) | (t[:, 0] != idx)))
+            if t[0, x] != x:
+                raise GroupAxiomError("identity", f"0*{x} = {t[0, x]}, expected {x}")
+            raise GroupAxiomError("identity", f"{x}*0 = {t[x, 0]}, expected {x}")
+        # with every entry in range, a row or column is a permutation iff it sorts to 0..n-1
+        bad = np.sort(t, axis=1) != idx
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=1)))
+            raise GroupAxiomError("latin-square", f"row {i} repeats entry {_first_duplicate(self.mul[i])}")
+        bad = np.sort(t, axis=0) != idx[:, None]
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=0)))
+            raise GroupAxiomError("latin-square", f"column {j} repeats entry {_first_duplicate(t[:, j].tolist())}")
+        # (a*b)*c against a*(b*c) for a block of a at a time: one n^3 compare was slower at order 64
+        step = max(1, _ASSOCIATIVITY_BLOCK // (n * n))
+        for a0 in range(0, n, step):
+            block = t[a0:a0 + step]  # [a, b] = a*b
+            left = np.take(t, block, axis=0)  # [a, b, c] = (a*b)*c
+            right = np.take(block, t, axis=1)  # [a, b, c] = a*(b*c)
+            bad = left != right
+            if bad.any():
+                a, b, c = (int(v) for v in np.argwhere(bad)[0])
                 raise GroupAxiomError(
                     "associativity",
-                    f"({a}*{b})*{c} = {int(left[b, c])} but {a}*({b}*{c}) = {int(right[b, c])}",
+                    f"({a0 + a}*{b})*{c} = {int(left[a, b, c])} but {a0 + a}*({b}*{c}) = {int(right[a, b, c])}",
                 )
 
     def _invert(self) -> tuple[int, ...]:
@@ -244,14 +267,8 @@ class ElementSet:
         return tuple(iter_bits(self.bits))
 
     def spec_string(self) -> str:
-        """Render as "{i,j,...}" with ascending indices; parseable back.
-
-        Joins one cached string per nonzero byte of the mask (_byte_specs).
-        """
-        data = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
-        if len(data) > len(_BYTE_SPECS):
-            _byte_specs(len(data))
-        return "{" + ",".join([table[v] for table, v in zip(_BYTE_SPECS, data) if v]) + "}"
+        """Render as "{i,j,...}" with ascending indices; parseable back (mask_spec)."""
+        return mask_spec(self.bits)
 
     @property
     def contains_identity(self) -> bool:

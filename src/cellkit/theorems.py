@@ -87,6 +87,7 @@ from .groups import (
     all_subgroups,
     build_group,
     is_subgroup,
+    mask_spec,
     product_bits,
     require_same_group,
 )
@@ -437,22 +438,40 @@ def _verdict_record(group: str, theorem: Theorem, status: Status, witness: dict 
             "witness": witness}
 
 
-def _template(group: str, theorem: Theorem, status: Status, witness: dict) -> str:
-    """The %-format string of a verdict record's jsonl_line.
+# the markers of line_template's fields and their formats: a spec string needs no escape
+_FIELDS = {int: "%d", str: '"%s"', hex: '"0x%x"'}
 
-    A witness value given as the type int or str is a field, %d or "%s" (a
-    spec string, which needs no escape), and the fields take their values
-    in the sorted order of their keys; every other value is fixed and
-    rendered by jsonl_line itself.
+
+def line_template(record: dict) -> str:
+    """The %-format string of record's jsonl_line.
+
+    A value given as int, str or hex (the type, or the builtin for a mask
+    rendered as "0x..."), in record or in a dict nested in it, is a field:
+    %d, "%s" or "0x%x". The fields take their values in the order they
+    appear in the line, their keys sorted within each dict; every other
+    value is fixed and rendered by jsonl_line itself.
     """
-    fields = {k: "\0d" if v is int else "\0s" if v is str else v for k, v in witness.items()}
-    line = jsonl_line(_verdict_record(group, theorem, status, fields))
-    return line.replace("%", "%%").replace('"\\u0000d"', "%d").replace('"\\u0000s"', '"%s"')
+    markers = {kind: f"\0{i}" for i, kind in enumerate(_FIELDS)}
+
+    def mark(value):
+        if isinstance(value, dict):
+            return {k: mark(v) for k, v in value.items()}
+        return next((m for kind, m in markers.items() if value is kind), value)
+
+    line = jsonl_line(mark(record)).replace("%", "%%")
+    for i, fmt in enumerate(_FIELDS.values()):
+        line = line.replace(f'"\\u0000{i}"', fmt)
+    return line
 
 
-def _spec_memo(g: Group) -> Callable[[int], str]:
-    """ElementSet.spec_string by mask, memoized for one task."""
-    return functools.lru_cache(maxsize=1 << 12)(lambda bits: ElementSet(g, bits).spec_string())
+def _template(group: str, theorem: Theorem, status: Status, witness: dict) -> str:
+    """The line_template of a verdict record, its fields in the witness."""
+    return line_template(_verdict_record(group, theorem, status, witness))
+
+
+def _spec_memo() -> Callable[[int], str]:
+    """mask_spec, memoized for one task."""
+    return functools.lru_cache(maxsize=1 << 12)(mask_spec)
 
 
 class _SweepState:
@@ -588,7 +607,7 @@ def _kneser_batch(g: Group, table: np.ndarray, x: np.ndarray, y: np.ndarray,
 def _kneser_lines(g: Group) -> Callable[..., Iterator[str | None]]:
     """The render of _check_batch for the Kneser sweep of g, from the columns of _kneser_batch."""
     label = g.label
-    spec = _spec_memo(g)
+    spec = _spec_memo()
     base = dict(group=label, x=str, y=str, xy_size=int, bound=int)
     na = _template(label, Theorem.KNESER, Status.NOT_APPLICABLE,
                    dict(base, failed_hypothesis=_KNESER_HYPOTHESIS))
@@ -869,7 +888,7 @@ def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarr
 def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     explore = not g.is_abelian
     n = g.order
-    spec = _spec_memo(g)
+    spec = _spec_memo()
     for s in _s_space(g, cfg, seed):
         h = balandraud_details(s, cap=cfg.enumeration_cap).subgroup
         # after the enumeration, which refuses a group too large for mask tables

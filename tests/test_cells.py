@@ -28,20 +28,24 @@ from cellkit import (
     normalize_s,
     product,
 )
+import cellkit.cells as cells_module
 from cellkit.cells import (
     _byte_unions,
     _full_cell_enumeration,
     _gather,
+    cell_columns,
     closure_bits,
     closure_masks,
     column_union,
     inverse_bits,
+    kernel_cells,
     left_translate_masks,
     mask_dtype,
     pair_products,
     pair_products_every_x,
     pair_table,
     stabilizer_masks,
+    subgroup_flags,
     translate_tables,
 )
 from cellkit.groups import product_bits
@@ -318,6 +322,29 @@ def test_enumerate_cells_reads_the_same_prefix_at_any_u_max():
                 got = [(r.cell.bits, r.product.bits) for r in enumerate_cells(s, u_max)]
                 assert got == [(x, p) for x, p in every
                                if p.bit_count() - x.bit_count() <= u_max], (s.spec_string(), u_max)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_subgroup_flags_and_kernel_cells_match_the_records(monkeypatch, chunk):
+    # the column readings against each record's is_subgroup and kernels_at,
+    # in chunks of the gather that split the identity-containing cells; Z40
+    # holds uint64 masks and sampled --wide Z70 an object column
+    if chunk is not None:
+        monkeypatch.setattr(cells_module, "_SUBGROUP_CHUNK", chunk)
+    cases = [(g, s_bits, "exhaustive") for g in (Z12, D6, build_group("Q8"))
+             for s_bits in identity_subsets(g, 3)]
+    cases += [(build_group("Z40"), 0b100011, "sampled"),
+              (build_group("Z70", wide=True), 0b1011, "sampled")]
+    for g, s_bits, mode in cases:
+        s = ElementSet(g, s_bits)
+        kw = {"count": 300, "seed": 2} if mode == "sampled" else {}
+        cells, _, deficiency = cell_columns(s, g.order - 1, mode, **kw)
+        records = enumerate_cells(s, g.order - 1, mode, **kw)
+        assert cells.tolist() == [r.cell.bits for r in records]
+        assert subgroup_flags(g, cells).tolist() == [r.is_subgroup for r in records], s.spec_string()
+        for u in range(g.order):
+            assert kernel_cells(cells, deficiency, u).tolist() == \
+                [k.cell.bits for k in kernels_at(s, u, records).kernels], (s.spec_string(), u)
 
 
 def test_memo_columns_are_read_only():

@@ -1,8 +1,10 @@
 """Command-line behavior: formats, exit codes, caching, determinism."""
 
 import contextlib
+import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -15,10 +17,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import cellkit
 import cellkit.cells as cells_module
+import cellkit.cli as cli_module
 import cellkit.theorems as theorems
 from cellkit import DiskCache, Status, Theorem, TheoremVerdict, __version__, build_group
-from cellkit.cells import enumerate_cells
+from cellkit.cells import balandraud_details, enumerate_cells, kernels_at, normalize_s
 from cellkit.cli import main
+from cellkit.groups import builtin_specs
+from cellkit.specs import parse_subset_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -148,16 +153,117 @@ def test_cells_umax_is_bounded_by_the_largest_deficiency(capsys):
     assert [r["u"] for r in records if r["kind"] == "kernel_summary"] == list(range(12))
 
 
-def test_cells_builds_each_record_once(capsys, monkeypatch):
-    # the balandraud row reads the records of the cell rows, so none is built twice
+def reference_cells_stdout(spec, set_spec, fmt, umax=None, mode="exhaustive", samples=None,
+                           seed=None):
+    """The stdout of `cells`, rendered from enumerate_cells and kernels_at records."""
+    g = build_group(spec)
+    raw = parse_subset_spec(set_spec, g)
+    s, shifted = normalize_s(raw)
+    umax = umax if umax is not None else max(len(s) - 1, 0)
+    records = enumerate_cells(s, umax, mode, count=samples, seed=seed)
+    per_u = [kernels_at(s, u, records) for u in range(umax + 1)]
+    kernel_sizes = {kr.u: len(kr.kernels[0].cell) for kr in per_u if kr.kernels}
+    cells = [{"kind": "cell", "cell": r.cell.spec_string(), "bits": f"0x{r.cell.bits:x}",
+              "size": len(r.cell), "product": r.product.spec_string(),
+              "product_size": len(r.product), "deficiency": r.deficiency,
+              "is_kernel": len(r.cell) == kernel_sizes.get(r.deficiency),
+              "is_subgroup": r.is_subgroup, "contains_identity": r.contains_identity}
+             for r in records]
+    kernels = [{"kind": "kernel_summary", "u": kr.u, "kernel_count": len(kr.kernels),
+                "kernel_size": len(kr.kernels[0].cell) if kr.kernels else None,
+                "kernels": [k.cell.spec_string() for k in kr.kernels],
+                "unique_identity_kernel": kr.unique_identity_kernel.cell.spec_string()
+                if kr.unique_identity_kernel else None} for kr in per_u]
+    details = balandraud_details(s)
+    balandraud = {"kind": "balandraud", "subgroup": details.subgroup.spec_string(),
+                  "subgroup_size": len(details.subgroup), "u_star": details.u_star,
+                  "case": details.case}
+    out = io.StringIO()
+    if fmt == "jsonl":
+        manifest = {"kind": "manifest", "command": "cells", "tool": "cellkit",
+                    "version": __version__, "group": g.label, "set": s.spec_string(),
+                    "normalized_from": raw.spec_string() if shifted else None,
+                    "umax": umax, "mode": mode, "samples": samples, "seed": seed}
+        for row in [manifest, *cells, *kernels, balandraud]:
+            out.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    elif fmt == "csv":
+        fields = ["cell", "bits", "size", "product_size", "deficiency",
+                  "is_kernel", "is_subgroup", "contains_identity"]
+        writer = csv.writer(out)
+        writer.writerow(fields)
+        writer.writerows([row[f] for f in fields] for row in cells)
+    else:
+        with contextlib.redirect_stdout(out):
+            print(f"cells of S = {s.spec_string()} in {g.label} (umax {umax}, {mode})")
+            if shifted:
+                print(f"  normalized from {raw.spec_string()} by dividing out element {shifted}")
+            cli_module._print_table(
+                ["cell", "size", "deficiency", "kernel", "subgroup", "has-identity"],
+                [[row["cell"], str(row["size"]), str(row["deficiency"]),
+                  "yes" if row["is_kernel"] else "", "yes" if row["is_subgroup"] else "",
+                  "yes" if row["contains_identity"] else ""] for row in cells])
+            for row in kernels:
+                if row["kernel_count"]:
+                    unique = row["unique_identity_kernel"] or "none"
+                    print(f"u={row['u']}: {row['kernel_count']} kernel(s) of size "
+                          f"{row['kernel_size']}, identity kernel {unique}")
+            print(f"subgroup: {balandraud['subgroup']} (u* = {balandraud['u_star']}, "
+                  f"case {balandraud['case']})")
+    return out.getvalue()
+
+
+def test_cells_renders_what_the_records_give(capsys, monkeypatch):
+    # every catalog group to order 12; the rows come from the enumeration's
+    # columns, never from a CellRecord
     calls = []
     make_record = cells_module.make_record
     monkeypatch.setattr(cells_module, "make_record", lambda *a: calls.append(a) or make_record(*a))
-    rc, out, _ = run_cli(capsys, "cells", "Z12", "{0,1,6,7}", "--format", "jsonl")
-    assert rc == 0
-    rows = jsonl_records(out)
-    assert len(calls) == sum(row["kind"] == "cell" for row in rows) > 0
-    assert [row["subgroup"] for row in rows if row["kind"] == "balandraud"] == ["{0,6}"]
+    modes = (("exhaustive", None, None), ("sampled", 40, 5))
+    for spec in builtin_specs(12):
+        n = build_group(spec).order
+        sets = [t for t in ("{0}", "{0,1}", "{1,2,4}", f"{{0,2,3,5,{n - 1}}}")
+                if max(int(v) for v in t.strip("{}").split(",")) < n]
+        for set_spec, umax, (mode, samples, seed), fmt in itertools.product(
+                sets, (None, n - 1), modes, ("jsonl", "csv", "table")):
+            argv = ["cells", spec, set_spec, "--format", fmt]
+            if umax is not None:
+                argv += ["--umax", str(umax)]
+            if mode == "sampled":
+                argv += ["--mode", mode, "--samples", str(samples), "--seed", str(seed)]
+            want = reference_cells_stdout(spec, set_spec, fmt, umax, mode, samples, seed)
+            before = len(calls)
+            rc, out, _ = run_cli(capsys, *argv)
+            assert rc == 0
+            assert out == want, argv
+            assert len(calls) == before
+
+
+# (argv, lines, sha256 of stdout), taken before cells rendered from the
+# enumeration's columns: a miss and a hit of the disk cache print them too
+PINNED_CELLS_OUTPUTS = [
+    (("cells", "Z20", "{0,1,5}", "--format", "jsonl"), 46,
+     "5bdde4b6e66a9567423dbb7596853512349107cd0c489a5baeb740f4521f5813"),
+    (("cells", "Z16", "{0,1}", "--umax", "15", "--format", "jsonl"), 8_107,
+     "c3b2fae73210a29999b53d8b39949477473da71a6ea8b71c46df967009a6b982"),
+    (("cells", "Z24", "{0,1,5}", "--mode", "sampled", "--samples", "300", "--seed", "7",
+      "--format", "jsonl"), 29,
+     "055eb92627e24073423b29304dcbc619a839a2f08293757b7d17132ea584cf56"),
+    (("cells", "Z12", "{0,1,6,7}", "--format", "csv"), 26,
+     "6f569477a3998d5b405d7ebfd3b5954b99892c96229042539fe35f27134d6ad1"),
+    (("cells", "Z12", "{0,1,6,7}", "--format", "table"), 31,
+     "ee4a7743b8b7c3bc7701369b0e7944ab47f3bf9d64ba77a6f120f0efeae7640f"),
+]
+
+
+@pytest.mark.parametrize("argv, lines, digest", PINNED_CELLS_OUTPUTS)
+def test_cells_outputs_match_pinned_digests(tmp_path, capsys, argv, lines, digest):
+    for cache, stats in (((), None), (("--cache-dir", str(tmp_path)), "0 hit(s), 1 miss(es)"),
+                         (("--cache-dir", str(tmp_path)), "1 hit(s), 0 miss(es)")):
+        rc, out, err = run_cli(capsys, *argv, *cache)
+        assert rc == 0
+        assert stats is None or stats in err
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cells_cache_roundtrip(tmp_path, capsys, monkeypatch):
@@ -209,6 +315,26 @@ def test_cells_cache_ignores_entries_in_the_pairs_format(tmp_path, capsys):
     DiskCache(tmp_path).get_or_compute(old_key, lambda: pairs)
     argv = ("cells", "Z12", "{0,1,6,7}", "--umax", "2", "--format", "jsonl")
     _, plain, _ = run_cli(capsys, *argv)
+    rc, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert rc == 0 and out == plain
+    assert "0 hit(s), 1 miss(es)" in err and "discarding" not in err
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_cells_cache_ignores_entries_in_the_row_format(tmp_path, capsys):
+    # earlier releases stored the cell, kernel and balandraud rows as dicts
+    # under the command "cells-answer"; such an entry is never read as an answer
+    g = build_group("Z12")
+    s = g.subset([0, 1, 6, 7])
+    old_key = {"command": "cells-answer", "version": __version__,
+               "table": hashlib.sha256(g.mul_array().tobytes()).hexdigest(), "s_bits": s.bits,
+               "umax": 2, "mode": "exhaustive", "samples": None, "seed": None, "balandraud": True}
+    argv = ("cells", "Z12", "{0,1,6,7}", "--umax", "2", "--format", "jsonl")
+    _, plain, _ = run_cli(capsys, *argv)
+    rows = jsonl_records(plain)
+    answer = [[r for r in rows if r["kind"] == kind] for kind in ("cell", "kernel_summary", "balandraud")]
+    answer[0][0]["cell"] = "{1,2,3}"  # a misread entry would show
+    DiskCache(tmp_path).get_or_compute(old_key, lambda: answer)
     rc, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert rc == 0 and out == plain
     assert "0 hit(s), 1 miss(es)" in err and "discarding" not in err
