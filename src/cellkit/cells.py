@@ -25,10 +25,13 @@ left-translate table expands them to all cells. cell_columns slices the
 deficiency prefix a reader needs; in sampled mode it builds the same three
 columns from seeded closures, sorted by the same key. Its readers:
 `cellkit cells` renders its rows from the columns, with subgroup_flags (one
-gather from the left table) and kernel_cells, the one reading of the
-smallest cells at a deficiency, which balandraud_details shares to read the
-identity u*-kernel; enumerate_cells turns the prefix into CellRecords, from
-which the kernel chain and the corollary are answered, and which tests
+gather from the left table, through periodic_flags) and kernel_cells;
+balandraud_details reads the identity u*-kernel through kernel_cells, and
+the chain and corollary settles read the prefixes of many S laid end to
+end. kernel_flags is the one reading of the smallest cells at a
+deficiency, under kernel_cells, the settles and the rows of `cellkit
+cells`. enumerate_cells turns the prefix into CellRecords, from which
+the scalar kernel chain and corollary checkers answer, and which tests
 hold the columns to.
 """
 
@@ -448,35 +451,53 @@ def enumerate_cells(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
     return [make_record(g, xb, pb) for xb, pb in zip(cells.tolist(), products.tolist())]
 
 
-def kernel_cells(cells: np.ndarray, deficiency: np.ndarray, u: int) -> np.ndarray:
-    """The u-kernels among sorted columns: the smallest cells of deficiency u, ascending by bits.
+def kernel_flags(size: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Which rows of sorted columns are kernels: |X| equals the first |X| of its block.
 
-    The columns are sorted by (deficiency, size, bits), so they lead the block of deficiency u.
+    size holds |X| per row and block is a nondecreasing key, one value per
+    block of cells of one deficiency: the deficiency itself for one S, a
+    block number for the prefixes of several S laid end to end. Each block
+    is sorted by (size, bits), so it opens with its smallest cells. This is
+    the one reading of "the smallest cells at deficiency u".
     """
-    block = cells[_prefix_end(deficiency, u - 1) if u else 0:_prefix_end(deficiency, u)]
-    size = bit_counts(block)
-    return block[size == size[:1]]
+    return size == size[np.searchsorted(block, block)]
+
+
+def kernel_cells(cells: np.ndarray, deficiency: np.ndarray, u: int) -> np.ndarray:
+    """The u-kernels among sorted columns: the kernel_flags rows of deficiency u, ascending by bits."""
+    block = slice(_prefix_end(deficiency, u - 1) if u else 0, _prefix_end(deficiency, u))
+    return cells[block][kernel_flags(bit_counts(cells[block]), deficiency[block])]
+
+
+def periodic_flags(g: Group, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise whether z*X lies inside X for every z in H, over mask columns H and X.
+
+    For an H that holds 1 this is H*X = X. One gather from the group's left
+    translate table, _SUBGROUP_CHUNK rows at a time so memory stays bounded.
+    """
+    left = translate_tables(g)[1]
+    singles = left[1]  # left[1, z] = z * {1} = {z}
+    out = np.empty(len(x), dtype=bool)
+    for start in range(0, len(x), _SUBGROUP_CHUNK):
+        part = slice(start, start + _SUBGROUP_CHUNK)
+        xs = x[part, None]
+        leaves = (_gather(left, xs[:, 0]) & ~xs) != 0  # [k, z]: z * X_k is not inside X_k
+        out[part] = ~(leaves & ((h[part, None] & singles) != 0)).any(axis=1)
+    return out
 
 
 def subgroup_flags(g: Group, cells: np.ndarray) -> np.ndarray:
-    """Which masks X of a column name subgroups: 1 in X, and z*X inside X for every z in X.
+    """Which masks X of a column name subgroups: 1 in X, and X*X = X.
 
-    Only the X that hold 1 and whose size divides the order are tested, by a
-    gather from the group's left translate table, _SUBGROUP_CHUNK of them at
-    a time so memory stays bounded. An object column goes to is_subgroup one
-    mask at a time.
+    Only the X that hold 1 and whose size divides the order go to
+    periodic_flags. An object column goes to is_subgroup one mask at a time.
     """
     if cells.dtype == object:
         return np.array([is_subgroup(ElementSet(g, x)) for x in cells.tolist()], dtype=bool)
     out = ((cells & 1) == 1) & (g.order % bit_counts(cells) == 0)
-    left = translate_tables(g)[1]
-    singles = left[1]  # left[1, z] = z * {1} = {z}
-    rows = np.flatnonzero(out)
-    for start in range(0, len(rows), _SUBGROUP_CHUNK):
-        i = rows[start:start + _SUBGROUP_CHUNK]
-        x = cells[i][:, None]
-        leaves = (_gather(left, x[:, 0]) & ~x) != 0  # [k, z]: z * X_k is not inside X_k
-        out[i] = ~(leaves & ((x & singles) != 0)).any(axis=1)
+    i = np.flatnonzero(out)
+    x = cells[i]
+    out[i] = periodic_flags(g, x, x)
     return out
 
 

@@ -29,6 +29,7 @@ from .cells import (
     cell_columns,
     column_dtype,
     kernel_cells,
+    kernel_flags,
     normalize_s,
     require_enumerable,
     subgroup_flags,
@@ -178,16 +179,15 @@ def _kernel_row(u: int, kernels: np.ndarray) -> dict:
 def _cell_values(order: int, answer: dict) -> zip:
     """Per listed cell: bits, product bits, size, product size, deficiency and flags.
 
-    flags is 4*contains_identity + 2*is_kernel + is_subgroup. The cells come
-    sorted by (deficiency, size, bits), so a cell is a kernel when its size is
-    that of the first cell of its deficiency.
+    flags is 4*contains_identity + 2*is_kernel + is_subgroup, is_kernel from
+    kernel_flags: the cells come sorted by (deficiency, size, bits).
     """
     dtype = column_dtype(order)
     cells = np.array(answer["cells"], dtype=dtype)
     size = bit_counts(cells)
     product_size = bit_counts(np.array(answer["products"], dtype=dtype))
     deficiency = product_size - size
-    flags = ((cells & 1) == 1) * 4 + (size == size[np.searchsorted(deficiency, deficiency)]) * 2
+    flags = ((cells & 1) == 1) * 4 + kernel_flags(size, deficiency) * 2
     flags[answer["subgroups"]] += 1
     return zip(answer["cells"], answer["products"], size.tolist(), product_size.tolist(),
                deficiency.tolist(), flags.tolist())

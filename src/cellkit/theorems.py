@@ -18,20 +18,22 @@ Kneser and in Olson's periodicity tests HX = X. Olson's instances are
 coset unions named by rank in both modes, drawn or walked; one byte table
 of every subgroup's right cosets (_coset_table) turns ranks into masks.
 
-Each sweep driver hands batches of instances to _check_batch. The Kneser,
-Olson, cell-intersection and dichotomy batches have one vectorized path
-each, which settles a whole batch: instances it decides are tallied in
-bulk, and only the rest reach the scalar checker, in instance order.
-Kneser settles every verdict that holds, periodic XY included, in
-exhaustive pair blocks and in sampled pairs alike. A sink receives each
-record as its finished JSON line (jsonl_line). The Kneser and dichotomy
-batches also return their witness columns, and with a sink their
-NOT_APPLICABLE and HOLDS lines are rendered from those columns through
-fixed templates (_template); every other instance, each VIOLATED and
-FINDING among them, still goes to the scalar checker, the oracle, in its
-place in the stream. With a sink, Olson and the cell intersection send
-every instance to the checker (so Olson builds no pair_table), as the
-chain and the corollary, which have no vectorized path, always do.
+Each sweep driver hands batches of instances to _check_batch. Every
+sweep has one vectorized path, which settles a whole batch: instances it
+decides are tallied in bulk, and only the rest reach the scalar checker,
+in instance order. Kneser settles every verdict that holds, periodic XY
+included, in exhaustive pair blocks and in sampled pairs alike. The chain
+and the corollary take the S space in chunks of memoized enumerations
+and settle each S from the chunk's prefix columns laid end to end
+(kernel_flags, subgroup_flags, periodic_flags); the corollary settles an
+S only where its three parts agree. A sink receives each record as its
+finished JSON line (jsonl_line). The Kneser and dichotomy batches also
+return their witness columns, and with a sink their NOT_APPLICABLE and
+HOLDS lines are rendered from those columns through fixed templates
+(_template); every other instance, each VIOLATED and FINDING among them,
+still goes to the scalar checker, the oracle, in its place in the stream.
+With a sink, Olson, the cell intersection, the chain and the corollary
+send every instance to the checker (so Olson builds no pair_table).
 run_sweep is prepare_sweep, which builds every group once and checks the
 set spec against each before anything is written, then sweep_groups, the
 task loop on those groups. _run_task notes exploration mode and turns a
@@ -43,7 +45,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import multiprocessing
 import queue
 import random
@@ -60,6 +64,7 @@ from .cells import (
     MAX_MASK_ORDER,
     CellRecord,
     EnumerationCapError,
+    _MEMO_LIMIT,
     _byte_index,
     _byte_unions,
     _distinct,
@@ -68,17 +73,21 @@ from .cells import (
     _kernel_chain,
     _require_identity,
     balandraud_details,
+    cell_columns,
     closure_masks,
     column_union,
     enumerate_cells,
     inverse_bits,
     is_cell,
+    kernel_flags,
     kernels_at,
     mask_dtype,
     pair_products,
     pair_products_every_x,
     pair_table,
+    periodic_flags,
     stabilizer_masks,
+    subgroup_flags,
     translate_tables,
 )
 from .groups import (
@@ -235,14 +244,15 @@ def check_theorem_subgroup_kernels(s: ElementSet, *, cap: int = ENUMERATION_CAP)
             v = n.deficiency
             n_is_kernel = n.cell.bits in kernel_bits[v]
             comparable = m.cell <= n.cell or n.cell <= m.cell
-            pair = dict(base, m=m.cell.spec_string(), u=u, n=n.cell.spec_string(), v=v,
-                        n_is_kernel=n_is_kernel)
             if (n_is_kernel or u == v) and not comparable:
-                return TheoremVerdict(Theorem.SUBGROUP_KERNEL_CHAIN, Status.VIOLATED,
-                                      dict(pair, part="i", reason="incomparable pair"))
-            if n_is_kernel and v <= u and not m.cell <= n.cell:
-                return TheoremVerdict(Theorem.SUBGROUP_KERNEL_CHAIN, Status.VIOLATED,
-                                      dict(pair, part="ii", reason="M not contained in N"))
+                part, reason = "i", "incomparable pair"
+            elif n_is_kernel and v <= u and not m.cell <= n.cell:
+                part, reason = "ii", "M not contained in N"
+            else:
+                continue
+            return TheoremVerdict(Theorem.SUBGROUP_KERNEL_CHAIN, Status.VIOLATED,
+                                  dict(base, m=m.cell.spec_string(), u=u, n=n.cell.spec_string(), v=v,
+                                       n_is_kernel=n_is_kernel, part=part, reason=reason))
     witness = dict(base, subgroup_kernels=[c.cell.spec_string() for c in subgroup_kernels])
     return TheoremVerdict(Theorem.SUBGROUP_KERNEL_CHAIN, Status.HOLDS, witness)
 
@@ -523,29 +533,45 @@ class _Refused(Exception):
     """A task refused as a whole; _run_task records it as the task's one error."""
 
 
-def _s_space(g: Group, cfg: SweepConfig, seed: int) -> list[ElementSet]:
+@dataclass(frozen=True)
+class _IdentitySubsets:
+    """iter_identity_subsets(g, lo, hi), iterated lazily; its length is a sum of binomials."""
+
+    g: Group
+    lo: int
+    hi: int
+
+    def __iter__(self) -> Iterator[ElementSet]:
+        return iter_identity_subsets(self.g, self.lo, self.hi)
+
+    def __len__(self) -> int:
+        return sum(math.comb(self.g.order - 1, k - 1) for k in range(self.lo, self.hi + 1))
+
+
+def _s_space(g: Group, cfg: SweepConfig, seed: int) -> Sequence[ElementSet] | _IdentitySubsets:
     if cfg.set_spec is not None:
         return expand_subset_specs(cfg.set_spec, g)  # checked against g by prepare_sweep
     hi = g.order if cfg.s_max is None else min(cfg.s_max, g.order)
     if cfg.mode == "sampled":
         rng = random.Random(f"{seed}|s-space")
         return sample_identity_subsets(g, cfg.s_min, hi, cfg.s_samples, rng)
-    return list(iter_identity_subsets(g, cfg.s_min, hi))
+    return _IdentitySubsets(g, cfg.s_min, hi)
 
 
 # the sweeps hand instances to _check_batch in chunks of about this many
 _CHUNK = 1 << 16
 
 
-def _check_batch(state: _SweepState, label: str, tag: Theorem, columns: Sequence[np.ndarray],
+def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], columns: Sequence[np.ndarray],
                  check: Callable[..., TheoremVerdict | list[TheoremVerdict]],
                  settle: Callable[..., tuple[np.ndarray, ...]] | None = None, *,
                  render: Callable[..., Iterator[str | None]] | None = None) -> None:
     """Check a batch of instances, given as parallel columns, in instance order.
 
     settle(*columns) returns (not_applicable, holds, *witness): the masks of
-    the instances it decides, tallied in bulk, then its witness columns.
-    Without a sink only the rest reach check(*instance). With a sink,
+    the instances it decides, tallied in bulk under every tag (a statement
+    in parts, the corollary, is settled only where its parts agree), then
+    its witness columns. Without a sink only the rest reach check(*instance). With a sink,
     render(not_applicable, holds, *columns, *witness) yields each
     instance's record line, or None for an instance the columns do not
     decide, which check then takes in its place; with a sink and no render,
@@ -560,8 +586,9 @@ def _check_batch(state: _SweepState, label: str, tag: Theorem, columns: Sequence
 
     if settle is not None and (state.sink is None or render is not None):
         not_applicable, holds, *witness = settle(*columns)
-        state.tally(tag.value, label, Status.NOT_APPLICABLE.value, int(not_applicable.sum()))
-        state.tally(tag.value, label, Status.HOLDS.value, int(holds.sum()))
+        for tag in tags:
+            state.tally(tag.value, label, Status.NOT_APPLICABLE.value, int(not_applicable.sum()))
+            state.tally(tag.value, label, Status.HOLDS.value, int(holds.sum()))
         if state.sink is not None:
             sink = state.sink
             for i, line in enumerate(render(not_applicable, holds, *columns, *witness)):
@@ -647,7 +674,7 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
             # x and y draws alternate
             k = min(_CHUNK, cfg.samples - start)
             draws = np.array([random_nonempty_bits(n, rng) for _ in range(2 * k)], dtype=dtype)
-            _check_batch(state, g.label, Theorem.KNESER, draws.reshape(k, 2).T, check,
+            _check_batch(state, g.label, _TAGS["kneser"], draws.reshape(k, 2).T, check,
                          None if dtype is object
                          else lambda x, y: settle(x, y, pair_products(table(), x, y)), render=render)
         return
@@ -660,7 +687,7 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
     step = max(1, _CHUNK // len(xs))
     for start in range(0, len(xs), step):
         ys = xs[start:start + step]
-        _check_batch(state, g.label, Theorem.KNESER, (np.tile(xs, len(ys)), np.repeat(ys, len(xs))), check,
+        _check_batch(state, g.label, _TAGS["kneser"], (np.tile(xs, len(ys)), np.repeat(ys, len(xs))), check,
                      lambda x, y, ys=ys: settle(x, y, pair_products_every_x(table(), ys)[:, 1:].ravel()),
                      render=render)
 
@@ -776,7 +803,7 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
     for hi, ki, rank_x, rank_y in _olson_ranks(union_counts, cfg, seed, dtype):
         columns = (subgroups[hi], subgroups[ki], _coset_union(cosets, hi, rank_x),
                    _coset_union(cosets, ki, rank_y))
-        _check_batch(state, g.label, Theorem.OLSON, columns, check,
+        _check_batch(state, g.label, _TAGS["olson"], columns, check,
                      lambda *masks: _olson_batch(table(), *masks))
 
 
@@ -804,26 +831,123 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
         step = max(1, _CHUNK // max(m, 1))
         for start in range(0, m - 1, step):
             i, j = np.triu_indices(min(step, m - 1 - start), 1, m - start)
-            _check_batch(state, g.label, Theorem.CELL_INTERSECT, (i + start, j + start),
+            _check_batch(state, g.label, _TAGS["intersection"], (i + start, j + start),
                          lambda a, b: check_cell_intersection(s, ElementSet(g, int(bits[a])),
                                                               ElementSet(g, int(bits[b]))), settled)
 
 
-# -- chain sweep ----------------------------------------------------------
+# -- chain and corollary sweeps -------------------------------------------
+
+# the chain and corollary sweeps take their S space in chunks of at most
+# this many sets, so each S a settle leaves to the checker is still memoized
+_S_CHUNK = _MEMO_LIMIT
+
+
+def _prefix_columns(sets: Sequence[ElementSet], rows: np.ndarray, below: int,
+                    cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The enumeration prefixes, deficiency up to |S| - below, of sets[i] for i in rows.
+
+    Laid end to end as columns (cells, deficiency, segment), segment the i
+    of each row's S; each prefix is sorted by (deficiency, size, bits).
+    """
+    parts = [cell_columns(sets[i], len(sets[i]) - below, cap=cap) for i in rows.tolist()]
+    return (np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts]),
+            np.repeat(rows, [len(p[0]) for p in parts]))
+
+
+def _block_opens(segment: np.ndarray, deficiency: np.ndarray) -> np.ndarray:
+    """Which rows of _prefix_columns open a block, the rows of one (S, deficiency)."""
+    opens = np.ones(len(segment), dtype=bool)
+    opens[1:] = (segment[1:] != segment[:-1]) | (deficiency[1:] != deficiency[:-1])
+    return opens
+
+
+def _chain_batch(g: Group, sets: Sequence[ElementSet], cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized check_theorem_subgroup_kernels over a chunk of sets.
+
+    Returns (not_applicable, holds): nothing is NOT_APPLICABLE, and holds
+    is that no pair (M, N) of one S, M a subgroup u-kernel and N a subgroup
+    v-cell with u, v <= |S|-1, breaks part (i) or part (ii).
+    """
+    cells, deficiency, segment = _prefix_columns(sets, np.arange(len(sets)), 1, cap)
+    kernel = kernel_flags(np.bitwise_count(cells), np.cumsum(_block_opens(segment, deficiency)))
+    n = np.flatnonzero(subgroup_flags(g, cells))
+    m = n[kernel[n]]
+    # each M meets every N of its S, a run of n
+    per_set = np.bincount(segment[n], minlength=len(sets))
+    k = per_set[segment[m]]
+    mi = np.repeat(m, k)
+    ni = n[np.repeat(np.cumsum(per_set)[segment[m]] - np.cumsum(k), k) + np.arange(k.sum())]
+    mb, nb, u, v, n_is_kernel = cells[mi], cells[ni], deficiency[mi], deficiency[ni], kernel[ni]
+    m_in_n = (mb & ~nb) == 0
+    comparable = m_in_n | ((nb & ~mb) == 0)
+    broken = ((n_is_kernel | (u == v)) & ~comparable) | (n_is_kernel & (v <= u) & ~m_in_n)
+    holds = np.ones(len(sets), dtype=bool)
+    holds[segment[mi[broken]]] = False
+    return np.zeros(len(sets), dtype=bool), holds
+
+
+def _corollary_batch(g: Group, sets: Sequence[ElementSet], cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized check_corollary_kernel_structure over a chunk of sets, its three parts at once.
+
+    Returns (not_applicable, holds): whether |S| < 3 or no cell has a
+    deficiency u in 1..|S|-2, and whether all three parts hold. Each block
+    (S, u) must hold exactly one identity-containing u-kernel M, a subgroup
+    (part I), and every u-cell must be M-periodic (part II). Given parts I
+    and II, part III is that each M properly contains the M of the next
+    block of its S.
+    """
+    applicable = np.zeros(len(sets), dtype=bool)
+    rows = np.flatnonzero([len(s) >= 3 for s in sets])
+    if not len(rows):
+        return ~applicable, applicable
+    cells, deficiency, segment = _prefix_columns(sets, rows, 2, cap)
+    inner = deficiency > 0
+    cells, deficiency, segment = cells[inner], deficiency[inner], segment[inner]
+    applicable[segment] = True
+    opens = _block_opens(segment, deficiency)
+    block, first = np.cumsum(opens) - 1, np.flatnonzero(opens)
+    ident = np.flatnonzero(kernel_flags(np.bitwise_count(cells), block) & ((cells & 1) == 1))
+    m = np.zeros(len(first), dtype=cells.dtype)
+    m[block[ident]] = cells[ident]  # the one M of each block where part I holds
+    # M is a u-cell holding 1, so part II on M itself, M*M = M, makes it a subgroup
+    part_i = np.bincount(block[ident], minlength=len(first)) == 1
+    owner = segment[first]
+    later = m[1:]
+    part_iii = (owner[1:] != owner[:-1]) | (((later & ~m[:-1]) == 0) & (later != m[:-1]))
+    holds = applicable.copy()
+    holds[owner[~part_i]] = False
+    holds[segment[~periodic_flags(g, m[block], cells)]] = False
+    holds[owner[:-1][~part_iii]] = False
+    return ~applicable, holds
+
+
+def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task: str,
+                check: Callable[[ElementSet], TheoremVerdict | list[TheoremVerdict]],
+                batch: Callable[..., tuple[np.ndarray, np.ndarray]]) -> None:
+    """Check one instance per S of the S space, in chunks of _S_CHUNK sets.
+
+    batch(g, chunk, cap) settles a chunk. A group above the enumeration cap
+    gets no settle, so the checker refuses it at its first S that needs
+    the enumeration, as it would alone.
+    """
+    cap = cfg.enumeration_cap
+    sets = iter(_s_space(g, cfg, seed))
+    while chunk := list(itertools.islice(sets, _S_CHUNK)):
+        _check_batch(state, g.label, _TAGS[task], (np.arange(len(chunk)),), lambda i: check(chunk[i]),
+                     (lambda _: batch(g, chunk, cap)) if g.order <= cap else None)
+
 
 def _sweep_chain(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    sets = _s_space(g, cfg, seed)
-    _check_batch(state, g.label, Theorem.SUBGROUP_KERNEL_CHAIN, (np.arange(len(sets)),),
-                 lambda i: check_theorem_subgroup_kernels(sets[i], cap=cfg.enumeration_cap))
+    _sweep_sets(g, cfg, state, seed, "chain",
+                lambda s: check_theorem_subgroup_kernels(s, cap=cfg.enumeration_cap), _chain_batch)
 
-
-# -- corollary sweep ------------------------------------------------------
 
 def _sweep_corollary(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    sets = _s_space(g, cfg, seed)
-    _check_batch(state, g.label, Theorem.COROLLARY_I, (np.arange(len(sets)),),
-                 lambda i: check_corollary_kernel_structure(sets[i], explore=not g.is_abelian,
-                                                            cap=cfg.enumeration_cap))
+    _sweep_sets(g, cfg, state, seed, "corollary",
+                lambda s: check_corollary_kernel_structure(s, explore=not g.is_abelian,
+                                                           cap=cfg.enumeration_cap),
+                _corollary_batch)
 
 
 # -- dichotomy sweep ------------------------------------------------------
@@ -907,7 +1031,7 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
             batches = (_sampled_t_masks(g, min(1 << 17, cfg.samples - start), rng)
                        for start in range(0, cfg.samples, 1 << 17))
         for t_arr in batches:
-            _check_batch(state, g.label, Theorem.DICHOTOMY, (t_arr,),
+            _check_batch(state, g.label, _TAGS["dichotomy"], (t_arr,),
                          lambda t: check_dichotomy(s, h, ElementSet(g, t), explore=explore),
                          settle, render=render)
 

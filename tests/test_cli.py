@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -487,6 +488,26 @@ def test_verify_skip_note_for_oversized_tasks(capsys):
     assert rc == 0
     assert [r["kind"] for r in jsonl_records(out)].count("error") == 1
     assert "skipped SUBGROUP_KERNEL_CHAIN on Z6" in err
+
+
+def test_verify_refuses_at_the_first_set_without_listing_the_set_space(capsys):
+    # Z21 has 2^20 identity-containing subsets; the S space is iterated
+    # lazily, so the cap refusal at the first one costs nothing to reach
+    refusal = ("exhaustive enumeration lists up to 2^21 cells from 2^(21-|S|) candidate products; "
+               "refusing order 21 above cap 4")
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "verify", "--groups", "Z21", "--theorem", "chain",
+                           "--enum-cap", "4", "--format", "jsonl")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    manifest, error, summary = jsonl_records(out)
+    assert manifest["kind"] == "manifest" and manifest["groups"] == ["Z21"]
+    assert error == {"group": "Z21", "kind": "error", "message": refusal,
+                     "theorem": "SUBGROUP_KERNEL_CHAIN"}
+    assert summary == {"counts": {}, "errors": 1, "exploration": [], "instances": 0,
+                       "kind": "summary", "totals": {}}
+    assert f"skipped SUBGROUP_KERNEL_CHAIN on Z21: {refusal}" in err
+    assert elapsed < 1.0
 
 
 def test_verify_usage_errors(capsys):

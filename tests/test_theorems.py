@@ -496,6 +496,118 @@ def test_intersection_counting_path_still_refuses_a_non_cell(monkeypatch):
         run_sweep(cfg)
 
 
+SET_CHECKERS = {"chain": "check_theorem_subgroup_kernels",
+                "corollary": "check_corollary_kernel_structure"}
+
+
+def count_checker_calls(monkeypatch, theorem):
+    """Wrap theorem's scalar checker so each call's verdict statuses are kept; returns that list."""
+    name = SET_CHECKERS[theorem]
+    real, calls = getattr(theorems, name), []
+
+    def counted(*args, **kwargs):
+        verdicts = real(*args, **kwargs)
+        calls.append({v.status for v in (verdicts if isinstance(verdicts, list) else [verdicts])})
+        return verdicts
+
+    monkeypatch.setattr(theorems, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("theorem", SET_CHECKERS)
+@pytest.mark.parametrize("spec", ["Z6", "D3", "Z2xZ4", "Q8", "Z12", "D6"])
+def test_chain_and_corollary_counting_equals_per_instance_mode(monkeypatch, theorem, spec):
+    # with a sink every S reaches the scalar checker; without one the settle
+    # decides every S whose verdicts all hold or are all NOT_APPLICABLE, and
+    # only the rest (D3's and D6's corollary FINDINGs) reach the checker.
+    # Order 12 runs to |S| = 5, where the corollary has two inhabited u
+    cfg = SweepConfig(groups=(spec,), theorems=(theorem,),
+                      s_max=5 if build_group(spec).order > 8 else None)
+    calls = count_checker_calls(monkeypatch, theorem)
+    records = []
+    streamed = run_sweep(cfg, sink=into(records))
+    mixed = sum(statuses not in ({Status.HOLDS}, {Status.NOT_APPLICABLE}) for statuses in calls)
+    calls.clear()
+    counted = run_sweep(cfg)
+    assert counts_from_summary(counted.summary) == counts_from_records(records)
+    assert (counted.summary, counted.violations, counted.findings) == (
+        streamed.summary, streamed.violations, streamed.findings)
+    assert len(calls) == mixed
+    if spec.startswith("D") and theorem == "corollary":
+        assert mixed > 0
+
+
+def with_intruder(monkeypatch, s, cell, product):
+    """Put an intruder row, in its sorted place, into the enumeration columns of s alone.
+
+    The settles and the scalar checkers both read the enumeration through
+    cells.cell_columns, so both see it.
+    """
+    real = cells_module._full_cell_enumeration
+    row = (s.group.subset(cell).bits, s.group.subset(product).bits)
+
+    def enumeration(g, s_bits, cap):
+        columns = real(g, s_bits, cap)
+        if s_bits != s.bits:
+            return columns
+        cells, products = (np.append(c, c.dtype.type(v)) for c, v in zip(columns, row))
+        deficiency = np.append(columns[2], columns[2].dtype.type(row[1].bit_count() - row[0].bit_count()))
+        order = np.lexsort((cells, np.bitwise_count(cells), deficiency))
+        return cells[order], products[order], deficiency[order]
+
+    monkeypatch.setattr(cells_module, "_full_cell_enumeration", enumeration)
+
+
+@pytest.mark.parametrize("theorem, cell, product, failed", [
+    # the two routes of test_chain_checker_reports_each_violated_route, which
+    # also break part (ii) for some pair, then a part (i) alone: a subgroup
+    # 2-cell, not a kernel, incomparable with the 2-kernel {0,6}
+    ("chain", (0, 4, 8), (0, 1, 4, 8), {"SUBGROUP_KERNEL_CHAIN"}),
+    ("chain", (0, 2, 4, 6, 8, 10), (0, 1, 2, 3, 4, 5, 6, 8, 10), {"SUBGROUP_KERNEL_CHAIN"}),
+    ("chain", (0, 4, 8), (0, 1, 4, 5, 8), {"SUBGROUP_KERNEL_CHAIN"}),
+    # part I: the one 2-kernel misses the identity
+    ("corollary", (1,), (1, 2, 3), {"COROLLARY_I"}),
+    # part II: a 2-cell that is not {0,6}-periodic
+    ("corollary", (1, 2, 3), (1, 2, 3, 4, 5), {"COROLLARY_II"}),
+    # part III: the 2-kernel {0,6} is not inside the 1-kernel {0,4,8}
+    ("corollary", (0, 4, 8), (0, 1, 4, 8), {"COROLLARY_III"}),
+], ids=["chain-incomparable", "chain-not-nested", "chain-i-only", "corollary-I", "corollary-II",
+        "corollary-III"])
+def test_an_intruder_reaches_the_checker_in_counting_mode(monkeypatch, theorem, cell, product, failed):
+    # no true statement yields VIOLATED, so an intruder in the enumeration
+    # of {0,1,6,7} stands in for a wrong one: the settle must leave that S
+    # to the checker, which reports it as the sink run does
+    with_intruder(monkeypatch, Z12.subset([0, 1, 6, 7]), cell, product)
+    cfg = SweepConfig(groups=("Z12",), theorems=(theorem,), s_max=4)
+    calls = count_checker_calls(monkeypatch, theorem)
+    records = []
+    streamed = run_sweep(cfg, sink=into(records))
+    violated = [r for r in records if r["status"] == "VIOLATED"]
+    assert {r["theorem"] for r in violated} == failed
+    assert {r["witness"]["s"] for r in violated} == {"{0,1,6,7}"}
+    calls.clear()
+    counted = run_sweep(cfg)
+    assert len(calls) == 1 and Status.VIOLATED in calls[0]
+    assert (counted.summary, counted.violations) == (streamed.summary, streamed.violations)
+
+
+def test_corollary_settles_a_chunk_with_no_inhabited_deficiency():
+    # |S| = 3, but no cell of {0,1,2} in Z6 has deficiency 1
+    r = run_sweep(SweepConfig(groups=("Z6",), theorems=("corollary",), set_spec="{0,1,2}"))
+    assert r.summary["totals"] == {"NOT_APPLICABLE": 3}
+
+
+def test_chain_and_corollary_counts_do_not_depend_on_the_set_chunk(monkeypatch):
+    cfg = SweepConfig(groups=("Z6", "D3", "Z2xZ4"), theorems=("chain", "corollary"))
+    whole = run_sweep(cfg)
+    monkeypatch.setattr(theorems, "_S_CHUNK", 7)
+    chunked = run_sweep(cfg)
+    assert (chunked.summary, chunked.findings) == (whole.summary, whole.findings)
+    records = []
+    run_sweep(cfg, sink=into(records))
+    assert counts_from_summary(chunked.summary) == counts_from_records(records)
+
+
 def test_sampled_kneser_draws_do_not_depend_on_the_chunk(monkeypatch):
     cfg = SweepConfig(groups=("Z6",), theorems=("kneser",), mode="sampled", samples=50, seed=3)
     whole = []
