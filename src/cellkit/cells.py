@@ -42,7 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import ElementSet, Group, generated_subgroup, is_subgroup, product_bits, require_same_group
+from .groups import (
+    ElementSet,
+    Group,
+    generated_subgroup,
+    inverse_bits,
+    is_subgroup,
+    product_bits,
+    require_same_group,
+)
 from .specs import random_nonempty_bits
 
 ENUMERATION_CAP = 20
@@ -191,11 +199,6 @@ def column_union(table: np.ndarray, bits: int) -> np.ndarray:
     X -> B*X.
     """
     return np.bitwise_or.reduce(table[:, [z for z in range(table.shape[1]) if bits >> z & 1]], axis=1)
-
-
-def inverse_bits(g: Group, bits: int) -> int:
-    """The mask of {x^-1 : x in the set that bits names}."""
-    return sum(1 << g.inv[x] for x in range(g.order) if bits >> x & 1)
 
 
 def closure_masks(g: Group, times_inverse: np.ndarray, a: np.ndarray) -> np.ndarray:

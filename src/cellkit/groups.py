@@ -80,6 +80,11 @@ def product_bits(g: Group, a_bits: int, b_bits: int) -> int:
     return bits
 
 
+def inverse_bits(g: Group, bits: int) -> int:
+    """Bits of the set of inverses {x^-1 : x in the set that bits names}."""
+    return sum(1 << g.inv[x] for x in iter_bits(bits))
+
+
 def _first_duplicate(values: Iterable[int]) -> int:
     seen: set[int] = set()
     for v in values:

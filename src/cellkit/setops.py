@@ -5,7 +5,7 @@ Products, translates and stabilizers here all reduce to groups.product_bits.
 
 from __future__ import annotations
 
-from .groups import ElementSet, iter_bits, product_bits, require_same_group
+from .groups import ElementSet, inverse_bits, product_bits, require_same_group
 
 
 def product(x: ElementSet, s: ElementSet) -> ElementSet:
@@ -25,11 +25,8 @@ def left_stabilizer(a: ElementSet) -> ElementSet:
     g = a.group
     # z*A = A fails iff z*x = c for some x in A and c outside A, so the
     # stabilizer is the complement of (G \ A) * A^-1
-    inverse = 0
-    for x in iter_bits(a.bits):
-        inverse |= 1 << g.inv[x]
     outside = g.full_bits & ~a.bits
-    return ElementSet(g, g.full_bits & ~product_bits(g, outside, inverse))
+    return ElementSet(g, g.full_bits & ~product_bits(g, outside, inverse_bits(g, a.bits)))
 
 
 def difference_counts(x: ElementSet, y: ElementSet) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from itertools import combinations
@@ -63,6 +64,19 @@ def iter_identity_subsets(g: Group, min_size: int, max_size: int) -> Iterator[El
             yield ElementSet(g, bits)
 
 
+class IdentitySubsets:
+    """iter_identity_subsets(g, lo, hi), iterated lazily; its length is a sum of binomials."""
+
+    def __init__(self, g: Group, lo: int, hi: int) -> None:
+        self.g, self.lo, self.hi = g, max(1, lo), min(hi, g.order)
+
+    def __iter__(self) -> Iterator[ElementSet]:
+        return iter_identity_subsets(self.g, self.lo, self.hi)
+
+    def __len__(self) -> int:
+        return sum(math.comb(self.g.order - 1, k - 1) for k in range(self.lo, self.hi + 1))
+
+
 def random_nonempty_bits(n: int, rng: random.Random) -> int:
     """A seeded nonempty subset of 0..n-1 as a bitmask: a uniform size, then
     a uniform sample of that many elements."""
@@ -96,18 +110,19 @@ def sample_identity_subsets(g: Group, min_size: int, max_size: int, count: int,
     return out
 
 
-def expand_subset_specs(spec: str, g: Group) -> list[ElementSet]:
+def expand_subset_specs(spec: str, g: Group) -> list[ElementSet] | IdentitySubsets:
     """Expand a subset spec into the subsets it denotes.
 
     "{i,j,...}" yields that one subset. "all:<k>" yields every subset of
-    size at most k that contains the identity. "rand:<k>:<n>:<seed>" yields
-    n seeded random such subsets (deduplicated, so possibly fewer).
+    size at most k that contains the identity, as a lazy IdentitySubsets
+    with a len, so no list of them is built. "rand:<k>:<n>:<seed>" yields n
+    seeded random such subsets (deduplicated, so possibly fewer).
     """
     check_subset_spec(spec)
     text = spec.strip()
     m = _ALL_RE.fullmatch(text)
     if m:
-        return list(iter_identity_subsets(g, 1, int(m.group(1))))
+        return IdentitySubsets(g, 1, int(m.group(1)))
     m = _RAND_RE.fullmatch(text)
     if m:
         k, n, seed = int(m.group(1)), int(m.group(2)), int(m.group(3))

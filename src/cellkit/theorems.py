@@ -47,11 +47,8 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import multiprocessing
-import queue
 import random
-import time
 import traceback
 from dataclasses import dataclass
 from enum import Enum
@@ -75,9 +72,9 @@ from .cells import (
     balandraud_details,
     cell_columns,
     closure_masks,
+    column_dtype,
     column_union,
     enumerate_cells,
-    inverse_bits,
     is_cell,
     kernel_flags,
     kernels_at,
@@ -95,6 +92,7 @@ from .groups import (
     Group,
     all_subgroups,
     build_group,
+    inverse_bits,
     is_subgroup,
     mask_spec,
     product_bits,
@@ -102,9 +100,9 @@ from .groups import (
 )
 from .setops import difference_counts, left_stabilizer, product
 from .specs import (
+    IdentitySubsets,
     check_subset_spec,
     expand_subset_specs,
-    iter_identity_subsets,
     parse_subset_spec,
     random_nonempty_bits,
     sample_identity_subsets,
@@ -533,29 +531,14 @@ class _Refused(Exception):
     """A task refused as a whole; _run_task records it as the task's one error."""
 
 
-@dataclass(frozen=True)
-class _IdentitySubsets:
-    """iter_identity_subsets(g, lo, hi), iterated lazily; its length is a sum of binomials."""
-
-    g: Group
-    lo: int
-    hi: int
-
-    def __iter__(self) -> Iterator[ElementSet]:
-        return iter_identity_subsets(self.g, self.lo, self.hi)
-
-    def __len__(self) -> int:
-        return sum(math.comb(self.g.order - 1, k - 1) for k in range(self.lo, self.hi + 1))
-
-
-def _s_space(g: Group, cfg: SweepConfig, seed: int) -> Sequence[ElementSet] | _IdentitySubsets:
+def _s_space(g: Group, cfg: SweepConfig, seed: int) -> Sequence[ElementSet] | IdentitySubsets:
     if cfg.set_spec is not None:
         return expand_subset_specs(cfg.set_spec, g)  # checked against g by prepare_sweep
-    hi = g.order if cfg.s_max is None else min(cfg.s_max, g.order)
+    hi = g.order if cfg.s_max is None else cfg.s_max
     if cfg.mode == "sampled":
         rng = random.Random(f"{seed}|s-space")
         return sample_identity_subsets(g, cfg.s_min, hi, cfg.s_samples, rng)
-    return _IdentitySubsets(g, cfg.s_min, hi)
+    return IdentitySubsets(g, cfg.s_min, hi)
 
 
 # the sweeps hand instances to _check_batch in chunks of about this many
@@ -669,7 +652,7 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
         rng = random.Random(f"{seed}|pairs")
         # object columns for a --wide group, whose masks outgrow every numpy
         # integer; those pairs all go to check_kneser
-        dtype = mask_dtype(n) if n <= MAX_MASK_ORDER else object
+        dtype = column_dtype(n)
         for start in range(0, cfg.samples, _CHUNK):
             # x and y draws alternate
             k = min(_CHUNK, cfg.samples - start)
@@ -1075,114 +1058,84 @@ def _run_task(g: Group, theorem: str, cfg: SweepConfig,
     return state
 
 
-# a pool worker sends a task's lines in chunks of this many, through its
-# own queue of at most this many messages; a waiting parent polls for dead
-# workers this often, and for the claim of its next task this often
+# a pool worker sends a task's lines in chunks of this many
 _LINE_CHUNK = 1 << 12
-_QUEUE_DEPTH = 2
-_POLL_S = 0.1
-_CLAIM_POLL_S = 0.001
 
 
-def _worker(w: int, tasks: list[tuple[str, str]], groups: dict[str, Group], cfg: SweepConfig,
-            collect: bool, next_task, owners, out) -> None:
-    """Pool worker w: claim tasks from the shared counter next_task until none is left.
+def _worker(tasks: list[tuple[str, str]], groups: dict[str, Group], cfg: SweepConfig,
+            collect: bool, conn) -> None:
+    """Pool worker: run tasks in order, sending each one's lines and state on conn.
 
-    A claim of task i sets owners[i] = w under next_task's lock, so once
-    the counter has passed i the parent knows who holds i. Then its lines go
-    on out, w's own bounded queue, as (lines, None) messages of _LINE_CHUNK
-    lines, and one (lines, state) message ends the task with the rest of
-    its lines and its _SweepState. A task that raises ends in (None,
-    (exception, traceback)) instead, and the worker stops. While out is
-    full the worker waits, so it never runs further ahead of the parent.
-    groups are the parent's, built once by prepare_sweep: inherited under
-    fork, pickled under spawn and forkserver.
+    A task's lines go out as (lines, None) messages of _LINE_CHUNK lines,
+    and one (lines, state) message ends the task with the rest of its lines
+    and its _SweepState. A task that raises ends in (None, (exception,
+    traceback)) instead, and the worker stops. conn is the write end of a
+    one-way pipe whose read end only the parent holds; a send returns once
+    the message is in the pipe, and blocks while the pipe is full, so the
+    worker runs at most about one chunk ahead of the parent. groups are the
+    parent's, built once by prepare_sweep: inherited under fork, pickled
+    under spawn and forkserver.
     """
-    while True:
-        with next_task.get_lock():
-            i = next_task.value
-            if i == len(tasks):
-                return
-            owners[i] = w
-            next_task.value = i + 1
-        spec, theorem = tasks[i]
+    for spec, theorem in tasks:
         lines: list[str] = []
 
         def sink(line: str) -> None:
             nonlocal lines
             lines.append(line)
             if len(lines) == _LINE_CHUNK:
-                out.put((lines, None))
+                conn.send((lines, None))
                 lines = []
 
         try:
             state = _run_task(groups[spec], theorem, cfg, sink if collect else None)
         except Exception as exc:
-            out.put((None, (exc, traceback.format_exc())))
+            conn.send((None, (exc, traceback.format_exc())))
             return
         state.sink = None  # the lines travel on their own
-        out.put((lines, state))
-
-
-def _receive(q, running: Callable[[], bool]):
-    """The next message on q, or None once running() is false and q is empty."""
-    while True:
-        up = running()  # read first: a worker that has ended has flushed its messages
-        try:
-            return q.get(block=up, timeout=_POLL_S)
-        except queue.Empty:
-            if not up:
-                return None
+        conn.send((lines, state))
 
 
 def _pool_sweep(tasks: list[tuple[str, str]], groups: dict[str, Group], config: SweepConfig,
                 sink: Callable[[str], None] | None, state: _SweepState) -> None:
     """Run tasks on config.jobs worker processes and merge them into state in task order.
 
-    The parent walks the tasks in order: it waits until the task is
-    claimed, passes the claiming worker's lines to sink as they arrive and
-    merges the task's state. A worker that raises makes this raise its
-    exception, naming the task. A worker that ends without finishing its
-    task raises RuntimeError, naming the last task that worker claimed: it
-    ended in that one, and the messages of an earlier task it had not yet
-    flushed ended with it. No worker outlives the call.
+    Task i runs on worker i % jobs, each worker's tasks in order, and each
+    worker has its own pipe. The parent walks the tasks in order, passes
+    each one's lines to sink as they arrive and merges its state. A worker
+    that raises makes this raise its exception, naming the task. A worker
+    that ends without finishing task i closes its pipe: every message it
+    sent is still read, then end-of-file makes this raise RuntimeError,
+    naming task i and the worker's exit code. No worker outlives the call.
     """
     ctx = multiprocessing.get_context()
-    next_task, owners = ctx.Value("q", 0), ctx.Array("i", len(tasks), lock=False)
-    outs = [ctx.Queue(_QUEUE_DEPTH) for _ in range(min(config.jobs, len(tasks)))]
+    jobs = min(config.jobs, len(tasks))
+    conns: list = []
     procs: list = []
-
-    def claiming() -> bool:
-        codes = [p.exitcode for p in procs]
-        return None in codes and not any(codes)
-
-    def named(i: int) -> str:
-        spec, theorem = tasks[i]
-        return f"task {i} ({theorem} on {spec})"
-
     try:
-        for w, out in enumerate(outs):
-            procs.append(ctx.Process(target=_worker, name=f"cellkit-sweep-{w}",
-                                     args=(w, tasks, groups, config, sink is not None, next_task,
-                                           owners, out)))
-            procs[-1].start()
-        for i in range(len(tasks)):
-            while next_task.value <= i:
-                if not claiming() and next_task.value <= i:
-                    code = next((p.exitcode for p in procs if p.exitcode), 0)
-                    raise RuntimeError(f"{named(i)} did not finish: a sweep worker exited with code {code}")
-                time.sleep(_CLAIM_POLL_S)
-            w = owners[i]
+        for w in range(jobs):
+            conn, out = ctx.Pipe(duplex=False)
+            conns.append(conn)
+            # closed once started, so the worker holds the only write end and its exit ends the pipe
+            with out:
+                p = ctx.Process(target=_worker, name=f"cellkit-sweep-{w}",
+                                args=(tasks[w::jobs], groups, config, sink is not None, out))
+                p.start()
+            procs.append(p)
+        for i, (spec, theorem) in enumerate(tasks):
+            named = f"task {i} ({theorem} on {spec})"
+            conn, proc = conns[i % jobs], procs[i % jobs]
             while True:
-                message = _receive(outs[w], procs[w].is_alive)
-                if message is None:
-                    last = max(j for j in range(i, next_task.value) if owners[j] == w)
-                    raise RuntimeError(f"{named(last)} did not finish: a sweep worker exited with code "
-                                       f"{procs[w].exitcode}")
-                lines, part = message
+                try:
+                    lines, part = conn.recv()
+                except (EOFError, OSError) as exc:
+                    if type(exc) not in (EOFError, OSError):  # not the pipe's end, nor a message cut short
+                        raise
+                    proc.join()
+                    raise RuntimeError(f"{named} did not finish: a sweep worker exited with code "
+                                       f"{proc.exitcode}") from None
                 if lines is None:
                     exc, trace = part
-                    raise exc from RuntimeError(f"{named(i)} failed in a sweep worker:\n{trace}")
+                    raise exc from RuntimeError(f"{named} failed in a sweep worker:\n{trace}")
                 for line in lines:
                     sink(line)
                 if part is not None:
@@ -1192,6 +1145,8 @@ def _pool_sweep(tasks: list[tuple[str, str]], groups: dict[str, Group], config: 
         for p in procs:
             p.terminate()
             p.join()
+        for conn in conns:
+            conn.close()
 
 
 def prepare_sweep(config: SweepConfig) -> dict[str, Group]:
@@ -1216,10 +1171,10 @@ def sweep_groups(config: SweepConfig, groups: dict[str, Group],
                  sink: Callable[[str], None] | None = None) -> SweepResult:
     """The task loop of a sweep, over the groups that prepare_sweep(config) returned.
 
-    Serially a task streams straight to sink; with more than one job,
-    worker processes claim tasks in order and stream their lines back in
-    chunks through bounded queues (_pool_sweep), so memory stays bounded
-    per worker however long the stream.
+    Serially a task streams straight to sink; with more than one job, task
+    i runs on worker process i % jobs, which streams its lines back in
+    chunks through its own pipe (_pool_sweep), so memory stays bounded per
+    worker however long the stream.
     """
     tasks = [(spec, theorem) for spec in config.groups for theorem in config.theorems]
     state = _SweepState(None)

@@ -37,7 +37,6 @@ from cellkit.cells import (
     closure_bits,
     closure_masks,
     column_union,
-    inverse_bits,
     kernel_cells,
     left_translate_masks,
     mask_dtype,
@@ -48,7 +47,7 @@ from cellkit.cells import (
     subgroup_flags,
     translate_tables,
 )
-from cellkit.groups import product_bits
+from cellkit.groups import inverse_bits, product_bits
 
 Z6 = build_group("Z6")
 Z8 = build_group("Z8")

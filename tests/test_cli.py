@@ -510,6 +510,22 @@ def test_verify_refuses_at_the_first_set_without_listing_the_set_space(capsys):
     assert elapsed < 1.0
 
 
+def test_verify_set_all_refuses_at_the_first_set_without_listing_it(capsys):
+    # all:21 names the same 2^20 sets as the exhaustive S space, iterated
+    # as lazily: the same refusal at the first set, and no list built first
+    argv = ("verify", "--groups", "Z21", "--theorem", "chain", "--enum-cap", "4", "--format", "jsonl")
+    rc, exhaustive, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    start = time.perf_counter()
+    rc, out, _ = run_cli(capsys, *argv, "--set", "all:21")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    manifest, *rest = jsonl_records(out)
+    assert manifest == {**jsonl_records(exhaustive)[0], "set": "all:21"}
+    assert rest == jsonl_records(exhaustive)[1:]
+    assert elapsed < 1.0
+
+
 def test_verify_usage_errors(capsys):
     rc, _, err = run_cli(capsys, "verify", "--groups", "Z6", "--theorem", "fermat")
     assert rc == 2 and "unknown theorem" in err

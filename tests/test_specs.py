@@ -61,6 +61,9 @@ def test_sample_identity_subsets_is_seeded_and_deduplicated():
 def test_expand_subset_specs():
     assert len(expand_subset_specs("all:2", Z6)) == 6
     assert len(expand_subset_specs("all:3", Z6)) == 16
+    # all:<k> is lazy and k is clamped to the order, so its len is a short sum
+    every = expand_subset_specs("all:1000000000", Z6)
+    assert len(every) == 32 and list(every) == list(iter_identity_subsets(Z6, 1, 6))
     one = expand_subset_specs("{0,3}", Z6)
     assert [s.spec_string() for s in one] == ["{0,3}"]
     r = expand_subset_specs("rand:3:8:42", Z6)

@@ -812,10 +812,9 @@ POOL_CASES = {
 @fork_only
 @pytest.mark.parametrize("case", POOL_CASES)
 def test_pool_streams_the_serial_records_in_small_chunks(case, monkeypatch):
-    # chunks of 7 lines through queues one message deep: each task's stream
-    # crosses many chunk and backpressure boundaries, in sink and counting mode
+    # chunks of 7 lines: each task's stream crosses many chunk boundaries,
+    # in sink and counting mode
     monkeypatch.setattr(theorems, "_LINE_CHUNK", 7)
-    monkeypatch.setattr(theorems, "_QUEUE_DEPTH", 1)
     serial_lines = []
     serial = run_sweep(SweepConfig(**POOL_CASES[case]), sink=serial_lines.append)
     counted = run_sweep(SweepConfig(**POOL_CASES[case])).summary
@@ -862,6 +861,46 @@ def test_a_failed_pool_worker_makes_the_sweep_raise(failure, monkeypatch):
                 with pytest.raises(RuntimeError, match=task + ".*exited with code 3"):
                     run_sweep(cfg, sink=sink)
         assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_worker_that_exits_in_its_second_task_keeps_its_first_tasks_lines(monkeypatch):
+    # tasks 0..3 are Kneser on Z2..Z5; on two workers task 3 is worker 1's
+    # second task. Every line sent before the exit reaches the sink, task
+    # 1's on the same worker included, and then the sweep names the task
+    # the worker died in.
+    real = theorems._DRIVERS["kneser"]
+
+    def exiting(g, cfg, state, seed):
+        if g.label == "Z5":
+            os._exit(3)
+        real(g, cfg, state, seed)
+
+    groups = ("Z2", "Z3", "Z4", "Z5")
+    serial_lines = []
+    run_sweep(SweepConfig(groups=groups[:3], theorems=("kneser",)), sink=serial_lines.append)
+    monkeypatch.setitem(theorems._DRIVERS, "kneser", exiting)
+    lines = []
+    with deadline(60):
+        with pytest.raises(RuntimeError, match=r"task 3 \(kneser on Z5\).*exited with code 3"):
+            run_sweep(SweepConfig(groups=groups, theorems=("kneser",), jobs=2), sink=lines.append)
+    assert lines == serial_lines
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_worker_killed_mid_message_makes_the_sweep_raise(monkeypatch):
+    # a worker killed while a chunk is half written, as an OOM kill can
+    # catch it once the chunk outgrows the pipe, leaves a message cut short
+    def cut_short(tasks, groups, cfg, collect, conn):
+        os.write(conn.fileno(), (1 << 20).to_bytes(4, "big") + b"\x80")
+        os._exit(3)
+
+    monkeypatch.setattr(theorems, "_worker", cut_short)
+    with deadline(60):
+        with pytest.raises(RuntimeError, match=r"task 0 \(kneser on Z2\).*exited with code 3"):
+            run_sweep(SweepConfig(groups=("Z2", "Z3"), theorems=("kneser",), jobs=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_under_spawn_streams_the_serial_records(monkeypatch):
