@@ -51,7 +51,7 @@ from .groups import (
     product_bits,
     require_same_group,
 )
-from .specs import random_nonempty_bits
+from .specs import random_masks
 
 ENUMERATION_CAP = 20
 MAX_MASK_ORDER = 64
@@ -409,8 +409,8 @@ def _sampled_cells(g: Group, s_bits: int, count: int, seed: int) -> tuple[np.nda
     n = g.order
     seen: dict[int, int] = {}
     lt = left_translate_masks(g, s_bits)
-    for _ in range(count):
-        p = product_bits(g, random_nonempty_bits(n, rng), s_bits)
+    for x in random_masks(n, rng, count):
+        p = product_bits(g, x, s_bits)
         seen[closure_bits(lt, p)] = p
     rows = sorted((p.bit_count() - x.bit_count(), x.bit_count(), x, p) for x, p in seen.items())
     dtype = column_dtype(n)

@@ -1,4 +1,15 @@
-"""Parsers for group lists and subset specifications."""
+"""Parsers for group lists and subset specifications, and the seeded subset draw.
+
+random_masks is the one seeded subset draw: Kneser's sampled pairs, the
+seeds of sampled cells, the sampled S space and rand:<k>:<n>:<seed>
+subsets all come from it. It replays, bit for bit, what random.Random's
+randint(lo, hi) followed by sample(range(n), size) would draw: the same
+getrandbits calls with the same widths and redraws (CPython's
+_randbelow_with_getrandbits and both branches of Random.sample), without
+their per-call overhead. So seeded streams keep their bytes and the
+generator ends in the same state; the equivalence test in
+tests/test_specs.py holds it to the stdlib calls.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +29,14 @@ _RANGE_RE = re.compile(r"([A-Za-z]+)(\d+)\.\.([A-Za-z]*)(\d+)")
 
 class SubsetSpecError(ValueError):
     """Malformed subset specification, or indices outside the group."""
+
+
+def _int(digits: str) -> int:
+    """int(digits), refused as a SubsetSpecError past the interpreter's limit on digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SubsetSpecError(f"a number of {len(digits)} digits is too long") from None
 
 
 def _unrecognized(spec: str) -> str:
@@ -44,7 +63,7 @@ def parse_subset_spec(spec: str, g: Group) -> ElementSet:
         token = token.strip()
         if not token:
             continue
-        i = int(token)
+        i = _int(token)
         if not 0 <= i < g.order:
             raise SubsetSpecError(f"index {i} is outside 0..{g.order - 1} for group {g.label}")
         bits |= 1 << i
@@ -77,13 +96,54 @@ class IdentitySubsets:
         return sum(math.comb(self.g.order - 1, k - 1) for k in range(self.lo, self.hi + 1))
 
 
-def random_nonempty_bits(n: int, rng: random.Random) -> int:
-    """A seeded nonempty subset of 0..n-1 as a bitmask: a uniform size, then
-    a uniform sample of that many elements."""
-    bits = 0
-    for i in rng.sample(range(n), rng.randint(1, n)):
-        bits |= 1 << i
-    return bits
+# Random.sample's switch between its two branches, per sample size k, in
+# the stdlib's own expression: a pool of n is used while n <= _setsize(k)
+def _setsize(k: int) -> int:
+    return 21 + 4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 21
+
+
+def random_masks(n: int, rng: random.Random, count: int, lo: int = 1, hi: int | None = None) -> list[int]:
+    """count seeded subsets of 0..n-1 as bitmasks, each of a uniform size in
+    lo..hi (default 1..n) and then a uniform sample of that many elements.
+
+    Makes the same rng.getrandbits calls as count rounds of the stdlib's
+    randint(lo, hi), then sample(range(n), size), so it returns what they
+    would draw and leaves rng in the same state.
+    """
+    hi = n if hi is None else hi
+    bits = rng.getrandbits
+    span = hi - lo + 1
+    span_width = span.bit_length()
+    width_n = n.bit_length()
+    pooled = [n <= _setsize(k) for k in range(hi + 1)]
+    singles = [1 << i for i in range(n)]
+    # (m, m.bit_length()) for the m elements left at each step of the pool
+    steps = [(m, m.bit_length()) for m in range(n, 0, -1)]
+    out = []
+    for _ in range(count):
+        r = bits(span_width)
+        while r >= span:
+            r = bits(span_width)
+        size = lo + r
+        mask = 0
+        if pooled[size]:
+            # pick j below the m elements left, then move the last one into j
+            pool = singles[:]
+            for m, width in steps[:size]:
+                j = bits(width)
+                while j >= m:
+                    j = bits(width)
+                mask |= pool[j]
+                pool[j] = pool[m - 1]
+        else:
+            # redraw below n until j is not yet taken
+            for _ in range(size):
+                j = bits(width_n)
+                while j >= n or mask >> j & 1:
+                    j = bits(width_n)
+                mask |= 1 << j
+        out.append(mask)
+    return out
 
 
 def sample_identity_subsets(g: Group, min_size: int, max_size: int, count: int,
@@ -99,11 +159,9 @@ def sample_identity_subsets(g: Group, min_size: int, max_size: int, count: int,
         return []
     out: list[ElementSet] = []
     seen: set[int] = set()
-    for _ in range(count):
-        size = rng.randint(lo, hi)
-        bits = 1
-        for i in rng.sample(range(1, g.order), size - 1):
-            bits |= 1 << i
+    # the non-identity elements 1..order-1 are drawn as 0..order-2
+    for others in random_masks(g.order - 1, rng, count, lo - 1, hi - 1):
+        bits = others << 1 | 1
         if bits not in seen:
             seen.add(bits)
             out.append(ElementSet(g, bits))
@@ -122,10 +180,10 @@ def expand_subset_specs(spec: str, g: Group) -> list[ElementSet] | IdentitySubse
     text = spec.strip()
     m = _ALL_RE.fullmatch(text)
     if m:
-        return IdentitySubsets(g, 1, int(m.group(1)))
+        return IdentitySubsets(g, 1, _int(m.group(1)))
     m = _RAND_RE.fullmatch(text)
     if m:
-        k, n, seed = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        k, n, seed = _int(m.group(1)), _int(m.group(2)), _int(m.group(3))
         return sample_identity_subsets(g, 1, k, n, random.Random(seed))
     return [parse_subset_spec(text, g)]
 
@@ -141,7 +199,7 @@ def check_subset_spec(spec: str) -> None:
     for pattern, form in ((_ALL_RE, "all:<k>"), (_RAND_RE, "rand:<k>:<n>:<seed>")):
         m = pattern.fullmatch(text)
         if m is not None:
-            if int(m.group(1)) < 1:
+            if _int(m.group(1)) < 1:
                 raise SubsetSpecError(f"{form} needs k >= 1, got {spec!r}")
             return
     if _EXPLICIT_RE.fullmatch(text) is None:
@@ -163,7 +221,7 @@ def parse_group_tokens(expr: str) -> list[str]:
             m = _RANGE_RE.fullmatch(token)
             if m is None:
                 raise SubsetSpecError(f"unrecognized group range {token!r}; expected e.g. Z2..Z10")
-            prefix, lo, prefix2, hi = m.group(1), int(m.group(2)), m.group(3), int(m.group(4))
+            prefix, lo, prefix2, hi = m.group(1), _int(m.group(2)), m.group(3), _int(m.group(4))
             if prefix2 and prefix2 != prefix:
                 raise SubsetSpecError(f"group range {token!r} mixes prefixes {prefix!r} and {prefix2!r}")
             if hi < lo:

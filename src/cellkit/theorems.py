@@ -104,7 +104,7 @@ from .specs import (
     check_subset_spec,
     expand_subset_specs,
     parse_subset_spec,
-    random_nonempty_bits,
+    random_masks,
     sample_identity_subsets,
 )
 
@@ -656,7 +656,7 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
         for start in range(0, cfg.samples, _CHUNK):
             # x and y draws alternate
             k = min(_CHUNK, cfg.samples - start)
-            draws = np.array([random_nonempty_bits(n, rng) for _ in range(2 * k)], dtype=dtype)
+            draws = np.array(random_masks(n, rng, 2 * k), dtype=dtype)
             _check_batch(state, g.label, _TAGS["kneser"], draws.reshape(k, 2).T, check,
                          None if dtype is object
                          else lambda x, y: settle(x, y, pair_products(table(), x, y)), render=render)
@@ -735,14 +735,33 @@ def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
     Chunks hold about _CHUNK instances.
     """
     if cfg.mode == "sampled":
-        rng = random.Random(f"{seed}|olson")
+        # the stdlib's randrange(c) for each draw, replayed from getrandbits as in
+        # specs.random_masks: c.bit_length() bits, redrawn while >= c
+        bits = random.Random(f"{seed}|olson").getrandbits
+        subs = len(union_counts)
+        subs_width = subs.bit_length()
+        sides = [(c, c.bit_length()) for c in union_counts]
         for start in range(0, cfg.samples, _CHUNK):
-            draws = []
+            hs, ks, xs, ys = [], [], [], []
             for _ in range(min(_CHUNK, cfg.samples - start)):
-                hi = rng.randrange(len(union_counts))
-                ki = rng.randrange(len(union_counts))
-                draws.append((hi, ki, rng.randrange(union_counts[hi]), rng.randrange(union_counts[ki])))
-            hs, ks, xs, ys = zip(*draws)
+                hi = bits(subs_width)
+                while hi >= subs:
+                    hi = bits(subs_width)
+                ki = bits(subs_width)
+                while ki >= subs:
+                    ki = bits(subs_width)
+                c, w = sides[hi]
+                x = bits(w)
+                while x >= c:
+                    x = bits(w)
+                c, w = sides[ki]
+                y = bits(w)
+                while y >= c:
+                    y = bits(w)
+                hs.append(hi)
+                ks.append(ki)
+                xs.append(x)
+                ys.append(y)
             yield (np.array(hs, dtype=np.intp), np.array(ks, dtype=np.intp),
                    np.array(xs, dtype=dtype), np.array(ys, dtype=dtype))
         return
