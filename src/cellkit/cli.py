@@ -52,7 +52,7 @@ _FORMATS = ("jsonl", "csv", "table")
 _CELL_LINES = tuple(
     line_template({"kind": "cell", "cell": str, "bits": hex, "size": int, "product": str,
                    "product_size": int, "deficiency": int, "is_kernel": bool(flags & 2),
-                   "is_subgroup": bool(flags & 1), "contains_identity": bool(flags & 4)})
+                   "is_subgroup": bool(flags & 1), "contains_identity": bool(flags & 4)})[0]
     for flags in range(8))
 
 

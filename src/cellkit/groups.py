@@ -364,7 +364,7 @@ def _read_cayley_file(path: str) -> list[list[int]]:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path, or text that does not decode
         raise GroupSpecError(f"cannot read Cayley table file {path!r}: {exc}") from exc
     tokens = text.split()
     if not tokens:
@@ -381,6 +381,14 @@ def _read_cayley_file(path: str) -> list[list[int]]:
             f"Cayley table file {path!r} declares order {n} but holds {len(values) - 1} entries, expected {n * n}"
         )
     return [values[1 + i * n:1 + (i + 1) * n] for i in range(n)]
+
+
+def _parse_int(digits: str, error: type[ValueError] = GroupSpecError) -> int:
+    """int(digits), refused as error past the interpreter's limit on digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(f"a number of {len(digits)} digits is too long") from None
 
 
 def build_group(spec: str, *, wide: bool = False, validate: bool = True) -> Group:
@@ -401,7 +409,7 @@ def build_group(spec: str, *, wide: bool = False, validate: bool = True) -> Grou
     token = text.replace(" ", "")
     abelian: bool | None
     if _PRODUCT_RE.fullmatch(token):
-        factors = [int(part[1:]) for part in re.split(r"[xX]", token)]
+        factors = [_parse_int(part[1:]) for part in re.split(r"[xX]", token)]
         if any(f < 1 for f in factors):
             raise GroupSpecError(f"cyclic factors must be positive in {spec!r}")
         order = math.prod(factors)
@@ -409,12 +417,12 @@ def build_group(spec: str, *, wide: bool = False, validate: bool = True) -> Grou
         builder = lambda: _product_table(factors)
         abelian = True
     elif _DIHEDRAL_RE.fullmatch(token):
-        m = int(token[1:])
+        m = _parse_int(token[1:])
         if m < 1:
             raise GroupSpecError(f"dihedral parameter must be positive in {spec!r}")
         order, label, builder, abelian = 2 * m, f"D{m}", lambda: _dihedral_table(m), m <= 2
     elif _SYMMETRIC_RE.fullmatch(token):
-        n = int(token[1:])
+        n = _parse_int(token[1:])
         if not 1 <= n <= 5:
             raise GroupSpecError(f"symmetric groups are built in for 1 <= n <= 5, got {spec!r}")
         order, label, builder, abelian = math.factorial(n), f"S{n}", lambda: _symmetric_table(n), n <= 2

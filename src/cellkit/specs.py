@@ -13,13 +13,14 @@ tests/test_specs.py holds it to the stdlib calls.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
 from itertools import combinations
 from typing import Iterator
 
-from .groups import ElementSet, Group
+from .groups import WIDE_ORDER_CAP, ElementSet, Group, _parse_int
 
 _EXPLICIT_RE = re.compile(r"\{\s*((?:-?\d+\s*)(?:,\s*-?\d+\s*)*)?\}")
 _ALL_RE = re.compile(r"all:(\d+)")
@@ -31,12 +32,7 @@ class SubsetSpecError(ValueError):
     """Malformed subset specification, or indices outside the group."""
 
 
-def _int(digits: str) -> int:
-    """int(digits), refused as a SubsetSpecError past the interpreter's limit on digits."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise SubsetSpecError(f"a number of {len(digits)} digits is too long") from None
+_int = functools.partial(_parse_int, error=SubsetSpecError)
 
 
 def _unrecognized(spec: str) -> str:
@@ -226,6 +222,9 @@ def parse_group_tokens(expr: str) -> list[str]:
                 raise SubsetSpecError(f"group range {token!r} mixes prefixes {prefix!r} and {prefix2!r}")
             if hi < lo:
                 raise SubsetSpecError(f"group range {token!r} is empty")
+            if hi > WIDE_ORDER_CAP:  # every built-in family's order is at least its index (Zn n, Dn 2n, Sn n!)
+                raise SubsetSpecError(f"group range {token!r} runs past index {WIDE_ORDER_CAP}, "
+                                      f"and no group is built above order {WIDE_ORDER_CAP}")
             specs.extend(f"{prefix}{i}" for i in range(lo, hi + 1))
         else:
             specs.append(token)

@@ -18,22 +18,19 @@ Kneser and in Olson's periodicity tests HX = X. Olson's instances are
 coset unions named by rank in both modes, drawn or walked; one byte table
 of every subgroup's right cosets (_coset_table) turns ranks into masks.
 
-Each sweep driver hands batches of instances to _check_batch. Every
-sweep has one vectorized path, which settles a whole batch: instances it
-decides are tallied in bulk, and only the rest reach the scalar checker,
-in instance order. Kneser settles every verdict that holds, periodic XY
-included, in exhaustive pair blocks and in sampled pairs alike. The chain
-and the corollary take the S space in chunks of memoized enumerations
-and settle each S from the chunk's prefix columns laid end to end
-(kernel_flags, subgroup_flags, periodic_flags); the corollary settles an
-S only where its three parts agree. A sink receives each record as its
-finished JSON line (jsonl_line). The Kneser and dichotomy batches also
-return their witness columns, and with a sink their NOT_APPLICABLE and
-HOLDS lines are rendered from those columns through fixed templates
-(_template); every other instance, each VIOLATED and FINDING among them,
-still goes to the scalar checker, the oracle, in its place in the stream.
-With a sink, Olson, the cell intersection, the chain and the corollary
-send every instance to the checker (so Olson builds no pair_table).
+Each sweep driver hands batches of instances to _check_batch, with its
+outcomes, (status, witness skeleton) pairs. Every sweep has one
+vectorized path, which settles a whole batch into one mask per outcome
+and the witness columns: instances it decides are tallied in bulk, and
+only the rest reach the scalar checker, the oracle, in instance order.
+Kneser settles every verdict that holds, periodic XY included. The chain
+and the corollary settle each S of a chunk of memoized enumerations from
+the prefix columns laid end to end (kernel_flags, subgroup_flags,
+periodic_flags). A sink receives each record as its finished JSON line
+(jsonl_line). With a sink each decided line is rendered from the witness
+columns through its outcome's line_template (_lines), and each undecided
+instance, every VIOLATED and FINDING, goes to the checker in its place;
+the chain and the corollary, whose witnesses hold lists, send every S.
 run_sweep is prepare_sweep, which builds every group once and checks the
 set spec against each before anything is written, then sweep_groups, the
 task loop on those groups. _run_task notes exploration mode and turns a
@@ -147,7 +144,11 @@ def _conclude(theorem: Theorem, ok: bool, witness: dict, explore: bool) -> Theor
     return TheoremVerdict(theorem, Status.FINDING if explore else Status.VIOLATED, witness)
 
 
+# the failed hypotheses that the sweeps also render; Olson's in the order check_olson tests them
 _KNESER_HYPOTHESIS = "|XY| <= |X|+|Y|-2 does not hold"
+_OLSON_HYPOTHESES = ("HX = X does not hold", "KY = Y does not hold", "KX != X does not hold",
+                     "HY != Y does not hold")
+_EMPTY_INTERSECTION = "intersection is empty"
 
 
 def check_kneser(x: ElementSet, y: ElementSet, *, explore: bool = False) -> TheoremVerdict:
@@ -188,14 +189,10 @@ def check_olson(x: ElementSet, y: ElementSet, h: ElementSet, k: ElementSet) -> T
         raise ValueError(f"k = {k.spec_string()} is not a subgroup of {g.label}")
     base = {"group": g.label, "x": x.spec_string(), "y": y.spec_string(),
             "h": h.spec_string(), "k": k.spec_string()}
-    if product(h, x) != x:
-        return _na(Theorem.OLSON, "HX = X does not hold", base)
-    if product(k, y) != y:
-        return _na(Theorem.OLSON, "KY = Y does not hold", base)
-    if product(k, x) == x:
-        return _na(Theorem.OLSON, "KX != X does not hold", base)
-    if product(h, y) == y:
-        return _na(Theorem.OLSON, "HY != Y does not hold", base)
+    for text, (a, b, periodic) in zip(_OLSON_HYPOTHESES,
+                                      ((h, x, True), (k, y, True), (k, x, False), (h, y, False))):
+        if (product(a, b) == b) != periodic:
+            return _na(Theorem.OLSON, text, base)
     dxy, dyx = difference_counts(x, y)
     meet = len(h & k)
     witness = dict(base, x_minus_y=dxy, y_minus_x=dyx, h_size=len(h), k_size=len(k),
@@ -214,7 +211,7 @@ def check_cell_intersection(s: ElementSet, m1: ElementSet, m2: ElementSet) -> Th
     base = {"group": g.label, "s": s.spec_string(), "m1": m1.spec_string(), "m2": m2.spec_string()}
     inter = m1 & m2
     if not inter:
-        return _na(Theorem.CELL_INTERSECT, "intersection is empty", base)
+        return _na(Theorem.CELL_INTERSECT, _EMPTY_INTERSECTION, base)
     witness = dict(base, intersection=inter.spec_string())
     return _conclude(Theorem.CELL_INTERSECT, is_cell(inter, s), witness, explore=False)
 
@@ -450,36 +447,52 @@ def _verdict_record(group: str, theorem: Theorem, status: Status, witness: dict 
 _FIELDS = {int: "%d", str: '"%s"', hex: '"0x%x"'}
 
 
-def line_template(record: dict) -> str:
-    """The %-format string of record's jsonl_line.
+def line_template(record: dict) -> tuple[str, list[tuple[str, type]]]:
+    """The %-format string of record's jsonl_line, and its fields.
 
     A value given as int, str or hex (the type, or the builtin for a mask
     rendered as "0x..."), in record or in a dict nested in it, is a field:
-    %d, "%s" or "0x%x". The fields take their values in the order they
-    appear in the line, their keys sorted within each dict; every other
-    value is fixed and rendered by jsonl_line itself.
+    %d, "%s" or "0x%x". fields holds the (key, type) of each, a key unique
+    in the record, in line order (keys sorted within each dict), the order
+    the template takes their values. Every other value is fixed.
     """
     markers = {kind: f"\0{i}" for i, kind in enumerate(_FIELDS)}
+    fields = []
 
-    def mark(value):
+    def mark(key, value):
         if isinstance(value, dict):
-            return {k: mark(v) for k, v in value.items()}
-        return next((m for kind, m in markers.items() if value is kind), value)
+            return {k: mark(k, v) for k, v in sorted(value.items())}
+        kind = next((kind for kind in _FIELDS if value is kind), None)
+        if kind is None:
+            return value
+        fields.append((key, kind))
+        return markers[kind]
 
-    line = jsonl_line(mark(record)).replace("%", "%%")
+    line = jsonl_line(mark(None, record)).replace("%", "%%")
+    if len(dict(fields)) < len(fields):
+        raise ValueError(f"field keys repeat in {fields}")
     for i, fmt in enumerate(_FIELDS.values()):
         line = line.replace(f'"\\u0000{i}"', fmt)
-    return line
+    return line, fields
 
 
-def _template(group: str, theorem: Theorem, status: Status, witness: dict) -> str:
-    """The line_template of a verdict record, its fields in the witness."""
-    return line_template(_verdict_record(group, theorem, status, witness))
+def _lines(label: str, theorem: Theorem, outcomes: Sequence[tuple[Status, dict]],
+           masks: Sequence[np.ndarray], fields: dict[str, np.ndarray]) -> list[Iterator[str]]:
+    """One lazy iterator per outcome over the lines of the instances its mask picks, in order.
 
-
-def _spec_memo() -> Callable[[int], str]:
-    """mask_spec, memoized for one task."""
-    return functools.lru_cache(maxsize=1 << 12)(mask_spec)
+    An outcome is (status, witness skeleton), the skeleton a witness for
+    line_template; its template takes each field from the column of that
+    name, a str field (a mask) through mask_spec, memoized for the batch in
+    a bounded cache, so a wide sampled batch holds few strings.
+    """
+    spec = functools.lru_cache(maxsize=1 << 12)(mask_spec)
+    lines = []
+    for (status, witness), mask in zip(outcomes, masks):
+        template, keys = line_template(_verdict_record(label, theorem, status, witness))
+        columns = [fields[key][mask].tolist() for key, _ in keys]
+        lines.append(map(template.__mod__, zip(*(map(spec, c) if kind is str else c
+                                                  for c, (_, kind) in zip(columns, keys)))))
+    return lines
 
 
 class _SweepState:
@@ -547,19 +560,17 @@ _CHUNK = 1 << 16
 
 def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], columns: Sequence[np.ndarray],
                  check: Callable[..., TheoremVerdict | list[TheoremVerdict]],
-                 settle: Callable[..., tuple[np.ndarray, ...]] | None = None, *,
-                 render: Callable[..., Iterator[str | None]] | None = None) -> None:
+                 settle: Callable[..., tuple[Sequence[np.ndarray], dict[str, np.ndarray]]] | None = None,
+                 outcomes: Sequence[tuple[Status, dict | None]] = ()) -> None:
     """Check a batch of instances, given as parallel columns, in instance order.
 
-    settle(*columns) returns (not_applicable, holds, *witness): the masks of
-    the instances it decides, tallied in bulk under every tag (a statement
-    in parts, the corollary, is settled only where its parts agree), then
-    its witness columns. Without a sink only the rest reach check(*instance). With a sink,
-    render(not_applicable, holds, *columns, *witness) yields each
-    instance's record line, or None for an instance the columns do not
-    decide, which check then takes in its place; with a sink and no render,
-    every instance reaches check. A check returns one verdict, or a list
-    of them for a statement in parts (the corollary), one record each.
+    settle(*columns) returns (masks, fields): one mask per outcome, the
+    instances it decides that way, and the witness columns by field name.
+    Each mask is tallied in bulk under its outcome's status and every tag
+    (a statement in parts, the corollary, is settled only where its parts
+    agree). The rest reach check(*instance), which returns one verdict or a
+    list of them (the corollary); with a sink, each in its place among the
+    lines that _lines renders for the decided instances.
     """
 
     def scalar(*instance: int) -> None:
@@ -567,20 +578,21 @@ def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], colu
         for verdict in verdicts if isinstance(verdicts, list) else (verdicts,):
             state.add(label, verdict)
 
-    if settle is not None and (state.sink is None or render is not None):
-        not_applicable, holds, *witness = settle(*columns)
+    if settle is not None:
+        masks, fields = settle(*columns)
+        counts = [int(np.count_nonzero(mask)) for mask in masks]
         for tag in tags:
-            state.tally(tag.value, label, Status.NOT_APPLICABLE.value, int(not_applicable.sum()))
-            state.tally(tag.value, label, Status.HOLDS.value, int(holds.sum()))
+            for (status, _), k in zip(outcomes, counts):
+                state.tally(tag.value, label, status.value, k)
         if state.sink is not None:
-            sink = state.sink
-            for i, line in enumerate(render(not_applicable, holds, *columns, *witness)):
-                if line is None:
+            sink, lines = state.sink, _lines(label, tags[0], outcomes, masks, fields)
+            for i, k in enumerate(np.select(masks, range(len(masks)), -1).tolist()):
+                if k < 0:
                     scalar(*(c[i].item() for c in columns))
                 else:
-                    sink(line)
+                    sink(next(lines[k]))
             return
-        rest = ~(not_applicable | holds)
+        rest = ~np.logical_or.reduce(masks)
         columns = [c[rest] for c in columns]
     for instance in zip(*(c.tolist() for c in columns)):
         scalar(*instance)
@@ -589,15 +601,15 @@ def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], colu
 # -- kneser sweep ---------------------------------------------------------
 
 def _kneser_batch(g: Group, table: np.ndarray, x: np.ndarray, y: np.ndarray,
-                  xy: np.ndarray) -> tuple[np.ndarray, ...]:
+                  xy: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
     """Vectorized check_kneser over pair arrays (X, Y), given XY.
 
-    Returns (not_applicable, holds, |XY|, bound, H, |H|, |HX|, |HY|):
-    whether |XY| <= |X|+|Y|-2 fails, whether it holds with |XY| =
-    |HX|+|HY|-|H| and |H| > 1 for H = stab(XY), then the witness columns
-    of check_kneser. Only the unsaturated pairs (XY != G) meeting the
-    hypothesis go through the stabilizer; every other row has H = G and
-    the sizes |G|, which is the witness of a saturated pair.
+    Returns the masks (not_applicable, holds), whether |XY| <= |X|+|Y|-2
+    fails and whether it holds with |XY| = |HX|+|HY|-|H| and |H| > 1 for
+    H = stab(XY), and check_kneser's witness columns by name. Only the
+    unsaturated pairs (XY != G) meeting the hypothesis go through the
+    stabilizer; every other row has H = G and the sizes |G|, which is the
+    witness of a saturated pair.
     """
     count = np.bitwise_count  # uint8: no sum below reaches 2 * 64
     xy_size = count(xy)
@@ -610,69 +622,49 @@ def _kneser_batch(g: Group, table: np.ndarray, x: np.ndarray, y: np.ndarray,
     h_size[i] = count(stab)
     hx_size[i] = count(pair_products(table, stab, x[i]))
     hy_size[i] = count(pair_products(table, stab, y[i]))
-    holds = hyp & (xy_size + h_size == hx_size + hy_size) & (h_size > 1)
-    return ~hyp, holds, xy_size, bound, h, h_size, hx_size, hy_size
-
-
-def _kneser_lines(g: Group) -> Callable[..., Iterator[str | None]]:
-    """The render of _check_batch for the Kneser sweep of g, from the columns of _kneser_batch."""
-    label = g.label
-    spec = _spec_memo()
-    base = dict(group=label, x=str, y=str, xy_size=int, bound=int)
-    na = _template(label, Theorem.KNESER, Status.NOT_APPLICABLE,
-                   dict(base, failed_hypothesis=_KNESER_HYPOTHESIS))
-    ok = _template(label, Theorem.KNESER, Status.HOLDS,
-                   dict(base, h=str, h_size=int, hx_size=int, hy_size=int, rhs=int))
-
-    def render(*columns: np.ndarray) -> Iterator[str | None]:
-        for a, b, x, y, xy, bound, h, h_size, hx, hy in zip(*(c.tolist() for c in columns)):
-            if a:
-                yield na % (bound, spec(x), xy, spec(y))
-            elif b:
-                yield ok % (bound, spec(h), h_size, hx, hy, hx + hy - h_size, spec(x), xy, spec(y))
-            else:
-                yield None
-    return render
+    rhs = hx_size + hy_size - h_size
+    return (~hyp, hyp & (xy_size == rhs) & (h_size > 1)), dict(
+        x=x, y=y, xy_size=xy_size, bound=bound, h=h, h_size=h_size, hx_size=hx_size, hy_size=hy_size,
+        rhs=rhs)
 
 
 def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     explore = not g.is_abelian
     n = g.order
-    # built by the first settle, so a --wide group builds none
-    table = functools.cache(functools.partial(pair_table, g))
-    render = _kneser_lines(g)
+    base = dict(group=g.label, x=str, y=str, xy_size=int, bound=int)
+    outcomes = ((Status.NOT_APPLICABLE, dict(base, failed_hypothesis=_KNESER_HYPOTHESIS)),
+                (Status.HOLDS, dict(base, h=str, h_size=int, hx_size=int, hy_size=int, rhs=int)))
 
     def check(x: int, y: int) -> TheoremVerdict:
         return check_kneser(ElementSet(g, x), ElementSet(g, y), explore=explore)
 
-    def settle(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, ...]:
-        return _kneser_batch(g, table(), x, y, xy)
-
     if cfg.mode == "sampled":
         rng = random.Random(f"{seed}|pairs")
         # object columns for a --wide group, whose masks outgrow every numpy
-        # integer; those pairs all go to check_kneser
+        # integer; it builds no table, and its pairs all go to check_kneser
         dtype = column_dtype(n)
+        table = None if dtype is object else pair_table(g)
         for start in range(0, cfg.samples, _CHUNK):
             # x and y draws alternate
             k = min(_CHUNK, cfg.samples - start)
             draws = np.array(random_masks(n, rng, 2 * k), dtype=dtype)
             _check_batch(state, g.label, _TAGS["kneser"], draws.reshape(k, 2).T, check,
-                         None if dtype is object
-                         else lambda x, y: settle(x, y, pair_products(table(), x, y)), render=render)
+                         None if table is None
+                         else lambda x, y: _kneser_batch(g, table, x, y, pair_products(table, x, y)), outcomes)
         return
     total = ((1 << n) - 1) ** 2
     if total > cfg.max_instances:
         raise _Refused(f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
-    dtype = mask_dtype(n)
+    dtype, table = mask_dtype(n), pair_table(g)
     # blocks of whole Y rows, Y outer and X inner as the records run
     xs = np.arange(1, 1 << n, dtype=dtype)
     step = max(1, _CHUNK // len(xs))
     for start in range(0, len(xs), step):
         ys = xs[start:start + step]
         _check_batch(state, g.label, _TAGS["kneser"], (np.tile(xs, len(ys)), np.repeat(ys, len(xs))), check,
-                     lambda x, y, ys=ys: settle(x, y, pair_products_every_x(table(), ys)[:, 1:].ravel()),
-                     render=render)
+                     lambda x, y, ys=ys: _kneser_batch(g, table, x, y,
+                                                       pair_products_every_x(table, ys)[:, 1:].ravel()),
+                     outcomes)
 
 
 # -- olson sweep ----------------------------------------------------------
@@ -708,20 +700,28 @@ def _coset_union(table: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray
 
 
 def _olson_batch(table: np.ndarray, h: np.ndarray, k: np.ndarray, x: np.ndarray,
-                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 y: np.ndarray) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
     """Vectorized check_olson over mask columns (H, K, X, Y).
 
-    Returns (not_applicable, holds): whether one of the four hypotheses
-    fails, and whether all hold and both conclusions follow. The
-    periodicity tests HX = X and the rest are products from the group's
-    pair_table.
+    Returns five masks and check_olson's witness columns by name. The
+    masks are, for each of _OLSON_HYPOTHESES, the instances where it is
+    the first to fail, then those where all hold and both conclusions
+    follow. The periodicity tests HX = X and the rest are products from the
+    group's pair_table.
     """
-    applicable = ((pair_products(table, h, x) == x) & (pair_products(table, k, y) == y)
-                  & (pair_products(table, k, x) != x) & (pair_products(table, h, y) != y))
+    fails = (pair_products(table, h, x) != x, pair_products(table, k, y) != y,
+             pair_products(table, k, x) == x, pair_products(table, h, y) == y)
+    failed = np.zeros(len(x), dtype=bool)
+    masks = []
+    for f in fails:
+        masks.append(f & ~failed)
+        failed |= f
     h_size, k_size, meet, dxy, dyx = (np.bitwise_count(a).astype(np.int32)
                                       for a in (h, k, h & k, x & ~y, y & ~x))
-    ok = (dxy + dyx >= h_size + k_size - 2 * meet) & ((dxy >= h_size - meet) | (dyx >= k_size - meet))
-    return ~applicable, applicable & ok
+    rhs = h_size + k_size - 2 * meet
+    masks.append(~failed & (dxy + dyx >= rhs) & ((dxy >= h_size - meet) | (dyx >= k_size - meet)))
+    return masks, dict(h=h, k=k, x=x, y=y, x_minus_y=dxy, y_minus_x=dyx, h_size=h_size, k_size=k_size,
+                       meet_size=meet, rhs=rhs)
 
 
 def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
@@ -796,8 +796,11 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
                 f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
     cosets = _coset_table(g, bits, dtype)
     subgroups = np.array(bits, dtype=dtype)
-    # built by the first settle, so a sweep with a sink builds none
-    table = functools.cache(functools.partial(pair_table, g))
+    table = pair_table(g)
+    base = dict(group=g.label, x=str, y=str, h=str, k=str)
+    outcomes = [(Status.NOT_APPLICABLE, dict(base, failed_hypothesis=text)) for text in _OLSON_HYPOTHESES]
+    outcomes.append((Status.HOLDS, dict(base, x_minus_y=int, y_minus_x=int, h_size=int, k_size=int,
+                                        meet_size=int, rhs=int)))
 
     def check(h: int, k: int, x_bits: int, y_bits: int) -> TheoremVerdict:
         return check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits), subs[h], subs[k])
@@ -806,7 +809,7 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
         columns = (subgroups[hi], subgroups[ki], _coset_union(cosets, hi, rank_x),
                    _coset_union(cosets, ki, rank_y))
         _check_batch(state, g.label, _TAGS["olson"], columns, check,
-                     lambda *masks: _olson_batch(table(), *masks))
+                     functools.partial(_olson_batch, table), outcomes)
 
 
 # -- cell intersection sweep ----------------------------------------------
@@ -824,10 +827,14 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
         def closed(a: np.ndarray) -> np.ndarray:
             return closure_masks(g, times_inverse, _gather(times_s, a)) == a
 
-        def settle(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            inter = bits[i] & bits[j]
-            return inter == 0, (inter != 0) & closed(inter)
+        def settle(i: np.ndarray, j: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
+            m1, m2 = bits[i], bits[j]
+            inter = m1 & m2
+            return (inter == 0, (inter != 0) & closed(inter)), dict(m1=m1, m2=m2, intersection=inter)
 
+        base = dict(group=g.label, s=s.spec_string(), m1=str, m2=str)
+        outcomes = ((Status.NOT_APPLICABLE, dict(base, failed_hypothesis=_EMPTY_INTERSECTION)),
+                    (Status.HOLDS, dict(base, intersection=str)))
         # a set that is not a cell gets no settle, so the checker sees it and refuses it
         settled = settle if bits.all() and closed(bits).all() else None
         step = max(1, _CHUNK // max(m, 1))
@@ -835,7 +842,8 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
             i, j = np.triu_indices(min(step, m - 1 - start), 1, m - start)
             _check_batch(state, g.label, _TAGS["intersection"], (i + start, j + start),
                          lambda a, b: check_cell_intersection(s, ElementSet(g, int(bits[a])),
-                                                              ElementSet(g, int(bits[b]))), settled)
+                                                              ElementSet(g, int(bits[b]))),
+                         settled, outcomes)
 
 
 # -- chain and corollary sweeps -------------------------------------------
@@ -929,15 +937,17 @@ def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task:
                 batch: Callable[..., tuple[np.ndarray, np.ndarray]]) -> None:
     """Check one instance per S of the S space, in chunks of _S_CHUNK sets.
 
-    batch(g, chunk, cap) settles a chunk. A group above the enumeration cap
-    gets no settle, so the checker refuses it at its first S that needs
-    the enumeration, as it would alone.
+    batch(g, chunk, cap) settles a chunk, as (not_applicable, holds). The
+    witnesses hold lists and have no templates, so with a sink every S goes
+    to the checker. A group above the enumeration cap gets no settle, so the
+    checker refuses it at its first S that needs the enumeration, as alone.
     """
     cap = cfg.enumeration_cap
     sets = iter(_s_space(g, cfg, seed))
     while chunk := list(itertools.islice(sets, _S_CHUNK)):
         _check_batch(state, g.label, _TAGS[task], (np.arange(len(chunk)),), lambda i: check(chunk[i]),
-                     (lambda _: batch(g, chunk, cap)) if g.order <= cap else None)
+                     (lambda _: (batch(g, chunk, cap), {})) if state.sink is None and g.order <= cap else None,
+                     ((Status.NOT_APPLICABLE, None), (Status.HOLDS, None)))
 
 
 def _sweep_chain(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
@@ -955,13 +965,13 @@ def _sweep_corollary(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
 # -- dichotomy sweep ------------------------------------------------------
 
 def _dichotomy_batch(times_s: np.ndarray, h_times: np.ndarray, s_size: int, h_size: int,
-                     hs_size: int, t: np.ndarray) -> tuple[np.ndarray, ...]:
+                     hs_size: int, t: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
     """Vectorized check_dichotomy over an array of T masks.
 
     times_s and h_times are the byte tables of X -> X*S and X -> H*X, and
-    hs_size is |HS|. Returns (not_applicable, holds, |TS|, |T|+|S|-1,
-    additive, |HT|): nothing is NOT_APPLICABLE, and holds is the additive
-    branch, or TS H-periodic with |TS| <= |HS|+|HT|-|H|.
+    hs_size is |HS|. Returns the masks (additive, periodic) of the two
+    branches that hold, |TS| >= |T|+|S|-1, or else TS H-periodic with
+    |TS| <= |HS|+|HT|-|H|, and check_dichotomy's witness columns by name.
     """
     ts = _gather(times_s, t)
     ts_size = np.bitwise_count(ts).astype(np.int32)
@@ -969,29 +979,9 @@ def _dichotomy_batch(times_s: np.ndarray, h_times: np.ndarray, s_size: int, h_si
     additive = ts_size >= additive_bound
     periodic = _gather(h_times, ts) == ts
     ht_size = np.bitwise_count(_gather(h_times, t)).astype(np.int32)
-    holds = additive | (periodic & (ts_size <= hs_size + ht_size - h_size))
-    return np.zeros(len(t), dtype=bool), holds, ts_size, additive_bound, additive, ht_size
-
-
-def _dichotomy_lines(g: Group, spec: Callable[[int], str], s: ElementSet, h: ElementSet,
-                     hs_size: int) -> Callable[..., Iterator[str | None]]:
-    """The render of _check_batch for the dichotomy of one S, from the columns of _dichotomy_batch."""
-    label, h_size = g.label, len(h)
-    base = dict(group=label, s=s.spec_string(), h=h.spec_string(), t=str, ts_size=int, additive_bound=int)
-    additive = _template(label, Theorem.DICHOTOMY, Status.HOLDS, dict(base, branch="additive"))
-    periodic = _template(label, Theorem.DICHOTOMY, Status.HOLDS,
-                         dict(base, branch="periodic", periodic=True, hs_size=hs_size, ht_size=int,
-                              h_size=h_size, coset_bound=int))
-
-    def render(_: np.ndarray, *columns: np.ndarray) -> Iterator[str | None]:
-        for ok, t, ts_size, bound, is_additive, ht_size in zip(*(c.tolist() for c in columns)):
-            if is_additive:
-                yield additive % (bound, spec(t), ts_size)
-            elif ok:
-                yield periodic % (bound, hs_size + ht_size - h_size, ht_size, spec(t), ts_size)
-            else:
-                yield None
-    return render
+    coset_bound = ht_size + (hs_size - h_size)
+    return (additive, ~additive & periodic & (ts_size <= coset_bound)), dict(
+        t=t, ts_size=ts_size, additive_bound=additive_bound, ht_size=ht_size, coset_bound=coset_bound)
 
 
 def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -1014,7 +1004,6 @@ def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarr
 def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     explore = not g.is_abelian
     n = g.order
-    spec = _spec_memo()
     for s in _s_space(g, cfg, seed):
         h = balandraud_details(s, cap=cfg.enumeration_cap).subgroup
         # after the enumeration, which refuses a group too large for mask tables
@@ -1022,7 +1011,10 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
         hs_size = product_bits(g, h.bits, s.bits).bit_count()
         settle = functools.partial(_dichotomy_batch, column_union(right, s.bits), column_union(left, h.bits),
                                    len(s), len(h), hs_size)
-        render = _dichotomy_lines(g, spec, s, h, hs_size)
+        base = dict(group=g.label, s=s.spec_string(), h=h.spec_string(), t=str, ts_size=int, additive_bound=int)
+        outcomes = ((Status.HOLDS, dict(base, branch="additive")),
+                    (Status.HOLDS, dict(base, branch="periodic", periodic=True, hs_size=hs_size, ht_size=int,
+                                        h_size=len(h), coset_bound=int)))
         if cfg.mode == "exhaustive":
             total = (1 << n) - 1
             if total > cfg.max_instances:
@@ -1035,7 +1027,7 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
         for t_arr in batches:
             _check_batch(state, g.label, _TAGS["dichotomy"], (t_arr,),
                          lambda t: check_dichotomy(s, h, ElementSet(g, t), explore=explore),
-                         settle, render=render)
+                         settle, outcomes)
 
 
 _DRIVERS = {

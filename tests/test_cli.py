@@ -427,6 +427,23 @@ def test_info_command(capsys):
     assert "abelian: False" in out
 
 
+def test_info_refuses_a_group_order_past_the_digit_limit(capsys):
+    # 5000 digits is past the interpreter's limit on int() of a string
+    rc, out, err = run_cli(capsys, "info", "Z" + "1" * 5000)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "too long" in err, err
+
+
+def test_info_refuses_a_cayley_file_that_does_not_decode(capsys, tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_bytes(b"\xff\xfe0 1\n")
+    rc, out, err = run_cli(capsys, "info", f"cayley:{table}")
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot read"), err
+
+
 # -- verify ---------------------------------------------------------------
 
 def test_verify_jsonl_stream(capsys):
@@ -663,6 +680,11 @@ PINNED_VERIFY_STREAMS = [
     (("verify", "--groups", "Z40", "--theorem", "olson", "--mode", "sampled",
       "--samples", "300", "--seed", "4", "--format", "jsonl"), 302,
      "d9d2258ae47b78a182f25eb77dcc8fe1eebae2c633755c5660bb487de9e6e002"),
+    # every theorem, nearly every line rendered from a batch's columns,
+    # serially and through the pool; pinned from the scalar checkers' stream
+    *((("verify", "--groups", "Z6,D3,Z2xZ4,Q8", "--theorem", "all", "--smax", "4", "--format", "jsonl",
+        "--jobs", jobs), 577_562, "cad5840f7a736e1359e6888b9448365597d3832ece798d8a7d2054dc06cccfa1")
+      for jobs in ("1", "2")),
 ]
 
 

@@ -5,9 +5,11 @@ alongside them and then pinned.
 """
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cellkit import (
     DEFAULT_ORDER_CAP,
@@ -216,6 +218,38 @@ def test_cayley_file_errors(tmp_path):
     bad_table.write_text("2 0 1 1 1")
     with pytest.raises(GroupAxiomError):
         build_group(f"cayley:{bad_table}")
+
+
+# pieces of the group-spec grammar, numbers kept small so a spec that
+# parses builds a small table
+_GROUP_PIECES = st.sampled_from(["Z", "z", "D", "S", "Q", "x", "X", " ", "cayley:", "é", "-"])
+GROUP_LIKE = st.lists(st.tuples(_GROUP_PIECES, st.integers(0, 70).map(str)), max_size=4).map(
+    lambda parts: "".join(piece + num for piece, num in parts))
+# a Cayley file as bytes: arbitrary, or whitespace-separated small integers,
+# which reach the order, the entry count and the axioms
+TABLE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.integers(-2, 5), max_size=20).map(lambda vs: " ".join(map(str, vs)).encode()))
+
+
+def builds_or_refuses(spec):
+    try:
+        assert isinstance(build_group(spec), Group)
+    except (GroupSpecError, GroupAxiomError):
+        pass  # any other exception escapes and fails the test
+
+
+@given(text=st.one_of(st.text(max_size=40), GROUP_LIKE), table=TABLE_BYTES)
+@example(text="Z" + "1" * 5000, table=b"")
+@example(text="Q8", table=b"\xff\xfe0 1\n")
+@example(text="Q8", table=b"1 0")
+def test_build_group_returns_a_group_or_raises_a_group_error(text, table):
+    builds_or_refuses(text)
+    # hypothesis rejects function-scoped fixtures such as tmp_path
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        path.write_bytes(table)
+        builds_or_refuses(f"cayley:{path}")
 
 
 # -- subgroups ------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 import cellkit.specs as specs
 import cellkit.theorems as theorems
 from cellkit import (
+    WIDE_ORDER_CAP,
     SubsetSpecError,
     build_group,
     check_subset_spec,
@@ -119,6 +120,12 @@ def test_parse_group_token_errors():
         parse_group_tokens("Z2..D5")
     with pytest.raises(SubsetSpecError, match="unrecognized group range"):
         parse_group_tokens("Z2..Z3..Z4")
+    # a range past the largest order a group may have is refused before any name is built
+    assert len(parse_group_tokens(f"Z1..Z{WIDE_ORDER_CAP}")) == WIDE_ORDER_CAP
+    with pytest.raises(SubsetSpecError, match="past index"):
+        parse_group_tokens(f"Z1..Z{WIDE_ORDER_CAP + 1}")
+    with pytest.raises(SubsetSpecError, match="past index"):
+        parse_group_tokens("Z1..Z300000")
 
 
 # -- the seeded draws against the stdlib calls they replay -----------------

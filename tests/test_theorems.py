@@ -165,13 +165,18 @@ def test_olson_batch_matches_scalar(g):
     unions = coset_unions(g, [h.bits for h in all_subgroups(g)])
     rows = [(h, k, x, y) for h in unions for k in unions for x in unions[h] for y in unions[k]]
     rows += [(h, k, y, x) for h, k, x, y in rows]
-    not_applicable, holds = theorems._olson_batch(
-        pair_table(g), *(np.array(col, dtype=np.uint32) for col in zip(*rows)))
-    assert not_applicable.any()
-    for (h, k, x, y), na, ok in zip(rows, not_applicable.tolist(), holds.tolist()):
+    masks, _ = theorems._olson_batch(pair_table(g), *(np.array(col, dtype=np.uint32) for col in zip(*rows)))
+    # the mask of each hypothesis failing first, then HOLDS
+    assert len(masks) == len(theorems._OLSON_HYPOTHESES) + 1
+    assert all(mask.any() for mask in masks)
+    outcome = np.select(masks, range(len(masks)), -1).tolist()
+    for (h, k, x, y), got in zip(rows, outcome):
         v = check_olson(ElementSet(g, x), ElementSet(g, y), ElementSet(g, h), ElementSet(g, k))
-        assert (v.status is Status.NOT_APPLICABLE) == na, (h, k, x, y)
-        assert (v.status is Status.HOLDS) == ok, (h, k, x, y)
+        if v.status is Status.NOT_APPLICABLE:
+            want = theorems._OLSON_HYPOTHESES.index(v.witness["failed_hypothesis"])
+        else:
+            want = len(masks) - 1 if v.status is Status.HOLDS else -1
+        assert got == want, (h, k, x, y)
 
 
 def sorted_coset_unions(g, h_bits):
@@ -370,12 +375,14 @@ def test_dichotomy_batch_matches_scalar(spec, s_idx):
     assert len(h) > 1
     t_arr = np.arange(1, 1 << g.order, dtype=np.uint32)
     right, left = translate_tables(g)
-    _, batch, *_ = theorems._dichotomy_batch(column_union(right, s.bits), column_union(left, h.bits),
-                                             len(s), len(h), product_bits(g, h.bits, s.bits).bit_count(),
-                                             t_arr)
-    for t_bits, ok in zip(t_arr.tolist(), batch.tolist()):
+    masks, _ = theorems._dichotomy_batch(column_union(right, s.bits), column_union(left, h.bits),
+                                         len(s), len(h), product_bits(g, h.bits, s.bits).bit_count(), t_arr)
+    # the additive branch holding, then the periodic one
+    branch = np.select(masks, range(len(masks)), -1).tolist()
+    for t_bits, got in zip(t_arr.tolist(), branch):
         v = check_dichotomy(s, h, ElementSet(g, int(t_bits)), explore=True)
-        assert (v.status is Status.HOLDS) == ok, t_bits
+        want = ("additive", "periodic").index(v.witness["branch"]) if v.status is Status.HOLDS else -1
+        assert got == want, t_bits
 
 
 def reference_sampled_t_masks(g, count, rng):
@@ -465,20 +472,28 @@ OLSON_INTERSECTION_CONFIGS = {
 }
 
 
+def without_settle(monkeypatch):
+    """Hand _check_batch no settle, so every instance of a sweep reaches its scalar checker."""
+    real = theorems._check_batch
+    monkeypatch.setattr(theorems, "_check_batch", lambda *args: real(*args[:5]))
+
+
 @pytest.mark.parametrize("config, spec",
                          [(config, spec) for config in OLSON_INTERSECTION_CONFIGS
                           for spec in ("Z6", "D3", "Z2xZ4", "Q8")]
                          + [("olson-sampled", "D5"), ("olson-sampled", "Z40")])
-def test_olson_and_intersection_counting_equals_per_instance_mode(config, spec):
+def test_olson_and_intersection_counting_equals_per_instance_mode(monkeypatch, config, spec):
     # bulk HOLDS / NOT_APPLICABLE counts must agree with running the scalar
-    # checker on every instance, which is what a sink forces. Sampled D5 has
-    # masks over two bytes in a nonabelian group, Z40 has uint64 masks
+    # checker on every instance, a run whose _check_batch gets no settle.
+    # Sampled D5 has masks over two bytes in a nonabelian group, Z40 has
+    # uint64 masks
     cfg = SweepConfig(groups=(spec,), **OLSON_INTERSECTION_CONFIGS[config])
     counted = run_sweep(cfg)
+    without_settle(monkeypatch)
     records = []
-    streamed = run_sweep(cfg, sink=into(records))
+    scalar = run_sweep(cfg, sink=into(records))
     assert counts_from_summary(counted.summary) == counts_from_records(records)
-    assert counted.summary == streamed.summary
+    assert counted.summary == scalar.summary
 
 
 def test_intersection_counting_path_still_refuses_a_non_cell(monkeypatch):
@@ -665,9 +680,12 @@ def test_sweep_record_streams_match_pinned_digests():
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest, kwargs
 
 
-# every configuration of the counting-versus-streaming tests for the two
+# every configuration of the counting-versus-streaming tests for the
 # theorems whose streams are rendered from columns, plus sampled two-byte
-# dichotomy masks
+# dichotomy masks. Olson covers both modes, abelian and nonabelian groups
+# and the two NOT_APPLICABLE branches a sweep reaches (its X and Y are
+# H- and K-periodic by construction; test_olson_batch_matches_scalar
+# covers all four), the intersection empty meets
 ORACLE_CONFIGS = {
     **{f"kneser-{spec}": dict(groups=(spec,), theorems=("kneser",))
        for spec in ("Z5", "Z6", "Z2xZ2", "D3", "Q8", "Z2xZ4", "Z2xZ2xZ2")},
@@ -680,18 +698,25 @@ ORACLE_CONFIGS = {
        for spec in ("Z6", "Z8", "D4")},
     "dichotomy-sampled-Z12": dict(groups=("Z12",), theorems=("dichotomy",), mode="sampled",
                                   samples=2000, s_samples=3, seed=7),
+    **{f"olson-{spec}": dict(groups=(spec,), theorems=("olson",)) for spec in ("Z6", "D3", "Z2xZ4", "Q8")},
+    **{f"olson-sampled-{spec}": dict(groups=(spec,), theorems=("olson",), mode="sampled", samples=3000,
+                                     seed=17)
+       for spec in ("Z6", "D3", "D5", "Z40")},
+    **{f"intersection-{spec}": dict(groups=(spec,), theorems=("intersection",), s_max=3)
+       for spec in ("Z6", "D3", "Z2xZ4", "Q8")},
 }
+CHECKERS = {"kneser": "check_kneser", "dichotomy": "check_dichotomy", "olson": "check_olson",
+            "intersection": "check_cell_intersection"}
 
 
 @pytest.mark.parametrize("case", ORACLE_CONFIGS)
 def test_rendered_lines_equal_the_scalar_checker_records(case, monkeypatch):
     # every line of the stream, rendered from a batch's columns or not, must
     # be the scalar checker's record for that instance as compact sorted-key
-    # JSON; a sink with the render taken away from _check_batch sends every
-    # instance to the checker
+    # JSON; a _check_batch with no settle sends every instance to the checker
     cfg = SweepConfig(**ORACLE_CONFIGS[case])
-    checker = {"kneser": "check_kneser", "dichotomy": "check_dichotomy"}[cfg.theorems[0]]
-    real_checker, real_batch = getattr(theorems, checker), theorems._check_batch
+    checker = CHECKERS[cfg.theorems[0]]
+    real_checker = getattr(theorems, checker)
     verdicts = []
 
     def recording(*args, **kwargs):
@@ -703,8 +728,7 @@ def test_rendered_lines_equal_the_scalar_checker_records(case, monkeypatch):
     run_sweep(cfg, sink=lines.append)
     rendered = len(lines) - len(verdicts)
     verdicts.clear()
-    monkeypatch.setattr(theorems, "_check_batch",
-                        lambda *args, render=None, **kwargs: real_batch(*args, **kwargs))
+    without_settle(monkeypatch)
     run_sweep(cfg, sink=lambda line: None)
     group = cfg.groups[0]
     want = [json.dumps({"kind": "verdict", "theorem": v.theorem.value, "group": group,
@@ -712,7 +736,8 @@ def test_rendered_lines_equal_the_scalar_checker_records(case, monkeypatch):
                        sort_keys=True, separators=(",", ":")) + "\n" for v in verdicts]
     assert lines == want
     # the columns render every line but the checker's own: D3's 54 FINDINGs,
-    # D4's dichotomy FINDINGs, and every --wide pair
+    # D4's dichotomy FINDINGs, and every --wide pair; so every Olson and
+    # intersection line
     if case == "kneser-wide-Z70":
         assert rendered == 0
     else:
@@ -724,11 +749,14 @@ def test_template_escapes_what_json_escapes():
     # fixed parts of a template are jsonl_line's own bytes, the fields are not
     label = 'cayley:a%d "b"\\c\u00e9'
     witness = {"x": "{0,1}", "n": 3, "note": "100%", "flag": True, "group": label}
-    template = theorems._template(label, Theorem.KNESER, Status.HOLDS,
-                                  dict(witness, x=str, n=int))
-    want = theorems.jsonl_line({"kind": "verdict", "theorem": "KNESER", "group": label,
-                                "status": "HOLDS", "witness": witness})
-    assert template % (3, "{0,1}") == want
+    record = {"kind": "verdict", "theorem": "KNESER", "group": label, "status": "HOLDS", "witness": witness}
+    template, fields = theorems.line_template(dict(record, bits=hex, witness=dict(witness, x=str, n=int)))
+    # the fields in line order: keys sorted within each dict, bits before the witness
+    assert fields == [("bits", hex), ("n", int), ("x", str)]
+    assert template % (10, 3, "{0,1}") == theorems.jsonl_line(dict(record, bits="0xa"))
+    # a field key must name one value of the record
+    with pytest.raises(ValueError, match="repeat"):
+        theorems.line_template(dict(record, x=str, witness=dict(witness, x=str)))
 
 
 def test_kneser_sweep_frozen_counts():
