@@ -19,20 +19,23 @@ positions.
 
 _full_cell_enumeration lists every cell sorted by (deficiency, size, bits),
 as read-only numpy columns of cells, products and deficiencies, memoized
-per S on the group. A rooted sweep over the 2^(order-|S|) masks of G \\ S
-gives the cells that contain the identity, and one gather from the group's
-left-translate table expands them to all cells. cell_columns slices the
-deficiency prefix a reader needs; in sampled mode it builds the same three
-columns from seeded closures, sorted by the same key. Its readers:
-`cellkit cells` renders its rows from the columns, with subgroup_flags (one
-gather from the left table, through periodic_flags) and kernel_cells;
-balandraud_details reads the identity u*-kernel through kernel_cells, and
-the chain and corollary settles read the prefixes of many S laid end to
-end. kernel_flags is the one reading of the smallest cells at a
-deficiency, under kernel_cells, the settles and the rows of `cellkit
-cells`. enumerate_cells turns the prefix into CellRecords, from which
-the scalar kernel chain and corollary checkers answer, and which tests
-hold the columns to.
+per right-translate class of S on the group: S and each translate S*y
+that holds 1 have the same cells and deficiencies, and their products
+differ by y (translate_class_keys names the class). A rooted sweep over
+the 2^(order-|S|) masks of G \\ S gives the cells that contain the
+identity, and one gather from the group's left-translate table expands
+them to all cells. cell_columns slices the deficiency prefix a reader
+needs; in sampled mode it builds the same three columns from seeded
+closures, sorted by the same key. Its readers: `cellkit cells` renders
+its rows from the columns, with subgroup_flags (one gather from the left
+table, through periodic_flags) and kernel_cells; balandraud_details reads
+the identity u*-kernel through kernel_cells, and the chain and corollary
+settles read the prefixes of many S laid end to end, one S per class.
+kernel_flags is the one reading of the smallest cells at a deficiency,
+under kernel_cells, the settles and the rows of `cellkit cells`.
+enumerate_cells turns the prefix into CellRecords, from which the scalar
+kernel chain and corollary checkers answer, and which tests hold the
+columns to.
 """
 
 from __future__ import annotations
@@ -340,6 +343,17 @@ def require_enumerable(order: int, cap: int) -> None:
                                   f"refusing order {order} above cap {cap}")
 
 
+def translate_class_keys(g: Group, masks: np.ndarray) -> np.ndarray:
+    """The class key of each nonempty mask S of a column: its least right translate S*y that holds 1.
+
+    z*S*y lies inside X*S*y iff z*S lies inside X*S, so S and each S*y that
+    holds 1 have the same cells and deficiencies, and X*(S*y) = (X*S)*y.
+    One gather of the group's right table gives every S*y, shape (k, n).
+    """
+    translates = _gather(translate_tables(g)[0], masks)  # [i, y] = S_i * y
+    return np.where((translates & 1) == 1, translates, np.iinfo(translates.dtype).max).min(axis=1)
+
+
 def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All cells of S as read-only columns (cells, products, deficiency).
 
@@ -357,15 +371,26 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray,
     z. The tables are the group's (translate_tables): per S only the free
     rows are built. The sweep is chunked so memory stays proportional to
     the chunk, not to 2^order. The cap is checked before the memo, which
-    keeps the columns of the last _MEMO_LIMIT sets on g._enum_memo.
+    keeps the last _MEMO_LIMIT right-translate classes (translate_class_keys)
+    on g._enum_memo: for each, the member rep first enumerated and its
+    columns. Another member S = rep*y gets the same cells and deficiency
+    arrays, and its products from one gather of the right table's column y,
+    X*S = (X*rep)*y.
     """
     n = g.order
     require_enumerable(n, cap)
-    cached = g._enum_memo.get(s_bits)
-    if cached is not None:
-        return cached
     right, left = translate_tables(g)
     dtype = right.dtype.type
+    key = int(translate_class_keys(g, np.array([s_bits], dtype=dtype))[0])
+    cached = g._enum_memo.get(key)
+    if cached is not None:
+        rep, cells, products, deficiency = cached
+        if rep != s_bits:
+            # S = rep*y for the y at which rep's row of right translates reads S
+            y = int(np.flatnonzero(_gather(right, np.array([rep], dtype=dtype))[0] == s_bits)[0])
+            products = _gather(right[:, y], products)
+            products.flags.writeable = False
+        return cells, products, deficiency
     free = [j for j in range(n) if not s_bits >> j & 1]
     if free:
         # the translates j * S^-1 for j outside S, the rows of the sweep's table
@@ -390,7 +415,7 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray,
         column.flags.writeable = False
     if len(g._enum_memo) >= _MEMO_LIMIT:
         g._enum_memo.pop(next(iter(g._enum_memo)))
-    g._enum_memo[s_bits] = result
+    g._enum_memo[key] = (s_bits, *result)
     return result
 
 

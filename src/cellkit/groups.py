@@ -114,8 +114,9 @@ class Group:
             self._validate()
         self.inv = self._invert()
         self._abelian = abelian
-        # cells.py's enumeration columns (cells, products, deficiency) per S mask
-        self._enum_memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # cells.py's enumeration memo per right-translate class key of S: the
+        # member rep first enumerated and its columns (rep, cells, products, deficiency)
+        self._enum_memo: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._subgroup_bits: frozenset[int] | None = None
 
     def _validate(self) -> None:

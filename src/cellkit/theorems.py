@@ -24,13 +24,14 @@ vectorized path, which settles a whole batch into one mask per outcome
 and the witness columns: instances it decides are tallied in bulk, and
 only the rest reach the scalar checker, the oracle, in instance order.
 Kneser settles every verdict that holds, periodic XY included. The chain
-and the corollary settle each S of a chunk of memoized enumerations from
-the prefix columns laid end to end (kernel_flags, subgroup_flags,
-periodic_flags). A sink receives each record as its finished JSON line
-(jsonl_line). With a sink each decided line is rendered from the witness
-columns through its outcome's line_template (_lines), and each undecided
-instance, every VIOLATED and FINDING, goes to the checker in its place;
-the chain and the corollary, whose witnesses hold lists, send every S.
+and the corollary settle a chunk of S from the memoized enumerations of
+one S per right-translate class, their prefix columns laid end to end
+(kernel_flags, subgroup_flags, periodic_flags). A sink receives each
+record as its finished JSON line (jsonl_line). With a sink each decided
+line is rendered from the witness columns through its outcome's
+line_template (_lines), and each undecided instance, every VIOLATED and
+FINDING, goes to the checker in its place; the chain and the corollary,
+whose witnesses hold lists, send every S.
 run_sweep is prepare_sweep, which builds every group once and checks the
 set spec against each before anything is written, then sweep_groups, the
 task loop on those groups. _run_task notes exploration mode and turns a
@@ -82,6 +83,7 @@ from .cells import (
     periodic_flags,
     stabilizer_masks,
     subgroup_flags,
+    translate_class_keys,
     translate_tables,
 )
 from .groups import (
@@ -849,7 +851,7 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
 # -- chain and corollary sweeps -------------------------------------------
 
 # the chain and corollary sweeps take their S space in chunks of at most
-# this many sets, so each S a settle leaves to the checker is still memoized
+# this many sets, so each class of S a settle leaves to the checker is still memoized
 _S_CHUNK = _MEMO_LIMIT
 
 
@@ -932,12 +934,26 @@ def _corollary_batch(g: Group, sets: Sequence[ElementSet], cap: int) -> tuple[np
     return ~applicable, holds
 
 
+def _class_settle(g: Group, sets: Sequence[ElementSet], cap: int,
+                  batch: Callable[..., tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """batch(g, sets, cap), run once on the first member of each right-translate class among sets.
+
+    batch reads only |S| and the cells and deficiencies of S, which the
+    whole class shares (translate_class_keys), so its masks are read back
+    from each class's first member to every S.
+    """
+    keys = translate_class_keys(g, np.array([s.bits for s in sets], dtype=mask_dtype(g.order)))
+    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+    return tuple(mask[back] for mask in batch(g, [sets[i] for i in first], cap))
+
+
 def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task: str,
                 check: Callable[[ElementSet], TheoremVerdict | list[TheoremVerdict]],
                 batch: Callable[..., tuple[np.ndarray, np.ndarray]]) -> None:
     """Check one instance per S of the S space, in chunks of _S_CHUNK sets.
 
-    batch(g, chunk, cap) settles a chunk, as (not_applicable, holds). The
+    batch(g, sets, cap) settles a list of sets, as (not_applicable, holds);
+    _class_settle runs it once per right-translate class of the chunk. The
     witnesses hold lists and have no templates, so with a sink every S goes
     to the checker. A group above the enumeration cap gets no settle, so the
     checker refuses it at its first S that needs the enumeration, as alone.
@@ -946,7 +962,8 @@ def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task:
     sets = iter(_s_space(g, cfg, seed))
     while chunk := list(itertools.islice(sets, _S_CHUNK)):
         _check_batch(state, g.label, _TAGS[task], (np.arange(len(chunk)),), lambda i: check(chunk[i]),
-                     (lambda _: (batch(g, chunk, cap), {})) if state.sink is None and g.order <= cap else None,
+                     (lambda _: (_class_settle(g, chunk, cap, batch), {}))
+                     if state.sink is None and g.order <= cap else None,
                      ((Status.NOT_APPLICABLE, None), (Status.HOLDS, None)))
 
 

@@ -18,6 +18,7 @@ from cellkit import (
     balandraud_details,
     balandraud_subgroup,
     build_group,
+    builtin_specs,
     cell_closure,
     enumerate_cells,
     generated_subgroup,
@@ -45,6 +46,7 @@ from cellkit.cells import (
     pair_table,
     stabilizer_masks,
     subgroup_flags,
+    translate_class_keys,
     translate_tables,
 )
 from cellkit.groups import inverse_bits, product_bits
@@ -346,16 +348,55 @@ def test_subgroup_flags_and_kernel_cells_match_the_records(monkeypatch, chunk):
                 [k.cell.bits for k in kernels_at(s, u, records).kernels], (s.spec_string(), u)
 
 
-def test_memo_columns_are_read_only():
+def test_memo_columns_are_read_only(monkeypatch):
     g = build_group("Z8")
     s = g.subset([0, 1, 3])
     before = [r.cell.bits for r in enumerate_cells(s, g.order)]
     columns = _full_cell_enumeration(g, s.bits, g.order)
-    assert g._enum_memo[s.bits] is columns
     for column in columns:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
+    # a repeat and the translate S*5 = {0,5,6} read the memo without a second
+    # sweep: the same cells array, and the translate's own products, read-only
+    monkeypatch.setattr(cells_module, "_distinct", lambda a: pytest.fail("swept again"))
+    assert _full_cell_enumeration(g, s.bits, g.order)[0] is columns[0]
+    cells, products, deficiency = _full_cell_enumeration(g, g.subset([0, 5, 6]).bits, g.order)
+    assert cells is columns[0] and deficiency is columns[2]
+    with pytest.raises(ValueError, match="read-only"):
+        products[0] = 0
+    monkeypatch.undo()
     assert [r.cell.bits for r in enumerate_cells(s, g.order)] == before
+
+
+def least_translate(g, s_bits):
+    """The least right translate S*y that holds 1, from product_bits."""
+    return min(t for t in (product_bits(g, s_bits, 1 << y) for y in range(g.order)) if t & 1)
+
+
+@pytest.mark.parametrize("spec, max_size", [(spec, 4) for spec in builtin_specs(8)] + [("Z12", 3), ("D6", 3)])
+def test_a_translate_reads_its_class_columns_as_its_own(spec, max_size):
+    # S and its right translates that hold 1 share the cells and deficiencies,
+    # with products (X*S)*y: enumerate the class's least member on one group,
+    # then S; each column must equal S's enumeration on a fresh group, dtype
+    # for dtype
+    g = build_group(spec)
+    for s_bits in identity_subsets(g, max_size):
+        key = least_translate(g, s_bits)
+        assert translate_class_keys(g, np.array([s_bits], dtype=mask_dtype(g.order))).tolist() == [key]
+        _full_cell_enumeration(g, key, g.order)
+        got = _full_cell_enumeration(g, s_bits, g.order)
+        want = _full_cell_enumeration(build_group(spec), s_bits, g.order)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (spec, s_bits)
+
+
+def test_a_memoized_class_is_still_refused_above_the_cap():
+    g = build_group("Z21")
+    s = g.subset([0, 1, 2, 3, 4])
+    _full_cell_enumeration(g, s.bits, 21)
+    for t in (s, g.subset([0, 1, 2, 3, 20])):
+        with pytest.raises(EnumerationCapError, match="2\\^21"):
+            enumerate_cells(t, u_max=1)
 
 
 def test_full_group_set_has_one_cell():

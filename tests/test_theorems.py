@@ -21,7 +21,7 @@ import cellkit.cells as cells_module
 import cellkit.theorems as theorems
 from cellkit.cells import column_union, mask_dtype, pair_table, translate_tables
 from cellkit.groups import product_bits
-from cellkit.specs import SubsetSpecError
+from cellkit.specs import IdentitySubsets, SubsetSpecError
 from cellkit import (
     ElementSet,
     Status,
@@ -478,22 +478,57 @@ def without_settle(monkeypatch):
     monkeypatch.setattr(theorems, "_check_batch", lambda *args: real(*args[:5]))
 
 
+CHECKERS = {"kneser": "check_kneser", "dichotomy": "check_dichotomy", "olson": "check_olson",
+            "intersection": "check_cell_intersection"}
+_SCALAR_RUNS = {}
+
+
+def scalar_run(cfg):
+    """cfg swept with every instance at its scalar checker, once per config for the tests that read it.
+
+    Returns the summary, the verdict counts of the streamed records, the
+    number of FINDING verdicts, and the count and sha256 of the lines that
+    the checker's verdicts make as compact sorted-key JSON records.
+    """
+    key = repr(cfg)
+    if key not in _SCALAR_RUNS:
+        checker = CHECKERS[cfg.theorems[0]]
+        real_checker = getattr(theorems, checker)
+        verdicts, records = [], []
+
+        def recording(*args, **kwargs):
+            verdicts.append(real_checker(*args, **kwargs))
+            return verdicts[-1]
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(theorems, checker, recording)
+            without_settle(monkeypatch)
+            result = run_sweep(cfg, sink=into(records))
+        group = cfg.groups[0]
+        want = "".join(json.dumps({"kind": "verdict", "theorem": v.theorem.value, "group": group,
+                                   "status": v.status.value, "witness": v.witness},
+                                  sort_keys=True, separators=(",", ":")) + "\n" for v in verdicts)
+        _SCALAR_RUNS[key] = (result.summary, counts_from_records(records),
+                             sum(v.status is Status.FINDING for v in verdicts),
+                             len(verdicts), hashlib.sha256(want.encode()).hexdigest())
+    return _SCALAR_RUNS[key]
+
+
 @pytest.mark.parametrize("config, spec",
                          [(config, spec) for config in OLSON_INTERSECTION_CONFIGS
                           for spec in ("Z6", "D3", "Z2xZ4", "Q8")]
                          + [("olson-sampled", "D5"), ("olson-sampled", "Z40")])
-def test_olson_and_intersection_counting_equals_per_instance_mode(monkeypatch, config, spec):
+def test_olson_and_intersection_counting_equals_per_instance_mode(config, spec):
     # bulk HOLDS / NOT_APPLICABLE counts must agree with running the scalar
     # checker on every instance, a run whose _check_batch gets no settle.
     # Sampled D5 has masks over two bytes in a nonabelian group, Z40 has
-    # uint64 masks
+    # uint64 masks. test_rendered_lines_equal_the_scalar_checker_records
+    # reads the same scalar run
     cfg = SweepConfig(groups=(spec,), **OLSON_INTERSECTION_CONFIGS[config])
     counted = run_sweep(cfg)
-    without_settle(monkeypatch)
-    records = []
-    scalar = run_sweep(cfg, sink=into(records))
-    assert counts_from_summary(counted.summary) == counts_from_records(records)
-    assert counted.summary == scalar.summary
+    summary, counts = scalar_run(cfg)[:2]
+    assert counts_from_summary(counted.summary) == counts
+    assert counted.summary == summary
 
 
 def test_intersection_counting_path_still_refuses_a_non_cell(monkeypatch):
@@ -553,20 +588,24 @@ def test_chain_and_corollary_counting_equals_per_instance_mode(monkeypatch, theo
 
 
 def with_intruder(monkeypatch, s, cell, product):
-    """Put an intruder row, in its sorted place, into the enumeration columns of s alone.
+    """Put an intruder row, in its sorted place, into the enumeration columns of the class of s.
 
+    Each right translate s*y that holds 1 shares the enumeration of s, its
+    products moved by y, so each gets the row with its product moved too.
     The settles and the scalar checkers both read the enumeration through
     cells.cell_columns, so both see it.
     """
     real = cells_module._full_cell_enumeration
-    row = (s.group.subset(cell).bits, s.group.subset(product).bits)
+    g = s.group
+    cell, product = g.subset(cell).bits, g.subset(product).bits
+    moved = {product_bits(g, s.bits, 1 << y): product_bits(g, product, 1 << y) for y in range(g.order)}
 
     def enumeration(g, s_bits, cap):
         columns = real(g, s_bits, cap)
-        if s_bits != s.bits:
+        if s_bits not in moved:
             return columns
-        cells, products = (np.append(c, c.dtype.type(v)) for c, v in zip(columns, row))
-        deficiency = np.append(columns[2], columns[2].dtype.type(row[1].bit_count() - row[0].bit_count()))
+        cells, products = (np.append(c, c.dtype.type(v)) for c, v in zip(columns, (cell, moved[s_bits])))
+        deficiency = np.append(columns[2], columns[2].dtype.type(product.bit_count() - cell.bit_count()))
         order = np.lexsort((cells, np.bitwise_count(cells), deficiency))
         return cells[order], products[order], deficiency[order]
 
@@ -590,8 +629,9 @@ def with_intruder(monkeypatch, s, cell, product):
         "corollary-III"])
 def test_an_intruder_reaches_the_checker_in_counting_mode(monkeypatch, theorem, cell, product, failed):
     # no true statement yields VIOLATED, so an intruder in the enumeration
-    # of {0,1,6,7} stands in for a wrong one: the settle must leave that S
-    # to the checker, which reports it as the sink run does
+    # of the class of {0,1,6,7}, which is {0,1,6,7} and {0,5,6,11}, stands in
+    # for a wrong one: the settle must leave both S to the checker, which
+    # reports each as the sink run does
     with_intruder(monkeypatch, Z12.subset([0, 1, 6, 7]), cell, product)
     cfg = SweepConfig(groups=("Z12",), theorems=(theorem,), s_max=4)
     calls = count_checker_calls(monkeypatch, theorem)
@@ -599,10 +639,10 @@ def test_an_intruder_reaches_the_checker_in_counting_mode(monkeypatch, theorem, 
     streamed = run_sweep(cfg, sink=into(records))
     violated = [r for r in records if r["status"] == "VIOLATED"]
     assert {r["theorem"] for r in violated} == failed
-    assert {r["witness"]["s"] for r in violated} == {"{0,1,6,7}"}
+    assert {r["witness"]["s"] for r in violated} == {"{0,1,6,7}", "{0,5,6,11}"}
     calls.clear()
     counted = run_sweep(cfg)
-    assert len(calls) == 1 and Status.VIOLATED in calls[0]
+    assert len(calls) == 2 and all(Status.VIOLATED in statuses for statuses in calls)
     assert (counted.summary, counted.violations) == (streamed.summary, streamed.violations)
 
 
@@ -613,14 +653,33 @@ def test_corollary_settles_a_chunk_with_no_inhabited_deficiency():
 
 
 def test_chain_and_corollary_counts_do_not_depend_on_the_set_chunk(monkeypatch):
-    cfg = SweepConfig(groups=("Z6", "D3", "Z2xZ4"), theorems=("chain", "corollary"))
-    whole = run_sweep(cfg)
-    monkeypatch.setattr(theorems, "_S_CHUNK", 7)
-    chunked = run_sweep(cfg)
-    assert (chunked.summary, chunked.findings) == (whole.summary, whole.findings)
-    records = []
-    run_sweep(cfg, sink=into(records))
-    assert counts_from_summary(chunked.summary) == counts_from_records(records)
+    # chunks of 7 sets split the right-translate classes of S between them,
+    # on Z12 (to |S| = 5) as on the groups of order 6 and 8
+    for kwargs in (dict(groups=("Z6", "D3", "Z2xZ4")), dict(groups=("Z12",), s_max=5)):
+        cfg = SweepConfig(theorems=("chain", "corollary"), **kwargs)
+        whole = run_sweep(cfg)
+        monkeypatch.setattr(theorems, "_S_CHUNK", 7)
+        chunked = run_sweep(cfg)
+        assert (chunked.summary, chunked.findings) == (whole.summary, whole.findings)
+        records = []
+        run_sweep(cfg, sink=into(records))
+        assert counts_from_summary(chunked.summary) == counts_from_records(records)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("theorem", SET_CHECKERS)
+@pytest.mark.parametrize("spec", builtin_specs(8) + ["Z12", "D6"])
+def test_the_class_settle_equals_the_batch_on_every_set(theorem, spec):
+    # the batch run once per right-translate class, its masks read back to
+    # every S, against the batch run on every S; order 12 to |S| = 5
+    g = build_group(spec)
+    batch = {"chain": theorems._chain_batch, "corollary": theorems._corollary_batch}[theorem]
+    sets = list(IdentitySubsets(g, 1, 5 if g.order > 8 else g.order))
+    settled = theorems._class_settle(g, sets, g.order, batch)
+    direct = batch(g, sets, g.order)
+    assert len(settled) == len(direct) == 2
+    for a, b in zip(settled, direct):
+        assert a.tolist() == b.tolist()
 
 
 def test_sampled_kneser_draws_do_not_depend_on_the_chunk(monkeypatch):
@@ -705,43 +764,35 @@ ORACLE_CONFIGS = {
     **{f"intersection-{spec}": dict(groups=(spec,), theorems=("intersection",), s_max=3)
        for spec in ("Z6", "D3", "Z2xZ4", "Q8")},
 }
-CHECKERS = {"kneser": "check_kneser", "dichotomy": "check_dichotomy", "olson": "check_olson",
-            "intersection": "check_cell_intersection"}
 
 
 @pytest.mark.parametrize("case", ORACLE_CONFIGS)
 def test_rendered_lines_equal_the_scalar_checker_records(case, monkeypatch):
     # every line of the stream, rendered from a batch's columns or not, must
     # be the scalar checker's record for that instance as compact sorted-key
-    # JSON; a _check_batch with no settle sends every instance to the checker
+    # JSON, from the run of scalar_run whose _check_batch gets no settle
     cfg = SweepConfig(**ORACLE_CONFIGS[case])
     checker = CHECKERS[cfg.theorems[0]]
     real_checker = getattr(theorems, checker)
-    verdicts = []
+    calls = []
 
     def recording(*args, **kwargs):
-        verdicts.append(real_checker(*args, **kwargs))
-        return verdicts[-1]
+        calls.append(None)
+        return real_checker(*args, **kwargs)
 
     monkeypatch.setattr(theorems, checker, recording)
     lines = []
     run_sweep(cfg, sink=lines.append)
-    rendered = len(lines) - len(verdicts)
-    verdicts.clear()
-    without_settle(monkeypatch)
-    run_sweep(cfg, sink=lambda line: None)
-    group = cfg.groups[0]
-    want = [json.dumps({"kind": "verdict", "theorem": v.theorem.value, "group": group,
-                        "status": v.status.value, "witness": v.witness},
-                       sort_keys=True, separators=(",", ":")) + "\n" for v in verdicts]
-    assert lines == want
+    rendered = len(lines) - len(calls)
+    findings, count, digest = scalar_run(cfg)[2:]
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == (count, digest)
     # the columns render every line but the checker's own: D3's 54 FINDINGs,
     # D4's dichotomy FINDINGs, and every --wide pair; so every Olson and
     # intersection line
     if case == "kneser-wide-Z70":
         assert rendered == 0
     else:
-        assert rendered == len(lines) - sum(v.status is Status.FINDING for v in verdicts) > 0
+        assert rendered == len(lines) - findings > 0
 
 
 def test_template_escapes_what_json_escapes():
