@@ -354,12 +354,29 @@ def translate_class_keys(g: Group, masks: np.ndarray) -> np.ndarray:
     return np.where((translates & 1) == 1, translates, np.iinfo(translates.dtype).max).min(axis=1)
 
 
+def _sorted_cell_columns(order: int, cells: np.ndarray,
+                         products: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct cells X and their products X*S as read-only columns (cells, products, deficiency).
+
+    Sorted by (deficiency, |X|, cell bits), the deficiency |X*S| - |X| in
+    the smallest unsigned dtype that holds order - 1, uint8 to order 256.
+    """
+    size = bit_counts(cells)
+    # |X*S| >= |X|, so the difference of two uint8 counts cannot wrap
+    deficiency = (bit_counts(products) - size).astype(np.min_scalar_type(order - 1), copy=False)
+    i = np.lexsort((cells, size, deficiency))
+    result = (cells[i], products[i], deficiency[i])
+    for column in result:
+        column.flags.writeable = False
+    return result
+
+
 def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All cells of S as read-only columns (cells, products, deficiency).
 
-    Sorted by (deficiency, |X|, cell bits); the masks in g's mask dtype,
-    the deficiency |X*S| - |X| as uint8, so a reader slices the prefix it
-    needs with np.searchsorted on the last column.
+    Sorted by _sorted_cell_columns, the masks in g's mask dtype and the
+    deficiency |X*S| - |X| in uint8, so a reader slices the prefix it needs
+    with np.searchsorted on the last column.
     Each cell X is the closure {z : z*S subset of A} of A = X*S, which is
     G \\ (B * S^-1) for B = G \\ A; X contains the identity iff B misses S.
     So the rooted sweep takes the products B * S^-1 over the 2^(order-|S|)
@@ -405,14 +422,7 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray,
     translates = _gather(left, dtype(g.full_bits) & ~products)  # [i, z] = z * (rooted cell i)
     below = left[1] - dtype(1)  # left[1, z] = z * {1} = {z}, so below[z] holds the elements below z
     cells = translates[(translates & below) == 0]
-    products = _gather(column_union(right, s_bits), cells)
-    # |X*S| >= |X|, so the uint8 deficiency cannot wrap
-    size = np.bitwise_count(cells)
-    deficiency = np.bitwise_count(products) - size
-    order = np.lexsort((cells, size, deficiency))
-    result = (cells[order], products[order], deficiency[order])
-    for column in result:
-        column.flags.writeable = False
+    result = _sorted_cell_columns(n, cells, _gather(column_union(right, s_bits), cells))
     if len(g._enum_memo) >= _MEMO_LIMIT:
         g._enum_memo.pop(next(iter(g._enum_memo)))
     g._enum_memo[key] = (s_bits, *result)
@@ -425,11 +435,7 @@ def _prefix_end(deficiency: np.ndarray, u_max: int) -> int:
 
 
 def _sampled_cells(g: Group, s_bits: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct cells that count seeded closures reach, as columns sorted like _full_cell_enumeration's.
-
-    The masks are in column_dtype, the deficiency in the smallest unsigned
-    dtype that holds order - 1.
-    """
+    """The distinct cells that count seeded closures reach, as _sorted_cell_columns, the masks in column_dtype."""
     rng = random.Random(seed)
     n = g.order
     seen: dict[int, int] = {}
@@ -437,10 +443,8 @@ def _sampled_cells(g: Group, s_bits: int, count: int, seed: int) -> tuple[np.nda
     for x in random_masks(n, rng, count):
         p = product_bits(g, x, s_bits)
         seen[closure_bits(lt, p)] = p
-    rows = sorted((p.bit_count() - x.bit_count(), x.bit_count(), x, p) for x, p in seen.items())
     dtype = column_dtype(n)
-    return (np.array([r[2] for r in rows], dtype=dtype), np.array([r[3] for r in rows], dtype=dtype),
-            np.array([r[0] for r in rows], dtype=np.min_scalar_type(n - 1)))
+    return _sorted_cell_columns(n, np.array(list(seen), dtype=dtype), np.array(list(seen.values()), dtype=dtype))
 
 
 def cell_columns(s: ElementSet, u_max: int, mode: str = "exhaustive", *,

@@ -162,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_enum_cap(cap: int) -> None:
-    if cap > MAX_MASK_ORDER:
-        raise EnumerationCapError(
-            f"--enum-cap {cap} is above {MAX_MASK_ORDER}, the widest cell mask the enumeration holds")
+    if not 1 <= cap <= MAX_MASK_ORDER:
+        raise EnumerationCapError(f"--enum-cap {cap} is below 1" if cap < 1 else
+                                  f"--enum-cap {cap} is above {MAX_MASK_ORDER}, the widest cell mask "
+                                  f"the enumeration holds")
 
 
 def _kernel_row(u: int, kernels: np.ndarray) -> dict:

@@ -14,9 +14,10 @@ one byte-table product kernel: gathers from column unions of the group's
 translate tables (cells.column_union) where one factor is fixed, as in
 the dichotomy and the intersection's closure test, and
 cells.pair_products on the group's pair_table where both vary, as in
-Kneser and in Olson's periodicity tests HX = X. Olson's instances are
-coset unions named by rank in both modes, drawn or walked; one byte table
-of every subgroup's right cosets (_coset_table) turns ranks into masks.
+Kneser. Olson's instances are coset unions named by rank in both modes,
+drawn or walked, so HX = X and KY = Y hold by construction; from one
+gather per subgroup, _coset_table builds the byte tables that turn ranks
+into masks and give K*X and H*Y for the two tests left open.
 
 Each sweep driver hands batches of instances to _check_batch, with its
 outcomes, (status, witness skeleton) pairs. Every sweep has one
@@ -146,7 +147,7 @@ def _conclude(theorem: Theorem, ok: bool, witness: dict, explore: bool) -> Theor
     return TheoremVerdict(theorem, Status.FINDING if explore else Status.VIOLATED, witness)
 
 
-# the failed hypotheses that the sweeps also render; Olson's in the order check_olson tests them
+# the failed hypotheses that the sweeps also render (Olson's last two); Olson's in the order check_olson tests them
 _KNESER_HYPOTHESIS = "|XY| <= |X|+|Y|-2 does not hold"
 _OLSON_HYPOTHESES = ("HX = X does not hold", "KY = Y does not hold", "KX != X does not hold",
                      "HY != Y does not hold")
@@ -413,8 +414,9 @@ class SweepConfig:
             raise SweepConfigError(f"s_max {self.s_max} is below s_min {self.s_min}")
         if self.max_instances < 1:
             raise SweepConfigError(f"max_instances must be at least 1, got {self.max_instances}")
-        if self.enumeration_cap > MAX_MASK_ORDER:
+        if not 1 <= self.enumeration_cap <= MAX_MASK_ORDER:
             raise SweepConfigError(
+                f"enumeration cap {self.enumeration_cap} is below 1" if self.enumeration_cap < 1 else
                 f"enumeration cap {self.enumeration_cap} is above {MAX_MASK_ORDER}, "
                 f"the widest cell mask the enumeration holds")
         if self.set_spec is not None:
@@ -671,59 +673,54 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
 
 # -- olson sweep ----------------------------------------------------------
 
-def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> np.ndarray:
-    """The byte table of right coset unions, one column per subgroup.
+def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """Two byte tables with one column per subgroup H_i: right coset unions, and B -> H_i*B.
 
-    Entry [256*b + v, i] is the union of the right cosets of subgroup i
-    picked by byte value v at byte position b, the cosets listed distinct
-    and ascending.
+    Entry [256*b + v, i] of the first is the union of the right cosets of
+    H_i picked by byte value v at byte position b, the cosets distinct and
+    ascending; of the second, H_i*B for the set B that v names there.
     """
-    # the right table holds H*x at [H, x], so one gather gives every coset of every subgroup
-    right = translate_tables(g)[0]
-    cosets = [_distinct(row) for row in _gather(right, np.array(subgroup_bits, dtype=dtype))]
+    hx = _gather(translate_tables(g)[0], np.array(subgroup_bits, dtype=dtype))  # [i, x] = H_i*x
+    cosets = [_distinct(row) for row in hx]
     padded = np.zeros((max(map(len, cosets)), len(cosets)), dtype=dtype)
     for i, c in enumerate(cosets):
         padded[:len(c), i] = c
-    return _byte_unions(padded)
+    return _byte_unions(padded), _byte_unions(hx.T)
 
 
-def _coset_union(table: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Elementwise the k-th (from 0) smallest nonempty union of right cosets of subgroup hi.
+def _coset_union(table: np.ndarray, col: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Elementwise the OR of table[256*b + byte b of the mask, col] over the byte positions b.
 
-    Disjoint masks compare by their highest element, so a union ranks by
-    the cosets it takes read as binary digits: the k-th is the union of the
-    cosets picked by the bits of k+1, one _coset_table gather per byte.
+    On _coset_table's first table, masks = k+1 gives the k-th (from 0)
+    smallest nonempty union of right cosets of subgroup col: disjoint masks
+    compare by their highest element, so a union ranks by the cosets it
+    takes read as binary digits. On its second, masks = X gives H_col*X.
     """
-    idx = _byte_index(k + 1, -(-len(table) // 256))
-    out = table[idx[0], hi]
+    idx = _byte_index(masks, -(-len(table) // 256))
+    out = table[idx[0], col]
     for i in idx[1:]:
-        out |= table[i, hi]
+        out |= table[i, col]
     return out
 
 
-def _olson_batch(table: np.ndarray, h: np.ndarray, k: np.ndarray, x: np.ndarray,
+def _olson_batch(subgroups: np.ndarray, times: np.ndarray, hi: np.ndarray, ki: np.ndarray, x: np.ndarray,
                  y: np.ndarray) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
-    """Vectorized check_olson over mask columns (H, K, X, Y).
+    """Vectorized check_olson over columns (hi, ki, X, Y), H and K the subgroups at hi and ki.
 
-    Returns five masks and check_olson's witness columns by name. The
-    masks are, for each of _OLSON_HYPOTHESES, the instances where it is
-    the first to fail, then those where all hold and both conclusions
-    follow. The periodicity tests HX = X and the rest are products from the
-    group's pair_table.
+    The sweep's X is a union of right H-cosets and its Y of K-cosets, so
+    only the last two of _OLSON_HYPOTHESES can fail; times, _coset_table's
+    second table, gives K*X and H*Y. Returns the masks [KX = X, HY = Y and
+    not KX = X, holds] and check_olson's witness columns by name.
     """
-    fails = (pair_products(table, h, x) != x, pair_products(table, k, y) != y,
-             pair_products(table, k, x) == x, pair_products(table, h, y) == y)
-    failed = np.zeros(len(x), dtype=bool)
-    masks = []
-    for f in fails:
-        masks.append(f & ~failed)
-        failed |= f
+    kx_fixed = _coset_union(times, ki, x) == x
+    hy_fixed = (_coset_union(times, hi, y) == y) & ~kx_fixed
+    h, k = subgroups[hi], subgroups[ki]
     h_size, k_size, meet, dxy, dyx = (np.bitwise_count(a).astype(np.int32)
                                       for a in (h, k, h & k, x & ~y, y & ~x))
     rhs = h_size + k_size - 2 * meet
-    masks.append(~failed & (dxy + dyx >= rhs) & ((dxy >= h_size - meet) | (dyx >= k_size - meet)))
-    return masks, dict(h=h, k=k, x=x, y=y, x_minus_y=dxy, y_minus_x=dyx, h_size=h_size, k_size=k_size,
-                       meet_size=meet, rhs=rhs)
+    holds = ~(kx_fixed | hy_fixed) & (dxy + dyx >= rhs) & ((dxy >= h_size - meet) | (dyx >= k_size - meet))
+    return [kx_fixed, hy_fixed, holds], dict(h=h, k=k, x=x, y=y, x_minus_y=dxy, y_minus_x=dyx, h_size=h_size,
+                                             k_size=k_size, meet_size=meet, rhs=rhs)
 
 
 def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
@@ -787,8 +784,8 @@ def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
 
 def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
     dtype = mask_dtype(g.order)
-    subs = {h.bits: h for h in all_subgroups(g)}
-    bits = list(subs)
+    subs = all_subgroups(g)
+    bits = [h.bits for h in subs]
     # H has order/|H| right cosets, hence 2^that - 1 nonempty unions of them
     union_counts = [(1 << (g.order // h.bit_count())) - 1 for h in bits]
     if cfg.mode == "exhaustive":
@@ -796,22 +793,19 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
         if per_side * per_side > cfg.max_instances:
             raise _Refused(
                 f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
-    cosets = _coset_table(g, bits, dtype)
-    subgroups = np.array(bits, dtype=dtype)
-    table = pair_table(g)
+    cosets, times = _coset_table(g, bits, dtype)
     base = dict(group=g.label, x=str, y=str, h=str, k=str)
-    outcomes = [(Status.NOT_APPLICABLE, dict(base, failed_hypothesis=text)) for text in _OLSON_HYPOTHESES]
+    outcomes = [(Status.NOT_APPLICABLE, dict(base, failed_hypothesis=text)) for text in _OLSON_HYPOTHESES[2:]]
     outcomes.append((Status.HOLDS, dict(base, x_minus_y=int, y_minus_x=int, h_size=int, k_size=int,
                                         meet_size=int, rhs=int)))
 
-    def check(h: int, k: int, x_bits: int, y_bits: int) -> TheoremVerdict:
-        return check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits), subs[h], subs[k])
+    def check(hi: int, ki: int, x_bits: int, y_bits: int) -> TheoremVerdict:
+        return check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits), subs[hi], subs[ki])
 
+    settle = functools.partial(_olson_batch, np.array(bits, dtype=dtype), times)
     for hi, ki, rank_x, rank_y in _olson_ranks(union_counts, cfg, seed, dtype):
-        columns = (subgroups[hi], subgroups[ki], _coset_union(cosets, hi, rank_x),
-                   _coset_union(cosets, ki, rank_y))
-        _check_batch(state, g.label, _TAGS["olson"], columns, check,
-                     functools.partial(_olson_batch, table), outcomes)
+        columns = (hi, ki, _coset_union(cosets, hi, rank_x + 1), _coset_union(cosets, ki, rank_y + 1))
+        _check_batch(state, g.label, _TAGS["olson"], columns, check, settle, outcomes)
 
 
 # -- cell intersection sweep ----------------------------------------------

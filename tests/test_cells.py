@@ -466,6 +466,14 @@ def test_sampled_mode_is_a_deterministic_subset():
     assert [r.cell.bits for r in a] == [r.cell.bits for r in b]
     assert {r.cell.bits for r in a} <= full
     assert len(a) > 0
+    # a --wide group's masks are an object column; the columns are sorted and
+    # read-only like the enumeration's, the deficiency in uint8 to order 256
+    g = build_group("Z70", wide=True)
+    cells, products, deficiency = cell_columns(g.subset([0, 1, 5]), 69, "sampled", count=300, seed=7)
+    assert (cells.dtype, products.dtype, deficiency.dtype) == (object, object, np.uint8)
+    rows = [(p.bit_count() - x.bit_count(), x.bit_count(), x) for x, p in zip(cells.tolist(), products.tolist())]
+    assert rows == sorted(rows) and deficiency.tolist() == [r[0] for r in rows]
+    assert not any(column.flags.writeable for column in (cells, products, deficiency))
 
 
 def test_sampled_mode_requires_count_and_seed():

@@ -629,13 +629,17 @@ def test_verify_runs_a_repeated_group_once(capsys):
     ("cells", "Z70", "{0,1}", "--wide", "--enum-cap", "80"),
     ("subgroup", "Z70", "{0,1}", "--wide", "--enum-cap", "80"),
     ("verify", "--groups", "Z6", "--theorem", "chain", "--enum-cap", "80"),
-], ids=lambda argv: argv[0])
+    ("cells", "Z6", "{0,1}", "--enum-cap", "-1"),
+    ("subgroup", "Z6", "{0,1}", "--enum-cap", "0"),
+    ("verify", "--groups", "Z6", "--theorem", "chain", "--enum-cap", "-3"),
+], ids=lambda argv: argv[0] if argv[-1] == "80" else f"{argv[0]}-cap{argv[-1]}")
 def test_enum_cap_above_64_is_refused_up_front(capsys, argv):
+    # and a cap below 1, which would refuse every enumeration one task at a time
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith("error: ") and "above 64" in err
+    assert err.startswith("error: ") and ("above 64" if argv[-1] == "80" else "below 1") in err
 
 
 def test_verify_exit_code_one_on_violation(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 import cellkit.cells as cells_module
 import cellkit.theorems as theorems
-from cellkit.cells import column_union, mask_dtype, pair_table, translate_tables
+from cellkit.cells import column_union, mask_dtype, translate_tables
 from cellkit.groups import product_bits
 from cellkit.specs import IdentitySubsets, SubsetSpecError
 from cellkit import (
@@ -134,13 +134,13 @@ def coset_unions(g, subgroup_bits):
     """Every nonempty union of right cosets of each subgroup, ascending, by rank
     through the sweep's coset table; subgroups of more than 16 cosets are left out."""
     dtype = mask_dtype(g.order)
-    table = theorems._coset_table(g, subgroup_bits, dtype)
+    table = theorems._coset_table(g, subgroup_bits, dtype)[0]
     out = {}
     for i, h in enumerate(subgroup_bits):
         cosets = g.order // h.bit_count()
         if cosets <= 16:
-            ranks = np.arange((1 << cosets) - 1, dtype=dtype)
-            out[h] = theorems._coset_union(table, np.full(len(ranks), i), ranks).tolist()
+            picks = np.arange(1, 1 << cosets, dtype=dtype)  # rank + 1
+            out[h] = theorems._coset_union(table, np.full(len(picks), i), picks).tolist()
     return out
 
 
@@ -160,23 +160,69 @@ def test_olson_matches_oracle_on_all_coset_unions(g):
 
 @pytest.mark.parametrize("g", [Z6, D3], ids=lambda g: g.label)
 def test_olson_batch_matches_scalar(g):
-    # every coset-union pair of the sweep, and each pair swapped so that the
-    # hypotheses HX = X and KY = Y fail too
-    unions = coset_unions(g, [h.bits for h in all_subgroups(g)])
-    rows = [(h, k, x, y) for h in unions for k in unions for x in unions[h] for y in unions[k]]
-    rows += [(h, k, y, x) for h, k, x, y in rows]
-    masks, _ = theorems._olson_batch(pair_table(g), *(np.array(col, dtype=np.uint32) for col in zip(*rows)))
-    # the mask of each hypothesis failing first, then HOLDS
-    assert len(masks) == len(theorems._OLSON_HYPOTHESES) + 1
+    # every coset-union pair the exhaustive sweep walks, as the sweep builds
+    # its columns; X is H-periodic and Y K-periodic by construction, so the
+    # batch tests only KX != X and HY != Y
+    subs = all_subgroups(g)
+    bits = [h.bits for h in subs]
+    dtype = mask_dtype(g.order)
+    cosets, times = theorems._coset_table(g, bits, dtype)
+    counts = [(1 << (g.order // h.bit_count())) - 1 for h in bits]
+    cfg = SweepConfig(groups=(g.label,), theorems=("olson",))
+    hi, ki, rank_x, rank_y = (np.concatenate(c) for c in zip(*theorems._olson_ranks(counts, cfg, 0, dtype)))
+    x, y = theorems._coset_union(cosets, hi, rank_x + 1), theorems._coset_union(cosets, ki, rank_y + 1)
+    assert len(x) == sum(counts) ** 2
+    assert (theorems._coset_union(times, hi, x) == x).all()
+    assert (theorems._coset_union(times, ki, y) == y).all()
+    masks, _ = theorems._olson_batch(np.array(bits, dtype=dtype), times, hi, ki, x, y)
+    # the masks of KX != X failing, of HY != Y failing (KX != X holding), then HOLDS
+    assert len(masks) == 3
     assert all(mask.any() for mask in masks)
     outcome = np.select(masks, range(len(masks)), -1).tolist()
-    for (h, k, x, y), got in zip(rows, outcome):
-        v = check_olson(ElementSet(g, x), ElementSet(g, y), ElementSet(g, h), ElementSet(g, k))
+    for instance, got in zip(zip(hi.tolist(), ki.tolist(), x.tolist(), y.tolist()), outcome):
+        h, k, x_bits, y_bits = instance
+        v = check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits), subs[h], subs[k])
         if v.status is Status.NOT_APPLICABLE:
-            want = theorems._OLSON_HYPOTHESES.index(v.witness["failed_hypothesis"])
+            want = theorems._OLSON_HYPOTHESES.index(v.witness["failed_hypothesis"]) - 2
         else:
             want = len(masks) - 1 if v.status is Status.HOLDS else -1
-        assert got == want, (h, k, x, y)
+        assert got == want, instance
+
+
+@pytest.mark.parametrize("spec", ["Z6", "D3", "Q8", "D4", "Z12", "Z64"])
+def test_the_coset_table_gives_h_times_x(spec):
+    # _coset_table's second table against product_bits: H*X for seeded
+    # random masks X, and X itself for every union X of right H-cosets
+    g = build_group(spec)
+    bits = [h.bits for h in all_subgroups(g)]
+    dtype = mask_dtype(g.order)
+    times = theorems._coset_table(g, bits, dtype)[1]
+    xs = np.random.default_rng(5).integers(0, 1 << g.order, size=300, dtype=np.uint64).astype(dtype)
+    unions = coset_unions(g, bits)
+    for i, h in enumerate(bits):
+        got = theorems._coset_union(times, np.full(len(xs), i), xs)
+        assert got.tolist() == [product_bits(g, h, x) for x in xs.tolist()], h
+        periodic = np.array(unions.get(h, []), dtype=dtype)
+        assert (theorems._coset_union(times, np.full(len(periodic), i), periodic) == periodic).all(), h
+
+
+@pytest.mark.parametrize("kwargs", [dict(groups=("Z6",)), dict(groups=("D3",)),
+                                    dict(groups=("Z64",), mode="sampled", samples=2000, seed=1)],
+                         ids=["Z6", "D3", "Z64-sampled"])
+def test_an_olson_sweep_builds_no_pair_table(monkeypatch, kwargs):
+    # the coset tables answer both of its tests; the 32 MiB table of order
+    # 64 is Kneser's alone
+    def refuse(g):
+        raise AssertionError(f"the Olson sweep built the pair table of {g.label}")
+
+    monkeypatch.setattr(theorems, "pair_table", refuse)
+    monkeypatch.setattr(cells_module, "pair_table", refuse)
+    cfg = SweepConfig(theorems=("olson",), **kwargs)
+    lines = []
+    streamed = run_sweep(cfg, sink=lines.append)
+    assert streamed.summary == run_sweep(cfg).summary
+    assert streamed.summary["errors"] == 0
+    assert streamed.summary["instances"] == len(lines) > 0
 
 
 def sorted_coset_unions(g, h_bits):
@@ -743,8 +789,8 @@ def test_sweep_record_streams_match_pinned_digests():
 # theorems whose streams are rendered from columns, plus sampled two-byte
 # dichotomy masks. Olson covers both modes, abelian and nonabelian groups
 # and the two NOT_APPLICABLE branches a sweep reaches (its X and Y are
-# H- and K-periodic by construction; test_olson_batch_matches_scalar
-# covers all four), the intersection empty meets
+# H- and K-periodic by construction; test_olson_na_names_each_failed_hypothesis
+# covers the checker's four), the intersection empty meets
 ORACLE_CONFIGS = {
     **{f"kneser-{spec}": dict(groups=(spec,), theorems=("kneser",))
        for spec in ("Z5", "Z6", "Z2xZ2", "D3", "Q8", "Z2xZ4", "Z2xZ2xZ2")},
@@ -1026,6 +1072,9 @@ def test_sweep_config_validation():
         SweepConfig(groups=("Z6",), theorems=("kneser",), max_instances=-1).validate()
     with pytest.raises(SweepConfigError, match="enumeration cap 80 is above 64"):
         SweepConfig(groups=("Z6",), theorems=("chain",), enumeration_cap=80).validate()
+    for cap in (0, -3):
+        with pytest.raises(SweepConfigError, match=f"enumeration cap {cap} is below 1"):
+            SweepConfig(groups=("Z6",), theorems=("chain",), enumeration_cap=cap).validate()
     # a malformed --set is refused whether or not a selected theorem reads it
     with pytest.raises(SubsetSpecError, match="unrecognized subset spec"):
         SweepConfig(groups=("Z6",), theorems=("kneser",), set_spec="garbage").validate()
