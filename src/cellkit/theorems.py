@@ -26,8 +26,10 @@ and the witness columns: instances it decides are tallied in bulk, and
 only the rest reach the scalar checker, the oracle, in instance order.
 Kneser settles every verdict that holds, periodic XY included. The chain
 and the corollary settle a chunk of S from the memoized enumerations of
-one S per right-translate class, their prefix columns laid end to end
-(kernel_flags, subgroup_flags, periodic_flags). A sink receives each
+one S per right-translate class, each class once per task, their prefix
+columns laid end to end (kernel_flags, subgroup_flags, periodic_flags).
+The dichotomy walks or draws its T space in blocks of _T_BLOCK, each
+settled before the next is made. A sink receives each
 record as its finished JSON line (jsonl_line). With a sink each decided
 line is rendered from the witness columns through its outcome's
 line_template (_lines), and each undecided instance, every VIOLATED and
@@ -481,15 +483,14 @@ def line_template(record: dict) -> tuple[str, list[tuple[str, type]]]:
 
 
 def _lines(label: str, theorem: Theorem, outcomes: Sequence[tuple[Status, dict]],
-           masks: Sequence[np.ndarray], fields: dict[str, np.ndarray]) -> list[Iterator[str]]:
+           masks: Sequence[np.ndarray], fields: dict[str, np.ndarray],
+           spec: Callable[[int], str]) -> list[Iterator[str]]:
     """One lazy iterator per outcome over the lines of the instances its mask picks, in order.
 
     An outcome is (status, witness skeleton), the skeleton a witness for
     line_template; its template takes each field from the column of that
-    name, a str field (a mask) through mask_spec, memoized for the batch in
-    a bounded cache, so a wide sampled batch holds few strings.
+    name, a str field (a mask) through spec, the task's memoized mask_spec.
     """
-    spec = functools.lru_cache(maxsize=1 << 12)(mask_spec)
     lines = []
     for (status, witness), mask in zip(outcomes, masks):
         template, keys = line_template(_verdict_record(label, theorem, status, witness))
@@ -502,6 +503,9 @@ def _lines(label: str, theorem: Theorem, outcomes: Sequence[tuple[Status, dict]]
 class _SweepState:
     def __init__(self, sink: Callable[[str], None] | None) -> None:
         self.sink = sink
+        # mask_spec memoized for the task in a bounded cache, so a wide sampled
+        # stream holds few strings, while the same mask recurs across batches
+        self.spec = functools.lru_cache(maxsize=1 << 12)(mask_spec)
         self.counts: dict[tuple[str, str, str], int] = {}
         self.violations: list[dict] = []
         self.findings: list[dict] = []
@@ -589,7 +593,7 @@ def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], colu
             for (status, _), k in zip(outcomes, counts):
                 state.tally(tag.value, label, status.value, k)
         if state.sink is not None:
-            sink, lines = state.sink, _lines(label, tags[0], outcomes, masks, fields)
+            sink, lines = state.sink, _lines(label, tags[0], outcomes, masks, fields, state.spec)
             for i, k in enumerate(np.select(masks, range(len(masks)), -1).tolist()):
                 if k < 0:
                     scalar(*(c[i].item() for c in columns))
@@ -929,16 +933,27 @@ def _corollary_batch(g: Group, sets: Sequence[ElementSet], cap: int) -> tuple[np
 
 
 def _class_settle(g: Group, sets: Sequence[ElementSet], cap: int,
-                  batch: Callable[..., tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+                  batch: Callable[..., tuple[np.ndarray, np.ndarray]],
+                  known: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """batch(g, sets, cap), run once on the first member of each right-translate class among sets.
 
     batch reads only |S| and the cells and deficiencies of S, which the
     whole class shares (translate_class_keys), so its masks are read back
-    from each class's first member to every S.
+    from each class's first member to every S. known holds the classes
+    settled before as columns [keys, not_applicable, holds] ascending by
+    key, empty at first, and gains the new ones, so a task that passes one
+    list with every chunk runs the batch once per class.
     """
     keys = translate_class_keys(g, np.array([s.bits for s in sets], dtype=mask_dtype(g.order)))
-    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
-    return tuple(mask[back] for mask in batch(g, [sets[i] for i in first], cap))
+    classes, first = np.unique(keys, return_index=True)
+    new = ~np.isin(classes, known[0], assume_unique=True)
+    if new.any():
+        settled = (classes[new], *batch(g, [sets[i] for i in first[new]], cap))
+        columns = [np.concatenate(pair) for pair in zip(known, settled)]
+        order = np.argsort(columns[0])
+        known[:] = [c[order] for c in columns]
+    at = np.searchsorted(known[0], keys)
+    return tuple(mask[at] for mask in known[1:])
 
 
 def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task: str,
@@ -947,16 +962,18 @@ def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task:
     """Check one instance per S of the S space, in chunks of _S_CHUNK sets.
 
     batch(g, sets, cap) settles a list of sets, as (not_applicable, holds);
-    _class_settle runs it once per right-translate class of the chunk. The
-    witnesses hold lists and have no templates, so with a sink every S goes
-    to the checker. A group above the enumeration cap gets no settle, so the
+    _class_settle runs it once per right-translate class of the task, the
+    verdicts of the classes met in earlier chunks kept. The witnesses hold
+    lists and have no templates, so with a sink every S goes to the
+    checker. A group above the enumeration cap gets no settle, so the
     checker refuses it at its first S that needs the enumeration, as alone.
     """
     cap = cfg.enumeration_cap
     sets = iter(_s_space(g, cfg, seed))
+    known = [np.zeros(0, dtype=mask_dtype(g.order)), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)]
     while chunk := list(itertools.islice(sets, _S_CHUNK)):
         _check_batch(state, g.label, _TAGS[task], (np.arange(len(chunk)),), lambda i: check(chunk[i]),
-                     (lambda _: (_class_settle(g, chunk, cap, batch), {}))
+                     (lambda _: (_class_settle(g, chunk, cap, batch, known), {}))
                      if state.sink is None and g.order <= cap else None,
                      ((Status.NOT_APPLICABLE, None), (Status.HOLDS, None)))
 
@@ -995,24 +1012,49 @@ def _dichotomy_batch(times_s: np.ndarray, h_times: np.ndarray, s_size: int, h_si
         t=t, ts_size=ts_size, additive_bound=additive_bound, ht_size=ht_size, coset_bound=coset_bound)
 
 
-def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count random nonempty T masks: for a uniform size in 1..n, the indices of the size
-    smallest of n uniform keys, ties going to the lower index as in a stable argsort."""
+# the sampled dichotomy draws its T in units of this many; a unit draws all
+# its sizes before any of its keys, so changing it changes every seeded stream
+_T_UNIT = 1 << 17
+# the dichotomy draws, selects and settles its T space in blocks of this many
+# rows, whose keys (about 1 MB at order 16) stay in a core's L2 cache; the
+# draws do not depend on it
+_T_BLOCK = 1 << 13
+
+
+def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """count random nonempty T masks, in blocks of at most _T_BLOCK: for a uniform size in
+    1..n, the indices of the size smallest of n uniform keys, ties going to the lower index
+    as in a stable argsort.
+
+    Each unit of _T_UNIT draws all its sizes, then its keys block by block,
+    the rows of one stream in order, so the masks do not depend on _T_BLOCK.
+    """
     n = g.order
     powers = mask_dtype(n)(1) << np.arange(n, dtype=mask_dtype(n))
-    sizes = rng.integers(1, n + 1, size=count)
-    keys = rng.random((count, n))
-    cut = np.take_along_axis(np.sort(keys, axis=1), sizes[:, None] - 1, axis=1)
-    masks = (keys <= cut).view(np.uint8) @ powers
-    # rows with several keys tied at the cut took too many: keep the lowest-index tied ones
-    over = np.flatnonzero(np.bitwise_count(masks) > sizes)
-    below, tied = keys[over] < cut[over], keys[over] == cut[over]
-    keep = below | (tied & (np.cumsum(tied, axis=1) <= sizes[over, None] - below.sum(axis=1, keepdims=True)))
-    masks[over] = keep.view(np.uint8) @ powers
-    return masks
+    for unit in range(0, count, _T_UNIT):
+        sizes = rng.integers(1, n + 1, size=min(_T_UNIT, count - unit))
+        for start in range(0, len(sizes), _T_BLOCK):
+            size = sizes[start:start + _T_BLOCK]
+            keys = rng.random((len(size), n))
+            cut = np.sort(keys, axis=1)[np.arange(len(size)), size - 1][:, None]
+            masks = (keys <= cut).view(np.uint8) @ powers
+            # rows with several keys tied at the cut took too many: keep the lowest-index tied ones
+            over = np.flatnonzero(np.bitwise_count(masks) > size)
+            below, tied = keys[over] < cut[over], keys[over] == cut[over]
+            room = size[over, None] - below.sum(axis=1, keepdims=True)
+            keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
+            masks[over] = keep.view(np.uint8) @ powers
+            yield masks
 
 
 def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
+    """Check every (S, T) of the S space and the T space, T in blocks of _T_BLOCK.
+
+    Each block is drawn or walked, settled and tallied before the next, so
+    nothing of the size of the whole T space or of a draw unit's keys is
+    held. Exhaustive mode walks T = 1 .. 2^n - 1; sampled mode draws
+    cfg.samples T per S (_sampled_t_masks) from a generator seeded by S.
+    """
     explore = not g.is_abelian
     n = g.order
     for s in _s_space(g, cfg, seed):
@@ -1030,12 +1072,12 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
             total = (1 << n) - 1
             if total > cfg.max_instances:
                 raise _Refused(f"exhaustive T space {total} exceeds max_instances {cfg.max_instances}")
-            batches = [np.arange(1, 1 << n, dtype=mask_dtype(n))]
+            blocks = (np.arange(start, min(start + _T_BLOCK, total + 1), dtype=mask_dtype(n))
+                      for start in range(1, total + 1, _T_BLOCK))
         else:
             rng = np.random.default_rng(_derive_seed(seed, s.bits, "t-draws"))
-            batches = (_sampled_t_masks(g, min(1 << 17, cfg.samples - start), rng)
-                       for start in range(0, cfg.samples, 1 << 17))
-        for t_arr in batches:
+            blocks = _sampled_t_masks(g, cfg.samples, rng)
+        for t_arr in blocks:
             _check_batch(state, g.label, _TAGS["dichotomy"], (t_arr,),
                          lambda t: check_dichotomy(s, h, ElementSet(g, t), explore=explore),
                          settle, outcomes)
@@ -1113,7 +1155,7 @@ def _worker(tasks: list[tuple[str, str]], groups: dict[str, Group], cfg: SweepCo
         except Exception as exc:
             conn.send((None, (exc, traceback.format_exc())))
             return
-        state.sink = None  # the lines travel on their own
+        state.sink = state.spec = None  # the lines travel on their own, and closures do not pickle
         conn.send((lines, state))
 
 

@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from hypothesis import given, strategies as st
 
 import cellkit.cells as cells_module
 import cellkit.theorems as theorems
-from cellkit.cells import column_union, mask_dtype, translate_tables
-from cellkit.groups import product_bits
+from cellkit.cells import column_union, mask_dtype, translate_class_keys, translate_tables
+from cellkit.groups import mask_spec, product_bits
 from cellkit.specs import IdentitySubsets, SubsetSpecError
 from cellkit import (
     ElementSet,
@@ -460,10 +461,57 @@ class TiedKeys:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sampled_t_masks_match_stable_argsort(make_rng, spec, seed):
     g = build_group(spec)
-    got = theorems._sampled_t_masks(g, 4000, make_rng(seed))
+    got = np.concatenate(list(theorems._sampled_t_masks(g, 4000, make_rng(seed))))
     want = reference_sampled_t_masks(g, 4000, make_rng(seed))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_a_sampled_dichotomy_stream_replays_the_draws_unit_by_unit():
+    # 2^17 + 1000 draws cross a unit boundary: the second unit draws its 1000
+    # sizes after every key of the first, from the one generator of S
+    g, s = build_group("Z12"), "{0,1,5}"
+    cfg = SweepConfig(groups=("Z12",), theorems=("dichotomy",), mode="sampled",
+                      samples=theorems._T_UNIT + 1000, set_spec=s, seed=5)
+    lines = []
+    run_sweep(cfg, sink=lines.append)
+    task_seed = theorems._derive_seed(5, "Z12", "dichotomy")
+    rng = np.random.default_rng(theorems._derive_seed(task_seed, g.subset([0, 1, 5]).bits, "t-draws"))
+    want = np.concatenate([reference_sampled_t_masks(g, count, rng) for count in (theorems._T_UNIT, 1000)])
+    records = [json.loads(line) for line in lines]
+    assert [r["witness"]["t"] for r in records if r["kind"] == "verdict"] == list(map(mask_spec, want.tolist()))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_dichotomy_streams_do_not_depend_on_the_t_block(monkeypatch, mode):
+    # blocks of 7 and of 1000 T split the draws and the walk unevenly; D4
+    # runs in exploration mode, so a FINDING would reach the checker between
+    # rendered lines
+    cfg = SweepConfig(groups=("Z12", "D4"), theorems=("dichotomy",), mode=mode, samples=3000, seed=3,
+                      set_spec="{0,1,5}")
+
+    def outcome():
+        lines = []
+        return run_sweep(cfg, sink=lines.append).summary, lines, run_sweep(cfg).summary
+
+    whole = outcome()
+    for block in (7, 1000):
+        monkeypatch.setattr(theorems, "_T_BLOCK", block)
+        assert outcome() == whole
+
+
+def test_a_sampled_dichotomy_holds_one_block_of_keys_at_a_time():
+    # one draw unit's keys alone, (2^17, 16) float64, are 16 MiB
+    cfg = SweepConfig(groups=("Z16",), theorems=("dichotomy",), mode="sampled", samples=1 << 17,
+                      set_spec="{0,1,5}", seed=1)
+    tracemalloc.start()
+    try:
+        result = run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.summary["totals"] == {"HOLDS": 1 << 17}
+    assert peak < 8 << 20
 
 
 # -- sweeps ---------------------------------------------------------------
@@ -721,11 +769,42 @@ def test_the_class_settle_equals_the_batch_on_every_set(theorem, spec):
     g = build_group(spec)
     batch = {"chain": theorems._chain_batch, "corollary": theorems._corollary_batch}[theorem]
     sets = list(IdentitySubsets(g, 1, 5 if g.order > 8 else g.order))
-    settled = theorems._class_settle(g, sets, g.order, batch)
+    known = [np.zeros(0, dtype=mask_dtype(g.order)), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)]
+    settled = theorems._class_settle(g, sets, g.order, batch, known)
     direct = batch(g, sets, g.order)
     assert len(settled) == len(direct) == 2
     for a, b in zip(settled, direct):
         assert a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("theorem", SET_CHECKERS)
+def test_a_set_sweep_settles_each_class_once_across_chunks(monkeypatch, theorem):
+    # chunks of 7 sets meet most classes of S in several chunks; the batch
+    # must still see each class key once in a whole-space sweep, and the
+    # counts must equal per-instance mode, where every S reaches the checker
+    cfg = SweepConfig(groups=("Z6", "D3", "D4", "Z2xZ4"), theorems=(theorem,))
+    records = []
+    streamed = run_sweep(cfg, sink=into(records))
+    name = {"chain": "_chain_batch", "corollary": "_corollary_batch"}[theorem]
+    real, keys = getattr(theorems, name), []
+
+    def recording(g, sets, cap):
+        keys.extend((g.label, k) for k in translate_class_keys(
+            g, np.array([s.bits for s in sets], dtype=mask_dtype(g.order))).tolist())
+        return real(g, sets, cap)
+
+    monkeypatch.setattr(theorems, name, recording)
+    monkeypatch.setattr(theorems, "_S_CHUNK", 7)
+    counted = run_sweep(cfg)
+    assert counts_from_summary(counted.summary) == counts_from_records(records)
+    assert (counted.summary, counted.findings) == (streamed.summary, streamed.findings)
+    want = set()
+    for spec in cfg.groups:
+        g = build_group(spec)
+        masks = np.array([s.bits for s in IdentitySubsets(g, 1, g.order)], dtype=mask_dtype(g.order))
+        want |= {(spec, k) for k in translate_class_keys(g, masks).tolist()}
+    assert len(keys) == len(set(keys))
+    assert set(keys) == want
 
 
 def test_sampled_kneser_draws_do_not_depend_on_the_chunk(monkeypatch):
