@@ -13,9 +13,9 @@ byte from such a table. Each group keeps two translate tables
 table of X -> X*S for any S, and over H of the other the table of
 X -> H*X; a gather from the left table gives every left translate z*X.
 closure_masks is such a product too: {z : z*S subset of A} =
-G \\ ((G \\ A) * S^-1). When both factors vary, pair_products reads the
-group's byte-pair table (pair_table): one gather per pair of byte
-positions.
+G \\ ((G \\ A) * S^-1). When both factors vary, pair_products ORs the
+translates z*Y over z in X from one gather of the left table, which
+stabilizer_masks and periodic_flags read too.
 
 _full_cell_enumeration lists every cell sorted by (deficiency, size, bits),
 as read-only numpy columns of cells, products and deficiencies, memoized
@@ -27,8 +27,8 @@ identity, and one gather from the group's left-translate table expands
 them to all cells. cell_columns slices the deficiency prefix a reader
 needs; in sampled mode it builds the same three columns from seeded
 closures, sorted by the same key. Its readers: `cellkit cells` renders
-its rows from the columns, with subgroup_flags (one gather from the left
-table, through periodic_flags) and kernel_cells; balandraud_details reads
+its rows from the columns, with subgroup_flags (X*X = X, through
+periodic_flags) and kernel_cells; balandraud_details reads
 the identity u*-kernel through kernel_cells, and the chain and corollary
 settles read the prefixes of many S laid end to end, one S per class.
 kernel_flags is the one reading of the smallest cells at a deficiency,
@@ -59,7 +59,7 @@ from .specs import random_masks
 ENUMERATION_CAP = 20
 MAX_MASK_ORDER = 64
 _MEMO_LIMIT = 512
-_SUBGROUP_CHUNK = 1 << 14
+_GATHER_CHUNK = 1 << 14
 
 
 class EnumerationCapError(ValueError):
@@ -215,62 +215,44 @@ def closure_masks(g: Group, times_inverse: np.ndarray, a: np.ndarray) -> np.ndar
     return full & ~_gather(times_inverse, full & ~a)
 
 
-def pair_table(g: Group) -> np.ndarray:
-    """The byte-pair product table of g, in g's mask dtype.
-
-    Entry [256*a + u, 256*b + v] is the product A*B of A = byte value u at
-    byte position a and B = byte value v at position b. Its side is
-    256*(positions - 1) + 2^(bits of the last position): 264 at order 11,
-    2048 at order 64.
-    """
-    left = translate_tables(g)[1]  # left[j, x] = x * B_j
-    return _byte_unions(np.ascontiguousarray(left.T))
-
-
-def _byte_index(a: np.ndarray, width: int, scale: int = 1) -> list[np.ndarray]:
-    """(256*b + byte b of each mask) * scale for each byte position b below width, in a's dtype."""
+def _byte_index(a: np.ndarray, width: int) -> list[np.ndarray]:
+    """256*b + byte b of each mask, for each byte position b below width, in a's dtype."""
     t = a.dtype.type
-    return [((a >> t(8 * b)) & t(255)) * t(scale) + t(256 * b * scale) for b in range(width)]
+    return [((a >> t(8 * b)) & t(255)) + t(256 * b) for b in range(width)]
 
 
-def pair_products(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise X*Y over two arrays of masks, from pair_table.
+def pair_products(g: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise X*Y over two columns of masks: the OR of the left translates z*Y over z in X.
 
-    The OR, over every pair of byte positions (a, b), of the table entry
-    for byte a of X and byte b of Y.
+    One gather from the group's left translate table gives every z*Y,
+    _GATHER_CHUNK rows at a time so memory stays bounded.
     """
-    k = len(table)
-    width = -(-k // 256)
-    flat = table.ravel()
-    ys = _byte_index(y, width)
-    out = np.zeros(x.shape, dtype=table.dtype)
-    for xi in _byte_index(x, width, k):
-        for yi in ys:
-            out |= flat[xi + yi]
+    left = translate_tables(g)[1]
+    singles = left[1]  # left[1, z] = z * {1} = {z}
+    out = np.empty(len(x), dtype=left.dtype)
+    for start in range(0, len(x), _GATHER_CHUNK):
+        part = slice(start, start + _GATHER_CHUNK)
+        translates = _gather(left, y[part])  # [k, z] = z * Y_k
+        translates *= (x[part, None] & singles) != 0  # keep z*Y_k for z in X_k
+        out[part] = np.bitwise_or.reduce(translates, axis=1)
     return out
 
 
-def pair_products_every_x(table: np.ndarray, y: np.ndarray) -> np.ndarray:
+def pair_products_every_x(g: Group, y: np.ndarray) -> np.ndarray:
     """X*Y for every mask X (0 first) and each Y of y, shape (len(y), 2^order).
 
-    Gathers the table's columns at the bytes of each Y once; the products
-    for all X then follow by OR-broadcasting over X's byte positions, one
-    OR per pair.
+    The byte table of X -> X*Y for each Y comes from one gather of the
+    group's left translate table; the products for all X then follow by
+    OR-broadcasting over X's byte positions, one OR per pair.
     """
-    k = len(table)
-    width = -(-k // 256)
-    yi = _byte_index(y, width)
-    cols = table[:, yi[0]]
-    for b in yi[1:]:
-        cols |= table[:, b]
-    cols = cols.T  # cols[j, 256*a + u] = (byte u at position a) * y[j]
+    cols = _byte_unions(_gather(translate_tables(g)[1], y).T).T  # [j, 256*a + u] = (byte u at a) * y[j]
     out = cols[:, :256]
-    for a in range(1, width):
+    for a in range(1, -(-cols.shape[1] // 256)):
         out = (cols[:, 256 * a:256 * (a + 1), None] | out[:, None, :]).reshape(len(y), -1)
     return out
 
 
-def stabilizer_masks(g: Group, table: np.ndarray, a: np.ndarray) -> np.ndarray:
+def stabilizer_masks(g: Group, a: np.ndarray) -> np.ndarray:
     """Elementwise left stabilizer {z : z*A = A} over an array of nonempty masks A.
 
     As in setops.left_stabilizer, z*A = A fails iff z lies in (G \\ A) * A^-1;
@@ -278,7 +260,7 @@ def stabilizer_masks(g: Group, table: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     full = a.dtype.type(g.full_bits)
     inverse = _gather(_byte_unions(np.array([1 << i for i in g.inv], dtype=a.dtype)), a)
-    return full & ~pair_products(table, full & ~a, inverse)
+    return full & ~pair_products(g, full & ~a, inverse)
 
 
 def _require_identity(s: ElementSet) -> None:
@@ -502,20 +484,11 @@ def kernel_cells(cells: np.ndarray, deficiency: np.ndarray, u: int) -> np.ndarra
 
 
 def periodic_flags(g: Group, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Elementwise whether z*X lies inside X for every z in H, over mask columns H and X.
+    """Elementwise whether H*X lies inside X, over mask columns H and X.
 
-    For an H that holds 1 this is H*X = X. One gather from the group's left
-    translate table, _SUBGROUP_CHUNK rows at a time so memory stays bounded.
+    That is z*X inside X for every z in H; for an H that holds 1 it is H*X = X.
     """
-    left = translate_tables(g)[1]
-    singles = left[1]  # left[1, z] = z * {1} = {z}
-    out = np.empty(len(x), dtype=bool)
-    for start in range(0, len(x), _SUBGROUP_CHUNK):
-        part = slice(start, start + _SUBGROUP_CHUNK)
-        xs = x[part, None]
-        leaves = (_gather(left, xs[:, 0]) & ~xs) != 0  # [k, z]: z * X_k is not inside X_k
-        out[part] = ~(leaves & ((h[part, None] & singles) != 0)).any(axis=1)
-    return out
+    return (pair_products(g, h, x) & ~x) == 0
 
 
 def subgroup_flags(g: Group, cells: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ cells.closure_bits (through cells.is_cell), while the counting paths use
 one byte-table product kernel: gathers from column unions of the group's
 translate tables (cells.column_union) where one factor is fixed, as in
 the dichotomy and the intersection's closure test, and
-cells.pair_products on the group's pair_table where both vary, as in
-Kneser. Olson's instances are coset unions named by rank in both modes,
-drawn or walked, so HX = X and KY = Y hold by construction; from one
-gather per subgroup, _coset_table builds the byte tables that turn ranks
-into masks and give K*X and H*Y for the two tests left open.
+cells.pair_products, from one gather of the left translate table, where
+both vary, as in Kneser. Olson's instances are coset unions named by rank
+in both modes, drawn or walked, so HX = X and KY = Y hold by
+construction; from one gather per subgroup, _coset_table builds the byte
+tables that turn ranks into masks and give K*X and H*Y for the two tests
+left open.
 
 Each sweep driver hands batches of instances to _check_batch, with its
 outcomes, (status, witness skeleton) pairs. Every sweep has one
@@ -82,7 +83,6 @@ from .cells import (
     mask_dtype,
     pair_products,
     pair_products_every_x,
-    pair_table,
     periodic_flags,
     stabilizer_masks,
     subgroup_flags,
@@ -608,7 +608,7 @@ def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], colu
 
 # -- kneser sweep ---------------------------------------------------------
 
-def _kneser_batch(g: Group, table: np.ndarray, x: np.ndarray, y: np.ndarray,
+def _kneser_batch(g: Group, x: np.ndarray, y: np.ndarray,
                   xy: np.ndarray) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
     """Vectorized check_kneser over pair arrays (X, Y), given XY.
 
@@ -626,10 +626,10 @@ def _kneser_batch(g: Group, table: np.ndarray, x: np.ndarray, y: np.ndarray,
     i = np.flatnonzero(hyp & (xy != xy.dtype.type(g.full_bits)))
     h = np.full_like(xy, g.full_bits)
     h_size, hx_size, hy_size = (np.full(len(xy), g.order, dtype=np.uint8) for _ in range(3))
-    h[i] = stab = stabilizer_masks(g, table, xy[i])
+    h[i] = stab = stabilizer_masks(g, xy[i])
     h_size[i] = count(stab)
-    hx_size[i] = count(pair_products(table, stab, x[i]))
-    hy_size[i] = count(pair_products(table, stab, y[i]))
+    hx_size[i] = count(pair_products(g, stab, x[i]))
+    hy_size[i] = count(pair_products(g, stab, y[i]))
     rhs = hx_size + hy_size - h_size
     return (~hyp, hyp & (xy_size == rhs) & (h_size > 1)), dict(
         x=x, y=y, xy_size=xy_size, bound=bound, h=h, h_size=h_size, hx_size=hx_size, hy_size=hy_size,
@@ -649,29 +649,26 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
     if cfg.mode == "sampled":
         rng = random.Random(f"{seed}|pairs")
         # object columns for a --wide group, whose masks outgrow every numpy
-        # integer; it builds no table, and its pairs all go to check_kneser
+        # integer; its pairs all go to check_kneser
         dtype = column_dtype(n)
-        table = None if dtype is object else pair_table(g)
         for start in range(0, cfg.samples, _CHUNK):
             # x and y draws alternate
             k = min(_CHUNK, cfg.samples - start)
             draws = np.array(random_masks(n, rng, 2 * k), dtype=dtype)
             _check_batch(state, g.label, _TAGS["kneser"], draws.reshape(k, 2).T, check,
-                         None if table is None
-                         else lambda x, y: _kneser_batch(g, table, x, y, pair_products(table, x, y)), outcomes)
+                         None if dtype is object
+                         else lambda x, y: _kneser_batch(g, x, y, pair_products(g, x, y)), outcomes)
         return
     total = ((1 << n) - 1) ** 2
     if total > cfg.max_instances:
         raise _Refused(f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
-    dtype, table = mask_dtype(n), pair_table(g)
     # blocks of whole Y rows, Y outer and X inner as the records run
-    xs = np.arange(1, 1 << n, dtype=dtype)
+    xs = np.arange(1, 1 << n, dtype=mask_dtype(n))
     step = max(1, _CHUNK // len(xs))
     for start in range(0, len(xs), step):
         ys = xs[start:start + step]
         _check_batch(state, g.label, _TAGS["kneser"], (np.tile(xs, len(ys)), np.repeat(ys, len(xs))), check,
-                     lambda x, y, ys=ys: _kneser_batch(g, table, x, y,
-                                                       pair_products_every_x(table, ys)[:, 1:].ravel()),
+                     lambda x, y, ys=ys: _kneser_batch(g, x, y, pair_products_every_x(g, ys)[:, 1:].ravel()),
                      outcomes)
 
 

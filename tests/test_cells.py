@@ -43,7 +43,7 @@ from cellkit.cells import (
     mask_dtype,
     pair_products,
     pair_products_every_x,
-    pair_table,
+    periodic_flags,
     stabilizer_masks,
     subgroup_flags,
     translate_class_keys,
@@ -176,9 +176,8 @@ KERNEL_GROUPS = {spec: build_group(spec)
 
 
 @functools.cache
-def pair_table_and_subgroups(spec):
-    g = KERNEL_GROUPS[spec]
-    return pair_table(g), [h.bits for h in all_subgroups(g)]
+def subgroups_of(spec):
+    return [h.bits for h in all_subgroups(KERNEL_GROUPS[spec])]
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS)
@@ -207,19 +206,26 @@ def test_pair_kernels_match_scalar_kernel(spec, data):
     masks = st.integers(min_value=0, max_value=full)
     xs = data.draw(st.lists(masks, min_size=1, max_size=16)) + [0, full]
     ys = data.draw(st.lists(masks, min_size=len(xs), max_size=len(xs)))
-    table, subgroups = pair_table_and_subgroups(spec)
     dtype = mask_dtype(g.order)
-    assert pair_products(table, np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)).tolist() == [
-        product_bits(g, x, y) for x, y in zip(xs, ys)]
     # random sets mostly have a trivial stabilizer, so add sets with a
     # subgroup on either side: HT is fixed by H on the left, TH on the right
+    subgroups = subgroups_of(spec)
     periodic = [product_bits(g, h, t) for h in subgroups for t in xs[:4]]
     periodic += [product_bits(g, t, h) for h in subgroups for t in xs[:4]]
     nonempty = [a for a in xs + periodic if a]
-    assert stabilizer_masks(g, table, np.array(nonempty, dtype=dtype)).tolist() == [
-        left_stabilizer(ElementSet(g, a)).bits for a in nonempty]
+    x_col, y_col = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+    # the whole gather, and chunks of 3 rows that products straddle
+    for chunk in (cells_module._GATHER_CHUNK, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cells_module, "_GATHER_CHUNK", chunk)
+            assert pair_products(g, x_col, y_col).tolist() == [product_bits(g, x, y) for x, y in zip(xs, ys)]
+            # H arbitrary, not only a subgroup: H*Y inside Y
+            assert periodic_flags(g, x_col, y_col).tolist() == [
+                product_bits(g, x, y) & ~y == 0 for x, y in zip(xs, ys)]
+            assert stabilizer_masks(g, np.array(nonempty, dtype=dtype)).tolist() == [
+                left_stabilizer(ElementSet(g, a)).bits for a in nonempty]
     if g.order <= 9:
-        every = pair_products_every_x(table, np.array(ys[:3], dtype=dtype))
+        every = pair_products_every_x(g, np.array(ys[:3], dtype=dtype))
         assert every.tolist() == [[product_bits(g, x, y) for x in range(full + 1)] for y in ys[:3]]
 
 
@@ -331,7 +337,7 @@ def test_subgroup_flags_and_kernel_cells_match_the_records(monkeypatch, chunk):
     # in chunks of the gather that split the identity-containing cells; Z40
     # holds uint64 masks and sampled --wide Z70 an object column
     if chunk is not None:
-        monkeypatch.setattr(cells_module, "_SUBGROUP_CHUNK", chunk)
+        monkeypatch.setattr(cells_module, "_GATHER_CHUNK", chunk)
     cases = [(g, s_bits, "exhaustive") for g in (Z12, D6, build_group("Q8"))
              for s_bits in identity_subsets(g, 3)]
     cases += [(build_group("Z40"), 0b100011, "sampled"),

@@ -210,14 +210,8 @@ def test_the_coset_table_gives_h_times_x(spec):
 @pytest.mark.parametrize("kwargs", [dict(groups=("Z6",)), dict(groups=("D3",)),
                                     dict(groups=("Z64",), mode="sampled", samples=2000, seed=1)],
                          ids=["Z6", "D3", "Z64-sampled"])
-def test_an_olson_sweep_builds_no_pair_table(monkeypatch, kwargs):
-    # the coset tables answer both of its tests; the 32 MiB table of order
-    # 64 is Kneser's alone
-    def refuse(g):
-        raise AssertionError(f"the Olson sweep built the pair table of {g.label}")
-
-    monkeypatch.setattr(theorems, "pair_table", refuse)
-    monkeypatch.setattr(cells_module, "pair_table", refuse)
+def test_an_olson_stream_matches_its_count(kwargs):
+    # the coset tables answer both of its tests, in either mode
     cfg = SweepConfig(theorems=("olson",), **kwargs)
     lines = []
     streamed = run_sweep(cfg, sink=lines.append)
@@ -512,6 +506,21 @@ def test_a_sampled_dichotomy_holds_one_block_of_keys_at_a_time():
         tracemalloc.stop()
     assert result.summary["totals"] == {"HOLDS": 1 << 17}
     assert peak < 8 << 20
+
+
+def test_a_sampled_kneser_sweep_on_z64_stays_small():
+    # pairwise products gather the left translate table (1 MiB at order 64)
+    # in chunks of _GATHER_CHUNK rows; a table of byte-pair products would
+    # take 32 MiB alone
+    cfg = SweepConfig(groups=("Z64",), theorems=("kneser",), mode="sampled", samples=20_000, seed=1)
+    tracemalloc.start()
+    try:
+        result = run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.summary["instances"] == 20_000
+    assert peak < 24 << 20
 
 
 # -- sweeps ---------------------------------------------------------------
