@@ -7,35 +7,37 @@ closure operator T -> {z : z*S subset of T*S}. The deficiency of a cell
 is |X*S| - |X|; a u-kernel is a u-cell of minimal cardinality.
 
 Over numpy arrays of masks the one set kernel is a byte-table product,
-and _byte_unions its one table builder. _gather ORs one gather per mask
-byte from such a table. Each group keeps two translate tables
+and _byte_unions its one table builder. _gather, the one gather, ORs one
+lookup per mask byte from such a table, or with a column index reads one
+column per mask. Each group keeps two translate tables
 (translate_tables), built once: column_union of one over S gives the
 table of X -> X*S for any S, and over H of the other the table of
 X -> H*X; a gather from the left table gives every left translate z*X.
 closure_masks is such a product too: {z : z*S subset of A} =
 G \\ ((G \\ A) * S^-1). When both factors vary, pair_products ORs the
 translates z*Y over z in X from one gather of the left table, which
-stabilizer_masks and periodic_flags read too.
+stabilizer_masks and periodic_flags read too; pair_products_every_x
+gathers each Y's table of X -> X*Y at every mask X.
 
-_full_cell_enumeration lists every cell sorted by (deficiency, size, bits),
-as read-only numpy columns of cells, products and deficiencies, memoized
-per right-translate class of S on the group: S and each translate S*y
-that holds 1 have the same cells and deficiencies, and their products
+_full_cell_enumeration lists every cell sorted by (deficiency, size,
+bits), as read-only numpy columns of cells, products and deficiencies,
+memoized per right-translate class of S on the group: S and each translate
+S*y that holds 1 have the same cells and deficiencies, and their products
 differ by y (translate_class_keys names the class). A rooted sweep over
 the 2^(order-|S|) masks of G \\ S gives the cells that contain the
-identity, and one gather from the group's left-translate table expands
-them to all cells. cell_columns slices the deficiency prefix a reader
-needs; in sampled mode it builds the same three columns from seeded
-closures, sorted by the same key. Its readers: `cellkit cells` renders
-its rows from the columns, with subgroup_flags (X*X = X, through
-periodic_flags) and kernel_cells; balandraud_details reads
-the identity u*-kernel through kernel_cells, and the chain and corollary
-settles read the prefixes of many S laid end to end, one S per class.
-kernel_flags is the one reading of the smallest cells at a deficiency,
-under kernel_cells, the settles and the rows of `cellkit cells`.
-enumerate_cells turns the prefix into CellRecords, from which the scalar
-kernel chain and corollary checkers answer, and which tests hold the
-columns to.
+identity, and gathers from the group's left-translate table, a chunk of
+rooted cells at a time, expand them to all cells. cell_columns slices the
+deficiency prefix a reader needs; in sampled mode it builds the same three
+columns from seeded closures, sorted by the same key. Its readers:
+`cellkit cells` renders its rows from the columns, with subgroup_flags
+(X*X = X, through periodic_flags) and kernel_cells; balandraud_details
+reads the identity u*-kernel through kernel_cells, and the chain and
+corollary settles read the prefixes of many S laid end to end, one S per
+class. kernel_flags is the one reading of the smallest cells at a
+deficiency, under kernel_cells, the settles and the rows of
+`cellkit cells`. enumerate_cells turns the prefix into CellRecords, from
+which the scalar kernel chain and corollary checkers answer, and which
+tests hold the columns to.
 """
 
 from __future__ import annotations
@@ -155,17 +157,19 @@ def _byte_unions(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _gather(table: np.ndarray, t: np.ndarray, *col: np.ndarray) -> np.ndarray:
     """The OR, over each byte position b of the masks t, of table[256*b + byte b].
 
     table is a _byte_unions table; trailing axes of the table carry through,
-    so out has shape t.shape + table.shape[1:].
+    so out has shape t.shape + table.shape[1:]. Given col, an index array
+    shaped like t, mask k reads only column col[k] of a 2-d table, and out
+    has t's shape.
     """
     # the bytes of each mask, least significant first, along a new last axis
-    cols = np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<"))[..., None].view(np.uint8)
-    out = table[cols[..., 0]]
+    byte = np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<"))[..., None].view(np.uint8)
+    out = table[(byte[..., 0], *col)]
     for b in range(1, -(-len(table) // 256)):
-        out |= table[256 * b:][cols[..., b]]
+        out |= table[256 * b:][(byte[..., b], *col)]
     return out
 
 
@@ -215,12 +219,6 @@ def closure_masks(g: Group, times_inverse: np.ndarray, a: np.ndarray) -> np.ndar
     return full & ~_gather(times_inverse, full & ~a)
 
 
-def _byte_index(a: np.ndarray, width: int) -> list[np.ndarray]:
-    """256*b + byte b of each mask, for each byte position b below width, in a's dtype."""
-    t = a.dtype.type
-    return [((a >> t(8 * b)) & t(255)) + t(256 * b) for b in range(width)]
-
-
 def pair_products(g: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise X*Y over two columns of masks: the OR of the left translates z*Y over z in X.
 
@@ -241,15 +239,12 @@ def pair_products(g: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def pair_products_every_x(g: Group, y: np.ndarray) -> np.ndarray:
     """X*Y for every mask X (0 first) and each Y of y, shape (len(y), 2^order).
 
-    The byte table of X -> X*Y for each Y comes from one gather of the
-    group's left translate table; the products for all X then follow by
-    OR-broadcasting over X's byte positions, one OR per pair.
+    One gather of the group's left translate table gives, for each Y, the
+    byte table of X -> X*Y, with one column per Y; a gather of it at every
+    mask X gives the products.
     """
-    cols = _byte_unions(_gather(translate_tables(g)[1], y).T).T  # [j, 256*a + u] = (byte u at a) * y[j]
-    out = cols[:, :256]
-    for a in range(1, -(-cols.shape[1] // 256)):
-        out = (cols[:, 256 * a:256 * (a + 1), None] | out[:, None, :]).reshape(len(y), -1)
-    return out
+    times_y = _byte_unions(_gather(translate_tables(g)[1], y).T)  # [256*a + u, j] = (byte u at a) * y[j]
+    return _gather(times_y, np.arange(1 << g.order, dtype=y.dtype)).T
 
 
 def stabilizer_masks(g: Group, a: np.ndarray) -> np.ndarray:
@@ -365,16 +360,16 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray,
     masks B of G \\ S, from the rows j*S^-1 for j outside S, and complements
     only the distinct ones: these are the cells that contain the identity.
     A cell Y is the left translate y*(y^-1 Y) of such a cell by its least
-    element y, so one gather from the group's left table gives every
-    translate z*X, and the cells are the translates whose least element is
-    z. The tables are the group's (translate_tables): per S only the free
-    rows are built. The sweep is chunked so memory stays proportional to
-    the chunk, not to 2^order. The cap is checked before the memo, which
-    keeps the last _MEMO_LIMIT right-translate classes (translate_class_keys)
-    on g._enum_memo: for each, the member rep first enumerated and its
-    columns. Another member S = rep*y gets the same cells and deficiency
-    arrays, and its products from one gather of the right table's column y,
-    X*S = (X*rep)*y.
+    element y, so gathers from the group's left table, _GATHER_CHUNK rooted
+    cells at a time, give every translate z*X, and the cells are the
+    translates whose least element is z. The tables are the group's
+    (translate_tables): per S only the free rows are built. The sweep is
+    chunked so memory stays proportional to the chunk, not to 2^order. The
+    cap is checked before the memo, which keeps the last _MEMO_LIMIT
+    right-translate classes (translate_class_keys) on g._enum_memo: for
+    each, the member rep first enumerated and its columns. Another member
+    S = rep*y gets the same cells and deficiency arrays, and its products
+    from one gather of the right table's column y, X*S = (X*rep)*y.
     """
     n = g.order
     require_enumerable(n, cap)
@@ -401,9 +396,11 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray,
         products = _distinct(np.concatenate(parts)) if len(parts) > 1 else parts[0]
     else:
         products = np.zeros(1, dtype=dtype)  # S = G: only B = {} misses S, and G is the one cell
-    translates = _gather(left, dtype(g.full_bits) & ~products)  # [i, z] = z * (rooted cell i)
+    rooted = dtype(g.full_bits) & ~products
     below = left[1] - dtype(1)  # left[1, z] = z * {1} = {z}, so below[z] holds the elements below z
-    cells = translates[(translates & below) == 0]
+    # [i, z] = z * (rooted cell i), one chunk of rooted cells at a time
+    translates = (_gather(left, rooted[i:i + _GATHER_CHUNK]) for i in range(0, len(rooted), _GATHER_CHUNK))
+    cells = np.concatenate([t[(t & below) == 0] for t in translates])
     result = _sorted_cell_columns(n, cells, _gather(column_union(right, s_bits), cells))
     if len(g._enum_memo) >= _MEMO_LIMIT:
         g._enum_memo.pop(next(iter(g._enum_memo)))

@@ -18,7 +18,7 @@ both vary, as in Kneser. Olson's instances are coset unions named by rank
 in both modes, drawn or walked, so HX = X and KY = Y hold by
 construction; from one gather per subgroup, _coset_table builds the byte
 tables that turn ranks into masks and give K*X and H*Y for the two tests
-left open.
+left open, both read through the column form of cells._gather.
 
 Each sweep driver hands batches of instances to _check_batch, with its
 outcomes, (status, witness skeleton) pairs. Every sweep has one
@@ -38,9 +38,9 @@ FINDING, goes to the checker in its place; the chain and the corollary,
 whose witnesses hold lists, send every S.
 run_sweep is prepare_sweep, which builds every group once and checks the
 set spec against each before anything is written, then sweep_groups, the
-task loop on those groups. _run_task notes exploration mode and turns a
-refused task into its one error record, the width refusal that
-cells.mask_dtype raises (an EnumerationCapError) among them.
+task loop on those groups, which lists exploration mode from the tasks.
+_run_task turns a refused task into its one error record, the width
+refusal that cells.mask_dtype raises (an EnumerationCapError) among them.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .cells import (
     CellRecord,
     EnumerationCapError,
     _MEMO_LIMIT,
-    _byte_index,
     _byte_unions,
     _distinct,
     _full_cell_enumeration,
@@ -510,7 +509,6 @@ class _SweepState:
         self.violations: list[dict] = []
         self.findings: list[dict] = []
         self.errors: list[dict] = []
-        self.exploration: set[tuple[str, str]] = set()
 
     def tally(self, theorem: str, group: str, status: str, k: int = 1) -> None:
         if k:
@@ -534,7 +532,6 @@ class _SweepState:
         self.violations.extend(part.violations[:RECORD_CAP - len(self.violations)])
         self.findings.extend(part.findings[:RECORD_CAP - len(self.findings)])
         self.errors.extend(part.errors)
-        self.exploration |= part.exploration
 
     def error(self, theorem: Theorem, group: str, message: str) -> None:
         record = {"kind": "error", "theorem": theorem.value, "group": group, "message": message}
@@ -679,7 +676,11 @@ def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> tuple[n
 
     Entry [256*b + v, i] of the first is the union of the right cosets of
     H_i picked by byte value v at byte position b, the cosets distinct and
-    ascending; of the second, H_i*B for the set B that v names there.
+    ascending; of the second, H_i*B for the set B that v names there. So
+    _gather(first, rank + 1, i) is the rank-th (from 0) smallest nonempty
+    union of right cosets of H_i: disjoint masks compare by their highest
+    element, so rank + 1 names the rank-th union, its cosets read as binary
+    digits. _gather(second, X, i) is H_i*X.
     """
     hx = _gather(translate_tables(g)[0], np.array(subgroup_bits, dtype=dtype))  # [i, x] = H_i*x
     cosets = [_distinct(row) for row in hx]
@@ -687,21 +688,6 @@ def _coset_table(g: Group, subgroup_bits: Sequence[int], dtype: type) -> tuple[n
     for i, c in enumerate(cosets):
         padded[:len(c), i] = c
     return _byte_unions(padded), _byte_unions(hx.T)
-
-
-def _coset_union(table: np.ndarray, col: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Elementwise the OR of table[256*b + byte b of the mask, col] over the byte positions b.
-
-    On _coset_table's first table, masks = k+1 gives the k-th (from 0)
-    smallest nonempty union of right cosets of subgroup col: disjoint masks
-    compare by their highest element, so a union ranks by the cosets it
-    takes read as binary digits. On its second, masks = X gives H_col*X.
-    """
-    idx = _byte_index(masks, -(-len(table) // 256))
-    out = table[idx[0], col]
-    for i in idx[1:]:
-        out |= table[i, col]
-    return out
 
 
 def _olson_batch(subgroups: np.ndarray, times: np.ndarray, hi: np.ndarray, ki: np.ndarray, x: np.ndarray,
@@ -713,8 +699,8 @@ def _olson_batch(subgroups: np.ndarray, times: np.ndarray, hi: np.ndarray, ki: n
     second table, gives K*X and H*Y. Returns the masks [KX = X, HY = Y and
     not KX = X, holds] and check_olson's witness columns by name.
     """
-    kx_fixed = _coset_union(times, ki, x) == x
-    hy_fixed = (_coset_union(times, hi, y) == y) & ~kx_fixed
+    kx_fixed = _gather(times, x, ki) == x
+    hy_fixed = (_gather(times, y, hi) == y) & ~kx_fixed
     h, k = subgroups[hi], subgroups[ki]
     h_size, k_size, meet, dxy, dyx = (np.bitwise_count(a).astype(np.int32)
                                       for a in (h, k, h & k, x & ~y, y & ~x))
@@ -805,7 +791,7 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
 
     settle = functools.partial(_olson_batch, np.array(bits, dtype=dtype), times)
     for hi, ki, rank_x, rank_y in _olson_ranks(union_counts, cfg, seed, dtype):
-        columns = (hi, ki, _coset_union(cosets, hi, rank_x + 1), _coset_union(cosets, ki, rank_y + 1))
+        columns = (hi, ki, _gather(cosets, rank_x + 1, hi), _gather(cosets, rank_y + 1, ki))
         _check_batch(state, g.label, _TAGS["olson"], columns, check, settle, outcomes)
 
 
@@ -1109,9 +1095,6 @@ def _run_task(g: Group, theorem: str, cfg: SweepConfig,
     """Run one (group, theorem) task into a fresh state; a refused task ends in one error record."""
     state = _SweepState(sink)
     seed = _derive_seed(cfg.seed if cfg.seed is not None else 0, g.label, theorem)
-    if theorem in _ABELIAN_ONLY and not g.is_abelian:
-        for tag in _TAGS[theorem]:
-            state.exploration.add((tag.value, g.label))
     try:
         _DRIVERS[theorem](g, cfg, state, seed)
     except (_Refused, EnumerationCapError) as exc:
@@ -1244,6 +1227,9 @@ def sweep_groups(config: SweepConfig, groups: dict[str, Group],
             state.merge(_run_task(groups[spec], theorem, config, sink))
     else:
         _pool_sweep(tasks, groups, config, sink, state)
+    # every abelian-only statement on a nonabelian group, refused tasks included
+    exploration = {(tag.value, groups[spec].label) for spec, theorem in tasks
+                   if theorem in _ABELIAN_ONLY and not groups[spec].is_abelian for tag in _TAGS[theorem]}
     counts: dict[str, dict[str, dict[str, int]]] = {}
     totals: dict[str, int] = {}
     for (theorem, group, status), k in sorted(state.counts.items()):
@@ -1253,7 +1239,7 @@ def sweep_groups(config: SweepConfig, groups: dict[str, Group],
         "instances": sum(totals.values()),
         "counts": counts,
         "totals": dict(sorted(totals.items())),
-        "exploration": [list(e) for e in sorted(state.exploration)],
+        "exploration": [list(e) for e in sorted(exploration)],
         "errors": len(state.errors),
     }
     return SweepResult(summary=summary, violations=state.violations,

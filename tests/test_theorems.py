@@ -141,7 +141,7 @@ def coset_unions(g, subgroup_bits):
         cosets = g.order // h.bit_count()
         if cosets <= 16:
             picks = np.arange(1, 1 << cosets, dtype=dtype)  # rank + 1
-            out[h] = theorems._coset_union(table, np.full(len(picks), i), picks).tolist()
+            out[h] = cells_module._gather(table, picks, np.full(len(picks), i)).tolist()
     return out
 
 
@@ -171,10 +171,10 @@ def test_olson_batch_matches_scalar(g):
     counts = [(1 << (g.order // h.bit_count())) - 1 for h in bits]
     cfg = SweepConfig(groups=(g.label,), theorems=("olson",))
     hi, ki, rank_x, rank_y = (np.concatenate(c) for c in zip(*theorems._olson_ranks(counts, cfg, 0, dtype)))
-    x, y = theorems._coset_union(cosets, hi, rank_x + 1), theorems._coset_union(cosets, ki, rank_y + 1)
+    x, y = cells_module._gather(cosets, rank_x + 1, hi), cells_module._gather(cosets, rank_y + 1, ki)
     assert len(x) == sum(counts) ** 2
-    assert (theorems._coset_union(times, hi, x) == x).all()
-    assert (theorems._coset_union(times, ki, y) == y).all()
+    assert (cells_module._gather(times, x, hi) == x).all()
+    assert (cells_module._gather(times, y, ki) == y).all()
     masks, _ = theorems._olson_batch(np.array(bits, dtype=dtype), times, hi, ki, x, y)
     # the masks of KX != X failing, of HY != Y failing (KX != X holding), then HOLDS
     assert len(masks) == 3
@@ -201,10 +201,10 @@ def test_the_coset_table_gives_h_times_x(spec):
     xs = np.random.default_rng(5).integers(0, 1 << g.order, size=300, dtype=np.uint64).astype(dtype)
     unions = coset_unions(g, bits)
     for i, h in enumerate(bits):
-        got = theorems._coset_union(times, np.full(len(xs), i), xs)
+        got = cells_module._gather(times, xs, np.full(len(xs), i))
         assert got.tolist() == [product_bits(g, h, x) for x in xs.tolist()], h
         periodic = np.array(unions.get(h, []), dtype=dtype)
-        assert (theorems._coset_union(times, np.full(len(periodic), i), periodic) == periodic).all(), h
+        assert (cells_module._gather(times, periodic, np.full(len(periodic), i)) == periodic).all(), h
 
 
 @pytest.mark.parametrize("kwargs", [dict(groups=("Z6",)), dict(groups=("D3",)),
@@ -978,6 +978,10 @@ def test_exploration_is_noted_for_each_abelian_only_statement():
         ["COROLLARY_I", "D3"], ["COROLLARY_II", "D3"], ["COROLLARY_III", "D3"],
         ["DICHOTOMY", "D3"], ["KNESER", "D3"],
     ]
+    # a refused task is noted too: D8's pair space is above max_instances
+    r = run_sweep(SweepConfig(groups=("D8",), theorems=("kneser",)))
+    assert r.summary["errors"] == 1
+    assert r.summary["exploration"] == [["KNESER", "D8"]]
 
 
 def test_sweep_is_deterministic_and_jobs_invariant():
