@@ -6,11 +6,12 @@ X*S only for z already in X. Equivalently X is a fixed point of the
 closure operator T -> {z : z*S subset of T*S}. The deficiency of a cell
 is |X*S| - |X|; a u-kernel is a u-cell of minimal cardinality.
 
-Over numpy arrays of masks the one set kernel is a byte-table product,
-and _byte_unions its one table builder. _gather, the one gather, ORs one
-lookup per mask byte from such a table, or with a column index reads one
-column per mask. Each group keeps two translate tables
-(translate_tables), built once: column_union of one over S gives the
+Over numpy arrays of masks the one set kernel is a byte-table product.
+_subset_unions, every union of a list of rows built by doubling, is its one
+table builder, and _byte_unions lays one per byte position. _gather, the
+one gather, ORs one lookup per mask byte from such a table, or with a
+column index reads one column per mask. Each group keeps two translate
+tables (translate_tables), built once: column_union of one over S gives the
 table of X -> X*S for any S, and over H of the other the table of
 X -> H*X; a gather from the left table gives every left translate z*X.
 closure_masks is such a product too: {z : z*S subset of A} =
@@ -19,22 +20,27 @@ translates z*Y over z in X from one gather of the left table, which
 stabilizer_masks and periodic_flags read too; pair_products_every_x
 gathers each Y's table of X -> X*Y at every mask X.
 
-_full_cell_enumeration lists every cell sorted by (deficiency, size,
-bits), as read-only numpy columns of cells, products and deficiencies,
-memoized per right-translate class of S on the group: S and each translate
-S*y that holds 1 have the same cells and deficiencies, and their products
-differ by y (translate_class_keys names the class). A rooted sweep over
-the 2^(order-|S|) masks of G \\ S gives the cells that contain the
-identity, and gathers from the group's left-translate table, a chunk of
-rooted cells at a time, expand them to all cells. cell_columns slices the
+cell_sweep is the one enumeration: over a column of S masks it lists every
+cell of each S, the S laid end to end, as read-only numpy columns of
+cells, products, deficiencies and segment (the S of each row), sorted by
+(segment, deficiency, size, bits). The S of one size share each step: the
+products B * S^-1 over the 2^(order-|S|) masks B of G \\ S, in sub-batches
+of at most 2^_SWEEP_BITS candidates, whose distinct values complement to
+the cells that contain the identity; gathers from the group's left table,
+a chunk of rooted cells at a time, expand them to all cells, and one
+column gather of the stacked tables of X -> X*S gives their products.
+_full_cell_enumeration is the cell_sweep of one S, memoized per
+right-translate class of S on the group: S and each translate S*y that
+holds 1 have the same cells and deficiencies, and their products differ by
+y (translate_class_keys names the class). cell_columns slices the
 deficiency prefix a reader needs; in sampled mode it builds the same three
 columns from seeded closures, sorted by the same key. Its readers:
 `cellkit cells` renders its rows from the columns, with subgroup_flags
 (X*X = X, through periodic_flags) and kernel_cells; balandraud_details
-reads the identity u*-kernel through kernel_cells, and the chain and
-corollary settles read the prefixes of many S laid end to end, one S per
-class. kernel_flags is the one reading of the smallest cells at a
-deficiency, under kernel_cells, the settles and the rows of
+reads the identity u*-kernel through kernel_cells. The chain and corollary
+settles call cell_sweep once per chunk of classes, on one S per class, and
+keep each S's prefix. kernel_flags is the one reading of the smallest
+cells at a deficiency, under kernel_cells, the settles and the rows of
 `cellkit cells`. enumerate_cells turns the prefix into CellRecords, from
 which the scalar kernel chain and corollary checkers answer, and which
 tests hold the columns to.
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +58,6 @@ from .groups import (
     ElementSet,
     Group,
     generated_subgroup,
-    inverse_bits,
     is_subgroup,
     product_bits,
     require_same_group,
@@ -62,6 +68,7 @@ ENUMERATION_CAP = 20
 MAX_MASK_ORDER = 64
 _MEMO_LIMIT = 512
 _GATHER_CHUNK = 1 << 14
+_SWEEP_BITS = 18  # a sub-batch of the cell sweep holds at most 2^18 candidate products
 
 
 class EnumerationCapError(ValueError):
@@ -143,17 +150,30 @@ def bit_counts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks)
 
 
+def _subset_unions(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out[v] is the OR of rows[i] over the bits i of v, for every v below 2^len(rows).
+
+    Built by doubling, one OR per row; trailing axes of rows carry through,
+    and out[0] is 0 (the empty union), the one row when rows is empty.
+    """
+    if out is None:
+        out = np.empty((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
+    out[0] = 0
+    for e, row in enumerate(rows):
+        np.bitwise_or(out[:1 << e], row, out=out[1 << e:2 << e])
+    return out
+
+
 def _byte_unions(rows: np.ndarray) -> np.ndarray:
     """out[256*b + v] is the OR of rows[8*b + i] over the bits i of v.
 
-    Byte position b covers rows 8b..8b+7; the last position runs only to
-    the values its rows can reach. Built by doubling, one OR per row.
+    Byte position b is the _subset_unions of rows 8b..8b+7, so the last
+    position runs only to the values its rows can reach.
     """
     n = len(rows)
-    out = np.zeros((256 * ((n - 1) // 8) + (2 << (n - 1) % 8),) + rows.shape[1:], dtype=rows.dtype)
-    for e, row in enumerate(rows):
-        lo, span = 256 * (e // 8), 1 << e % 8
-        np.bitwise_or(out[lo:lo + span], row, out=out[lo + span:lo + 2 * span])
+    out = np.empty((256 * ((n - 1) // 8) + (2 << (n - 1) % 8),) + rows.shape[1:], dtype=rows.dtype)
+    for e in range(0, n, 8):
+        _subset_unions(rows[e:e + 8], out[32 * e:32 * e + 256])
     return out
 
 
@@ -167,20 +187,29 @@ def _gather(table: np.ndarray, t: np.ndarray, *col: np.ndarray) -> np.ndarray:
     """
     # the bytes of each mask, least significant first, along a new last axis
     byte = np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<"))[..., None].view(np.uint8)
-    out = table[(byte[..., 0], *col)]
+
+    def lookup(b: int) -> np.ndarray:
+        # np.take reads whole rows about twice as fast as indexing with the uint8 bytes
+        part = table[256 * b:]
+        return part[(byte[..., b], *col)] if col else part.take(byte[..., b], axis=0)
+
+    out = lookup(0)
     for b in range(1, -(-len(table) // 256)):
-        out |= table[256 * b:][(byte[..., b], *col)]
+        out |= lookup(b)
     return out
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d array, ascending, as np.unique gives them.
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of each row of a 2-d array, ascending, laid end to end, and the row of each.
 
-    One np.sort and a neighbour test: on numpy 2.4, np.unique took 16 ms
-    for 65,536 uint32 values against 0.5 ms for this (2-core Xeon host).
+    Sorts a in place, then one neighbour test: on numpy 2.4, np.unique took
+    16 ms for 65,536 uint32 values against 0.5 ms for this (2-core Xeon host).
     """
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+    a.sort(axis=1)
+    new = np.ones(a.shape, dtype=bool)
+    new[:, 1:] = a[:, 1:] != a[:, :-1]
+    i = np.flatnonzero(new)
+    return a.ravel()[i], i // a.shape[1]
 
 
 def translate_tables(g: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -331,49 +360,107 @@ def translate_class_keys(g: Group, masks: np.ndarray) -> np.ndarray:
     return np.where((translates & 1) == 1, translates, np.iinfo(translates.dtype).max).min(axis=1)
 
 
-def _sorted_cell_columns(order: int, cells: np.ndarray,
-                         products: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct cells X and their products X*S as read-only columns (cells, products, deficiency).
+def _sorted_cell_columns(order: int, cells: np.ndarray, products: np.ndarray,
+                         *segment: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Distinct cells X and their products X*S as read-only columns (cells, products, deficiency, *segment).
 
-    Sorted by (deficiency, |X|, cell bits), the deficiency |X*S| - |X| in
-    the smallest unsigned dtype that holds order - 1, uint8 to order 256.
+    Sorted by (segment, deficiency, |X|, cell bits), the deficiency
+    |X*S| - |X| in the smallest unsigned dtype that holds order - 1, uint8
+    to order 256. segment, if given, names the S of each row.
     """
     size = bit_counts(cells)
     # |X*S| >= |X|, so the difference of two uint8 counts cannot wrap
     deficiency = (bit_counts(products) - size).astype(np.min_scalar_type(order - 1), copy=False)
-    i = np.lexsort((cells, size, deficiency))
-    result = (cells[i], products[i], deficiency[i])
+    i = np.lexsort((cells, size, deficiency, *segment))
+    result = tuple(column[i] for column in (cells, products, deficiency, *segment))
     for column in result:
         column.flags.writeable = False
     return result
 
 
-def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All cells of S as read-only columns (cells, products, deficiency).
+def _rooted_cells(full: np.unsignedinteger, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells that hold 1 of each S of a sub-batch, ascending per S and laid end to end, and the S of each.
 
-    Sorted by _sorted_cell_columns, the masks in g's mask dtype and the
-    deficiency |X*S| - |X| in uint8, so a reader slices the prefix it needs
-    with np.searchsorted on the last column.
+    table[e, i] is the e-th free row j*S_i^-1, j outside S_i, so the unions
+    of its rows are the products B*S_i^-1 over the masks B of G \\ S_i, and
+    the cells are the complements of the distinct ones. Up to
+    2^_SWEEP_BITS candidates the S of a sub-batch share one row-wise sort;
+    above that the sub-batch is one S, swept a piece at a time.
+    """
+    low = _subset_unions(table[:_SWEEP_BITS]).T  # [i, B] = B * S_i^-1, B over the low free rows
+    if len(table) <= _SWEEP_BITS:
+        products, owner = _distinct(np.ascontiguousarray(low))
+    else:  # a piece of products per union h of the high free rows, then merged
+        pieces = [_distinct(low | h)[0] for h in _subset_unions(table[_SWEEP_BITS:])]
+        products, owner = _distinct(np.concatenate(pieces)[None])
+    return full & ~products, owner
+
+
+def _swept_cells(g: Group, masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """cell_sweep's columns (cells, products, segment), unsorted, _GATHER_CHUNK rooted cells at a time."""
+    n = g.order
+    right, left = translate_tables(g)
+    dtype = right.dtype.type
+    size = np.bitwise_count(masks)
+    outside = (masks[:, None] >> np.arange(n, dtype=dtype) & 1) == 0  # [i, j]: j not in S_i
+    # S_i^-1 is the OR of the singletons {j^-1} over j in S_i, and [i, j] = j * S_i^-1
+    translates = _gather(left, np.bitwise_or.reduce(np.where(outside, 0, np.take(left[1], g.inv)), axis=1))
+    # [v, i] = B_v * S_i: the column_union of the right table over each S_i
+    times_s = np.bitwise_or.reduceat(right[:, np.nonzero(~outside)[1]], np.cumsum(size, dtype=np.intp) - size,
+                                     axis=1)
+    below = left[1] - dtype(1)  # left[1, z] = z * {1} = {z}, so below[z] holds the elements below z
+    index = np.arange(len(masks), dtype=np.min_scalar_type(len(masks) - 1))  # segment ids, one byte to 256 S
+    for k in sorted(set(size.tolist())):
+        rows = np.flatnonzero(size == k)
+        step = 1 << max(0, _SWEEP_BITS - (n - k))
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            free = translates[part][outside[part]].reshape(len(part), n - k).T  # [e, i]: the e-th free row of S_i
+            rooted, owner = _rooted_cells(dtype(g.full_bits), free)
+            for i in range(0, len(rooted), _GATHER_CHUNK):
+                t = _gather(left, rooted[i:i + _GATHER_CHUNK])  # [r, z] = z * (rooted cell r)
+                keep = np.flatnonzero((t & below) == 0)
+                cells, segment = t.ravel()[keep], index[part[owner[i:i + _GATHER_CHUNK][keep // n]]]
+                yield cells, _gather(times_s, cells, segment), segment
+
+
+def cell_sweep(g: Group, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every cell of each S of a column of masks holding 1, as read-only columns (cells, products, deficiency, segment).
+
+    The cells of all S are laid end to end, segment the index of each row's
+    S in masks, sorted by _sorted_cell_columns: the rows of one S are its
+    cells sorted by (deficiency, |X|, bits). The caller checks the cap.
     Each cell X is the closure {z : z*S subset of A} of A = X*S, which is
     G \\ (B * S^-1) for B = G \\ A; X contains the identity iff B misses S.
-    So the rooted sweep takes the products B * S^-1 over the 2^(order-|S|)
-    masks B of G \\ S, from the rows j*S^-1 for j outside S, and complements
-    only the distinct ones: these are the cells that contain the identity.
-    A cell Y is the left translate y*(y^-1 Y) of such a cell by its least
-    element y, so gathers from the group's left table, _GATHER_CHUNK rooted
-    cells at a time, give every translate z*X, and the cells are the
-    translates whose least element is z. The tables are the group's
-    (translate_tables): per S only the free rows are built. The sweep is
-    chunked so memory stays proportional to the chunk, not to 2^order. The
-    cap is checked before the memo, which keeps the last _MEMO_LIMIT
-    right-translate classes (translate_class_keys) on g._enum_memo: for
-    each, the member rep first enumerated and its columns. Another member
-    S = rep*y gets the same cells and deficiency arrays, and its products
-    from one gather of the right table's column y, X*S = (X*rep)*y.
+    So the rooted sweep (_rooted_cells) takes the products B * S^-1 over
+    the 2^(order-|S|) masks B of G \\ S and complements only the distinct
+    ones: these are the cells that contain the identity. A cell Y is the
+    left translate y*(y^-1 Y) of such a cell by its least element y, so
+    gathers from the group's left table, _GATHER_CHUNK rooted cells at a
+    time, give every translate z*X, and the cells are the translates whose
+    least element is z; their products are a column gather of the stacked
+    tables of X -> X*S. The S of one size share the sweep in sub-batches of
+    at most 2^_SWEEP_BITS candidates, so memory stays proportional to that
+    and to the cells, not to 2^order.
     """
-    n = g.order
-    require_enumerable(n, cap)
-    right, left = translate_tables(g)
+    cells, products, segment = (np.concatenate(column) for column in zip(*_swept_cells(g, masks)))
+    return _sorted_cell_columns(g.order, cells, products, segment)
+
+
+def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All cells of S as read-only columns (cells, products, deficiency), the cell_sweep of S alone.
+
+    Sorted by (deficiency, |X|, bits), the masks in g's mask dtype and the
+    deficiency |X*S| - |X| in uint8, so a reader slices the prefix it needs
+    with np.searchsorted on the last column. The cap is checked before the
+    memo, which keeps the last _MEMO_LIMIT right-translate classes
+    (translate_class_keys) on g._enum_memo: for each, the member rep first
+    enumerated and its columns. Another member S = rep*y gets the same
+    cells and deficiency arrays, and its products from one gather of the
+    right table's column y, X*S = (X*rep)*y.
+    """
+    require_enumerable(g.order, cap)
+    right = translate_tables(g)[0]
     dtype = right.dtype.type
     key = int(translate_class_keys(g, np.array([s_bits], dtype=dtype))[0])
     cached = g._enum_memo.get(key)
@@ -385,23 +472,7 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray,
             products = _gather(right[:, y], products)
             products.flags.writeable = False
         return cells, products, deficiency
-    free = [j for j in range(n) if not s_bits >> j & 1]
-    if free:
-        # the translates j * S^-1 for j outside S, the rows of the sweep's table
-        table = _byte_unions(_gather(left, np.array([inverse_bits(g, s_bits)], dtype=dtype))[0, free])
-        total = 1 << len(free)
-        chunk = min(total, 1 << 18)
-        parts = [_distinct(_gather(table, np.arange(start, start + chunk, dtype=dtype)))
-                 for start in range(0, total, chunk)]
-        products = _distinct(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-    else:
-        products = np.zeros(1, dtype=dtype)  # S = G: only B = {} misses S, and G is the one cell
-    rooted = dtype(g.full_bits) & ~products
-    below = left[1] - dtype(1)  # left[1, z] = z * {1} = {z}, so below[z] holds the elements below z
-    # [i, z] = z * (rooted cell i), one chunk of rooted cells at a time
-    translates = (_gather(left, rooted[i:i + _GATHER_CHUNK]) for i in range(0, len(rooted), _GATHER_CHUNK))
-    cells = np.concatenate([t[(t & below) == 0] for t in translates])
-    result = _sorted_cell_columns(n, cells, _gather(column_union(right, s_bits), cells))
+    result = cell_sweep(g, np.array([s_bits], dtype=dtype))[:3]
     if len(g._enum_memo) >= _MEMO_LIMIT:
         g._enum_memo.pop(next(iter(g._enum_memo)))
     g._enum_memo[key] = (s_bits, *result)

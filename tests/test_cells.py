@@ -6,6 +6,7 @@ produced by these oracles and pinned.
 """
 
 import functools
+import random
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,7 @@ from cellkit.cells import (
     _full_cell_enumeration,
     _gather,
     cell_columns,
+    cell_sweep,
     closure_bits,
     closure_masks,
     column_union,
@@ -133,6 +135,42 @@ def test_enumeration_agrees_with_both_oracles(g, max_size):
         for u in range(g.order + 1):
             prefix = [x for x in ordered if deficiency(x) <= u]
             assert [r.cell.bits for r in enumerate_cells(s, u)] == prefix, (s.spec_string(), u)
+
+
+@functools.cache
+def oracle_cells(g, s_bits):
+    """The cells of S from the filter oracle, once checked against the seed oracle."""
+    cells = oracle_cells_by_filter(g, s_bits)
+    assert cells == oracle_cells_by_seeds(g, s_bits)
+    return cells
+
+
+# one cell_sweep call on every identity set of a group to a size (on Z6 also
+# |S| = n-1 and S = G, which has no free rows), the sizes shuffled in one
+# column, held to both oracles set by set; at the default bounds, and at
+# sub-batches of 2^3 candidates and gathers of 5 rooted cells, where the
+# sweep of one S straddles many pieces and the S of one gather differ
+@pytest.mark.parametrize("sweep_bits, gather_chunk", [(cells_module._SWEEP_BITS, cells_module._GATHER_CHUNK),
+                                                      (3, 5)])
+@pytest.mark.parametrize("g, max_size", [pytest.param(g, k, id=g.label) for g, k in (
+    (Z6, 3), (D3, 3), (D5, 3), (D6, 2), (build_group("Q8"), 4), (D4, 4), (build_group("Z2xZ4"), 4))])
+def test_cell_sweep_agrees_with_both_oracles_set_by_set(monkeypatch, g, max_size, sweep_bits, gather_chunk):
+    monkeypatch.setattr(cells_module, "_SWEEP_BITS", sweep_bits)
+    monkeypatch.setattr(cells_module, "_GATHER_CHUNK", gather_chunk)
+    sets = list(oracle_sets(g, max_size))
+    random.Random(len(sets)).shuffle(sets)
+    cells, products, deficiency, segment = cell_sweep(g, np.array(sets, dtype=mask_dtype(g.order)))
+    assert (cells.dtype, products.dtype, deficiency.dtype) == (mask_dtype(g.order), mask_dtype(g.order), np.uint8)
+    assert not any(column.flags.writeable for column in (cells, products, deficiency, segment))
+    assert np.all(segment[1:] >= segment[:-1])
+    for i, s_bits in enumerate(sets):
+        rows = slice(*np.searchsorted(segment, [i, i + 1]))
+        got = cells[rows].tolist()
+        assert sorted(got) == sorted(oracle_cells(g, s_bits)), (g.label, s_bits)
+        want_products = [product_bits(g, x, s_bits) for x in got]
+        assert products[rows].tolist() == want_products
+        keys = [(p.bit_count() - x.bit_count(), x.bit_count(), x) for x, p in zip(got, want_products)]
+        assert keys == sorted(keys) and deficiency[rows].tolist() == [k[0] for k in keys]
 
 
 masks8 = st.integers(min_value=1, max_value=255)
