@@ -20,34 +20,47 @@ translates z*Y over z in X from one gather of the left table, which
 stabilizer_masks and periodic_flags read too; pair_products_every_x
 gathers each Y's table of X -> X*Y at every mask X.
 
-cell_sweep is the one enumeration: over a column of S masks it lists every
-cell of each S, the S laid end to end, as read-only numpy columns of
-cells, products, deficiencies and segment (the S of each row), sorted by
-(segment, deficiency, size, bits). The S of one size share each step: the
-products B * S^-1 over the 2^(order-|S|) masks B of G \\ S, in sub-batches
-of at most 2^_SWEEP_BITS candidates, whose distinct values complement to
-the cells that contain the identity; gathers from the group's left table,
-a chunk of rooted cells at a time, expand them to all cells, and one
-column gather of the stacked tables of X -> X*S gives their products.
-_full_cell_enumeration is the cell_sweep of one S, memoized per
-right-translate class of S on the group: S and each translate S*y that
-holds 1 have the same cells and deficiencies, and their products differ by
-y (translate_class_keys names the class). cell_columns slices the
-deficiency prefix a reader needs; in sampled mode it builds the same three
-columns from seeded closures, sorted by the same key. Its readers:
-`cellkit cells` renders its rows from the columns, with subgroup_flags
-(X*X = X, through periodic_flags) and kernel_cells; balandraud_details
-reads the identity u*-kernel through kernel_cells. The chain and corollary
-settles call cell_sweep once per chunk of classes, on one S per class, and
-keep each S's prefix. kernel_flags is the one reading of the smallest
-cells at a deficiency, under kernel_cells, the settles and the rows of
-`cellkit cells`. enumerate_cells turns the prefix into CellRecords, from
-which the scalar kernel chain and corollary checkers answer, and which
-tests hold the columns to.
+cell_sweep is the one enumeration: over a column of S masks it lists the
+cells of each S up to a deficiency bound u per S (every cell without one),
+the S laid end to end, as read-only numpy columns of cells, products,
+deficiencies and segment (the S of each row), sorted by (segment,
+deficiency, size, bits). The S of one size share each step: the products
+B * S^-1 over the 2^(order-|S|) masks B of G \\ S, in sub-batches of at
+most 2^_SWEEP_BITS candidates, whose distinct values complement to the
+cells that contain the identity; gathers from the group's left table, a
+chunk of rooted cells at a time, expand them to all cells, and one column
+gather of the stacked tables of X -> X*S gives their products. The bound
+is exact and applied in the rooted sweep, so every later step touches only
+the prefix: P = B * S^-1 names the cell X = G \\ P, and X*S lies inside
+G \\ B, so def(X) <= |P| - |B|, with equality for the one B = G \\ X*S of
+each cell. So the B with |P| <= |B| + u give exactly the identity cells of
+deficiency at most u, and their left translates, of the same deficiency,
+all cells of deficiency at most u. _full_cell_enumeration is the
+cell_sweep of one S to one bound, memoized per right-translate class of S
+on the group, with the bound it was enumerated to: S and each translate
+S*y that holds 1 have the same cells and deficiencies, and their products
+differ by y (translate_class_keys names the class). An entry serves any
+request at or below its bound and is enumerated again for a larger one.
+cell_columns asks it for the deficiency prefix a reader needs; in sampled
+mode it builds the same three columns from seeded closures, sorted by the
+same key. Its readers: `cellkit cells` renders its rows from the columns,
+with subgroup_flags (X*X = X, through periodic_flags) and kernel_cells;
+balandraud_details reads the identity u*-kernel through kernel_cells, from
+the prefix u <= |S| - 2. The chain and corollary settles call cell_sweep
+once per chunk of classes, on one S per class, bounded by |S| - 1 and
+|S| - 2; the intersection sweep reads every cell. kernel_flags is the one
+reading of the smallest cells at a deficiency, under kernel_cells, the
+settles and the rows of `cellkit cells`. enumerate_cells turns the prefix
+into CellRecords, from which the scalar kernel chain and corollary
+checkers answer, and which tests hold the columns to.
+
+The closure X = {z : z*S subset of X*S} and the duality X -> G \\ X*S are
+those of Hamidoune's isoperimetric method (J. Algebra 179, 1996).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -378,37 +391,63 @@ def _sorted_cell_columns(order: int, cells: np.ndarray, products: np.ndarray,
     return result
 
 
-def _rooted_cells(full: np.unsignedinteger, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _index_sizes(count: int) -> np.ndarray:
+    """|B| for each index B below count, as read-only uint8: the sizes of the subsets that _subset_unions indexes."""
+    sizes = np.bitwise_count(np.arange(count, dtype=np.uint32))
+    sizes.flags.writeable = False
+    return sizes
+
+
+def _rooted_cells(full: np.unsignedinteger, table: np.ndarray,
+                  bound: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The cells that hold 1 of each S of a sub-batch, ascending per S and laid end to end, and the S of each.
 
     table[e, i] is the e-th free row j*S_i^-1, j outside S_i, so the unions
     of its rows are the products B*S_i^-1 over the masks B of G \\ S_i, and
     the cells are the complements of the distinct ones. Up to
     2^_SWEEP_BITS candidates the S of a sub-batch share one row-wise sort;
-    above that the sub-batch is one S, swept a piece at a time.
+    above that the sub-batch is one S, swept a piece at a time. Given
+    bound, the deficiency bound u of each S, a B with |B*S^-1| > |B| + u
+    is dropped: its product becomes 0, the product of the empty B, which
+    every S keeps (the cell G), so the distinct values are those of the
+    kept B. |B| counts the low rows by the index of B and the high rows
+    by that of the piece.
     """
-    low = _subset_unions(table[:_SWEEP_BITS]).T  # [i, B] = B * S_i^-1, B over the low free rows
+    low = np.ascontiguousarray(_subset_unions(table[:_SWEEP_BITS]).T)  # [i, B] = B * S_i^-1 over the low free rows
+    if bound is not None:
+        limit = bound[:, None] + _index_sizes(low.shape[1])  # [i, B] = u_i + |B|
     if len(table) <= _SWEEP_BITS:
-        products, owner = _distinct(np.ascontiguousarray(low))
+        if bound is not None:
+            low *= np.bitwise_count(low) <= limit
+        products, owner = _distinct(low)
     else:  # a piece of products per union h of the high free rows, then merged
-        pieces = [_distinct(low | h)[0] for h in _subset_unions(table[_SWEEP_BITS:])]
+        pieces = []
+        for i, h in enumerate(_subset_unions(table[_SWEEP_BITS:])):
+            piece = low | h
+            if bound is not None:
+                piece *= np.bitwise_count(piece) <= limit + i.bit_count()
+            pieces.append(_distinct(piece)[0])
         products, owner = _distinct(np.concatenate(pieces)[None])
     return full & ~products, owner
 
 
-def _swept_cells(g: Group, masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _swept_cells(g: Group, masks: np.ndarray,
+                 u_max: np.ndarray | None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """cell_sweep's columns (cells, products, segment), unsorted, _GATHER_CHUNK rooted cells at a time."""
     n = g.order
+    # every deficiency is below n, so a bound clamped to n keeps the same cells and fits a uint8
+    bound = None if u_max is None else np.minimum(u_max, n).astype(np.uint8)
     right, left = translate_tables(g)
     dtype = right.dtype.type
-    size = np.bitwise_count(masks)
-    outside = (masks[:, None] >> np.arange(n, dtype=dtype) & 1) == 0  # [i, j]: j not in S_i
+    singles = left[1]  # left[1, z] = z * {1} = {z}
+    size = np.bitwise_count(masks).astype(np.intp)
+    outside = (masks[:, None] & singles) == 0  # [i, j]: j not in S_i
     # S_i^-1 is the OR of the singletons {j^-1} over j in S_i, and [i, j] = j * S_i^-1
-    translates = _gather(left, np.bitwise_or.reduce(np.where(outside, 0, np.take(left[1], g.inv)), axis=1))
+    translates = _gather(left, np.bitwise_or.reduce(np.where(outside, 0, np.take(singles, g.inv)), axis=1))
     # [v, i] = B_v * S_i: the column_union of the right table over each S_i
-    times_s = np.bitwise_or.reduceat(right[:, np.nonzero(~outside)[1]], np.cumsum(size, dtype=np.intp) - size,
-                                     axis=1)
-    below = left[1] - dtype(1)  # left[1, z] = z * {1} = {z}, so below[z] holds the elements below z
+    times_s = np.bitwise_or.reduceat(right[:, np.nonzero(~outside)[1]], size.cumsum() - size, axis=1)
+    below = singles - dtype(1)  # below[z] holds the elements below z
     index = np.arange(len(masks), dtype=np.min_scalar_type(len(masks) - 1))  # segment ids, one byte to 256 S
     for k in sorted(set(size.tolist())):
         rows = np.flatnonzero(size == k)
@@ -416,7 +455,7 @@ def _swept_cells(g: Group, masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.n
         for start in range(0, len(rows), step):
             part = rows[start:start + step]
             free = translates[part][outside[part]].reshape(len(part), n - k).T  # [e, i]: the e-th free row of S_i
-            rooted, owner = _rooted_cells(dtype(g.full_bits), free)
+            rooted, owner = _rooted_cells(dtype(g.full_bits), free, None if bound is None else bound[part])
             for i in range(0, len(rooted), _GATHER_CHUNK):
                 t = _gather(left, rooted[i:i + _GATHER_CHUNK])  # [r, z] = z * (rooted cell r)
                 keep = np.flatnonzero((t & below) == 0)
@@ -424,59 +463,81 @@ def _swept_cells(g: Group, masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.n
                 yield cells, _gather(times_s, cells, segment), segment
 
 
-def cell_sweep(g: Group, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every cell of each S of a column of masks holding 1, as read-only columns (cells, products, deficiency, segment).
+def cell_sweep(g: Group, masks: np.ndarray,
+               u_max: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of each S of a column of masks holding 1, as read-only columns (cells, products, deficiency, segment).
 
-    The cells of all S are laid end to end, segment the index of each row's
-    S in masks, sorted by _sorted_cell_columns: the rows of one S are its
-    cells sorted by (deficiency, |X|, bits). The caller checks the cap.
-    Each cell X is the closure {z : z*S subset of A} of A = X*S, which is
-    G \\ (B * S^-1) for B = G \\ A; X contains the identity iff B misses S.
-    So the rooted sweep (_rooted_cells) takes the products B * S^-1 over
-    the 2^(order-|S|) masks B of G \\ S and complements only the distinct
-    ones: these are the cells that contain the identity. A cell Y is the
-    left translate y*(y^-1 Y) of such a cell by its least element y, so
-    gathers from the group's left table, _GATHER_CHUNK rooted cells at a
-    time, give every translate z*X, and the cells are the translates whose
-    least element is z; their products are a column gather of the stacked
-    tables of X -> X*S. The S of one size share the sweep in sub-batches of
-    at most 2^_SWEEP_BITS candidates, so memory stays proportional to that
-    and to the cells, not to 2^order.
+    u_max, None or a column of one nonnegative bound per S, keeps the
+    cells of deficiency at most the bound of their S; None keeps every
+    cell. The cells of all S are laid end to end, segment the index of
+    each row's S in masks, sorted by _sorted_cell_columns: the rows of one
+    S are its cells sorted by (deficiency, |X|, bits). The caller checks
+    the cap. Each cell X is the closure {z : z*S subset of A} of A = X*S,
+    which is G \\ (B * S^-1) for B = G \\ A; X contains the identity iff
+    B misses S. So the rooted sweep (_rooted_cells) takes the products
+    B * S^-1 over the 2^(order-|S|) masks B of G \\ S and complements only
+    the distinct ones: these are the cells that contain the identity.
+    The bound is applied there, exactly: for P = B * S^-1 the cell
+    X = G \\ P has X*S inside G \\ B, so its deficiency is at most
+    |G \\ B| - |G \\ P| = |P| - |B|, with equality for B = G \\ X*S, which
+    misses S when X holds 1. So the B with |P| <= |B| + u give exactly the
+    identity cells of deficiency at most u. A cell Y is the left translate
+    y*(y^-1 Y) of such a cell by its least element y, with the same
+    deficiency, so gathers from the group's left table, _GATHER_CHUNK
+    rooted cells at a time, give every translate z*X, and the cells are
+    the translates whose least element is z; their products are a column
+    gather of the stacked tables of X -> X*S. Past the rooted sweep every
+    step touches only the kept cells. The S of one size share the sweep in
+    sub-batches of at most 2^_SWEEP_BITS candidates, so memory stays
+    proportional to that and to the kept cells, not to 2^order.
     """
-    cells, products, segment = (np.concatenate(column) for column in zip(*_swept_cells(g, masks)))
+    cells, products, segment = (np.concatenate(column) for column in zip(*_swept_cells(g, masks, u_max)))
     return _sorted_cell_columns(g.order, cells, products, segment)
 
 
-def _full_cell_enumeration(g: Group, s_bits: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All cells of S as read-only columns (cells, products, deficiency), the cell_sweep of S alone.
+def _full_cell_enumeration(g: Group, s_bits: int, cap: int,
+                           u_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of S up to deficiency u_max (all for None) as read-only columns (cells, products, deficiency).
 
-    Sorted by (deficiency, |X|, bits), the masks in g's mask dtype and the
-    deficiency |X*S| - |X| in uint8, so a reader slices the prefix it needs
-    with np.searchsorted on the last column. The cap is checked before the
-    memo, which keeps the last _MEMO_LIMIT right-translate classes
-    (translate_class_keys) on g._enum_memo: for each, the member rep first
-    enumerated and its columns. Another member S = rep*y gets the same
-    cells and deficiency arrays, and its products from one gather of the
-    right table's column y, X*S = (X*rep)*y.
+    The cell_sweep of S alone, whose rooted sweep keeps only the B with
+    |B*S^-1| - |B| <= u_max: that difference bounds the deficiency of the
+    cell G \\ B*S^-1, whose product lies inside G \\ B, and equals it for
+    B = G \\ X*S. Sorted by (deficiency, |X|, bits), the masks in g's mask
+    dtype and the deficiency |X*S| - |X| in uint8, so a reader slices a
+    shorter prefix with np.searchsorted on the last column. The cap is
+    checked before the memo, which keeps the last _MEMO_LIMIT
+    right-translate classes (translate_class_keys) on g._enum_memo: for
+    each, the member rep enumerated, the bound it was enumerated to
+    (order - 1, the largest deficiency, for every cell) and its columns.
+    An entry answers any bound up to its own, sliced to the prefix; a
+    larger one enumerates again and replaces it. Another member S = rep*y
+    gets the same cells and deficiency arrays, and its products from one
+    gather of the right table's column y, X*S = (X*rep)*y.
     """
     require_enumerable(g.order, cap)
+    every = g.order - 1  # no cell has a larger deficiency
+    u = every if u_max is None else min(u_max, every)
     right = translate_tables(g)[0]
     dtype = right.dtype.type
-    key = int(translate_class_keys(g, np.array([s_bits], dtype=dtype))[0])
+    translates = _gather(right, np.array([s_bits], dtype=dtype))[0].tolist()  # S*x for each x
+    key = min(t for t in translates if t & 1)  # translate_class_keys of S
     cached = g._enum_memo.get(key)
-    if cached is not None:
-        rep, cells, products, deficiency = cached
-        if rep != s_bits:
-            # S = rep*y for the y at which rep's row of right translates reads S
-            y = int(np.flatnonzero(_gather(right, np.array([rep], dtype=dtype))[0] == s_bits)[0])
-            products = _gather(right[:, y], products)
-            products.flags.writeable = False
-        return cells, products, deficiency
-    result = cell_sweep(g, np.array([s_bits], dtype=dtype))[:3]
-    if len(g._enum_memo) >= _MEMO_LIMIT:
-        g._enum_memo.pop(next(iter(g._enum_memo)))
-    g._enum_memo[key] = (s_bits, *result)
-    return result
+    if cached is None or cached[1] < u:
+        if cached is None and len(g._enum_memo) >= _MEMO_LIMIT:
+            g._enum_memo.pop(next(iter(g._enum_memo)))
+        columns = cell_sweep(g, np.array([s_bits], dtype=dtype), None if u == every else np.array([u]))[:3]
+        cached = g._enum_memo[key] = (s_bits, u, *columns)
+    rep, bound, *columns = cached
+    if u < bound:
+        end = _prefix_end(columns[2], u)
+        columns = [column[:end] for column in columns]
+    cells, products, deficiency = columns
+    if rep != s_bits:
+        # rep = S*x for some x, so S = rep*y with y = x^-1
+        y = g.inv[translates.index(rep)]
+        products = _gather(right[:, y], products)
+        products.flags.writeable = False
+    return cells, products, deficiency
 
 
 def _prefix_end(deficiency: np.ndarray, u_max: int) -> int:
@@ -503,23 +564,22 @@ def cell_columns(s: ElementSet, u_max: int, mode: str = "exhaustive", *,
     """Cells of s with deficiency at most u_max, as columns (cells, products, deficiency).
 
     Sorted by (deficiency, size, bits). Exhaustive mode is complete but
-    refuses groups of order above cap; it slices the prefix of the memoized
-    enumeration up to u_max. Sampled mode closes count random seeds drawn
-    with the given seed and keeps the distinct cells found, a reproducible
-    subset of the truth.
+    refuses groups of order above cap; it is the memoized enumeration to
+    u_max. Sampled mode closes count random seeds drawn with the given seed
+    and keeps the distinct cells found, a reproducible subset of the truth,
+    sliced to u_max.
     """
     _require_identity(s)
     if u_max < 0:
         raise ValueError(f"u_max must be nonnegative, got {u_max}")
     g = s.group
     if mode == "exhaustive":
-        columns = _full_cell_enumeration(g, s.bits, cap)
-    elif mode == "sampled":
-        if count is None or seed is None:
-            raise ValueError("sampled mode requires both count and seed")
-        columns = _sampled_cells(g, s.bits, count, seed)
-    else:
+        return _full_cell_enumeration(g, s.bits, cap, u_max)
+    if mode != "sampled":
         raise ValueError(f"unknown enumeration mode {mode!r}; expected 'exhaustive' or 'sampled'")
+    if count is None or seed is None:
+        raise ValueError("sampled mode requires both count and seed")
+    columns = _sampled_cells(g, s.bits, count, seed)
     end = _prefix_end(columns[2], u_max)
     return tuple(column[:end] for column in columns)
 
@@ -602,16 +662,18 @@ def balandraud_details(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> Balandra
     where u* is the largest deficiency in 1..|s|-2 attained by a cell; if no
     such cell exists it is the subgroup generated by s. For |s| <= 1 it is
     the trivial subgroup. Read from the enumeration's columns: the kernel is
-    the first identity-containing u*-kernel of kernel_cells.
+    the first identity-containing u*-kernel of kernel_cells. Only the cells
+    of deficiency at most |s| - 2 are enumerated: the rooted sweep drops
+    every B with |B * s^-1| - |B| above it, which bounds the deficiency of
+    the cell G \\ B * s^-1 and equals it for B = G \\ X*s (cell_sweep).
     """
     _require_identity(s)
     g = s.group
     size = len(s)
     if size <= 1:
         return BalandraudResult(subgroup=g.identity_set(), u_star=None, case="trivial")
-    cells, _, deficiency = _full_cell_enumeration(g, s.bits, cap)
-    end = _prefix_end(deficiency, size - 2)
-    u_star = int(deficiency[end - 1])  # G itself is a 0-cell, so the prefix is never empty
+    cells, _, deficiency = _full_cell_enumeration(g, s.bits, cap, size - 2)
+    u_star = int(deficiency[-1])  # G itself is a 0-cell, so the prefix is never empty
     if u_star < 1:
         return BalandraudResult(subgroup=generated_subgroup(g, s), u_star=None, case="generated")
     kernels = kernel_cells(cells, deficiency, u_star)

@@ -115,8 +115,9 @@ class Group:
         self.inv = self._invert()
         self._abelian = abelian
         # cells.py's enumeration memo per right-translate class key of S: the
-        # member rep first enumerated and its columns (rep, cells, products, deficiency)
-        self._enum_memo: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+        # member rep enumerated, the deficiency bound it was enumerated to and
+        # its columns (rep, bound, cells, products, deficiency)
+        self._enum_memo: dict[int, tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._subgroup_bits: frozenset[int] | None = None
 
     def _validate(self) -> None:

@@ -27,8 +27,9 @@ and the witness columns: instances it decides are tallied in bulk, and
 only the rest reach the scalar checker, the oracle, in instance order.
 Kneser settles every verdict that holds, periodic XY included. The chain
 and the corollary settle a chunk of S from one cells.cell_sweep of one S
-per right-translate class, each class once per task, their prefix
-columns laid end to end (kernel_flags, subgroup_flags, periodic_flags).
+per right-translate class, each class once per task, bounded by the
+deficiency prefix each reads (|S| - 1 and |S| - 2), their prefix columns
+laid end to end (kernel_flags, subgroup_flags, periodic_flags).
 The dichotomy walks or draws its T space in blocks of _T_BLOCK, each
 settled before the next is made. A sink receives each
 record as its finished JSON line (jsonl_line). With a sink each decided
@@ -842,15 +843,14 @@ def _prefix_columns(g: Group, sets: Sequence[ElementSet], rows: np.ndarray, belo
                     cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The enumeration prefixes, deficiency up to |S| - below, of sets[i] for i in rows.
 
-    One cell_sweep of their masks, laid end to end as columns (cells,
-    deficiency, segment), segment the i of each row's S; each prefix is
-    sorted by (deficiency, size, bits).
+    One cell_sweep of their masks, bounded by |S| - below per S, laid end
+    to end as columns (cells, deficiency, segment), segment the i of each
+    row's S; each prefix is sorted by (deficiency, size, bits).
     """
     require_enumerable(g.order, cap)
     masks = np.array([sets[i].bits for i in rows.tolist()], dtype=mask_dtype(g.order))
-    cells, _, deficiency, segment = cell_sweep(g, masks)
-    keep = deficiency <= (np.bitwise_count(masks).astype(np.intp) - below)[segment]
-    return cells[keep], deficiency[keep], rows[segment[keep]]
+    cells, _, deficiency, segment = cell_sweep(g, masks, np.bitwise_count(masks) - below)
+    return cells, deficiency, rows[segment]
 
 
 def _block_opens(segment: np.ndarray, deficiency: np.ndarray) -> np.ndarray:

@@ -173,6 +173,76 @@ def test_cell_sweep_agrees_with_both_oracles_set_by_set(monkeypatch, g, max_size
         assert keys == sorted(keys) and deficiency[rows].tolist() == [k[0] for k in keys]
 
 
+def assert_prefix(got, full, bound):
+    """got equals the rows of the full columns whose deficiency is at most bound, column by column, read-only."""
+    keep = full[2] <= bound
+    for a, b in zip(got, full, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b[keep])
+        assert not a.flags.writeable
+
+
+# a bounded cell_sweep is the full one's prefix: on every identity set of a
+# group to |S| = 4 (on Z6 and D3 also |S| = n-1 and S = G), one call per u
+# from 0 to n-1 with that bound for every S, then one call with a seeded
+# bound per S, sizes mixed; at the default bounds, and at sub-batches of 2^3
+# candidates and gathers of 5 rooted cells, where most S are swept in high
+# pieces whose |B| counts the high rows too
+@pytest.mark.parametrize("sweep_bits, gather_chunk", [(cells_module._SWEEP_BITS, cells_module._GATHER_CHUNK),
+                                                      (3, 5)])
+@pytest.mark.parametrize("g", [pytest.param(g, id=g.label) for g in (
+    Z6, D3, D5, D6, build_group("Q8"), D4, build_group("Z2xZ4"))])
+def test_a_bounded_cell_sweep_is_the_full_prefix(monkeypatch, g, sweep_bits, gather_chunk):
+    monkeypatch.setattr(cells_module, "_SWEEP_BITS", sweep_bits)
+    monkeypatch.setattr(cells_module, "_GATHER_CHUNK", gather_chunk)
+    sets = list(oracle_sets(g, 4))
+    random.Random(len(sets)).shuffle(sets)
+    masks = np.array(sets, dtype=mask_dtype(g.order))
+    full = cell_sweep(g, masks)
+    for u in range(g.order):
+        assert_prefix(cell_sweep(g, masks, np.full(len(sets), u)), full, u)
+    bound = np.array([random.Random(s_bits).randrange(g.order) for s_bits in sets])
+    assert_prefix(cell_sweep(g, masks, bound), full, bound[full[3]])
+
+
+# _full_cell_enumeration at every u on two sets of order 20 with 2^17
+# candidates each, memo cleared, against the full enumeration's prefix; at
+# _SWEEP_BITS 12 the sweep runs in 32 high pieces, and at 3 in 16,384, which
+# take about 0.15 s a sweep, so that case reads only u = 0, 1, 2
+@pytest.mark.parametrize("sweep_bits, gather_chunk, bounds", [
+    (cells_module._SWEEP_BITS, cells_module._GATHER_CHUNK, range(20)), (12, 5, range(20)), (3, 5, range(3))])
+@pytest.mark.parametrize("spec, s", [("Z20", [0, 1, 5]), ("D10", [0, 11, 18])])
+def test_a_bounded_enumeration_is_the_full_prefix_on_order_20(monkeypatch, spec, s, sweep_bits, gather_chunk,
+                                                              bounds):
+    g = build_group(spec)
+    s_bits = g.subset(s).bits
+    full = _full_cell_enumeration(g, s_bits, 20)
+    monkeypatch.setattr(cells_module, "_SWEEP_BITS", sweep_bits)
+    monkeypatch.setattr(cells_module, "_GATHER_CHUNK", gather_chunk)
+    for u in bounds:
+        g._enum_memo.clear()
+        assert_prefix(_full_cell_enumeration(g, s_bits, 20, u), full, u)
+
+
+def test_the_memo_never_answers_a_longer_request_from_a_shorter_entry(monkeypatch):
+    # S = {0,1,6,7} on Z12 asked for u = 0, |S| - 1 and every cell, each a
+    # new sweep whose entry replaces the shorter one; then shorter requests
+    # and the right translate S*5 = {0,5,6,11} read the entry. Each answer
+    # equals a fresh full enumeration's prefix
+    g = build_group("Z12")
+    s_bits, translate = g.subset([0, 1, 6, 7]).bits, g.subset([0, 5, 6, 11]).bits
+    assert product_bits(g, s_bits, 1 << 5) == translate
+    full = {bits: _full_cell_enumeration(build_group("Z12"), bits, g.order) for bits in (s_bits, translate)}
+    sweeps = []
+    real = cells_module.cell_sweep
+    monkeypatch.setattr(cells_module, "cell_sweep", lambda *args: sweeps.append(args[2]) or real(*args))
+    for bits, u, swept in ((s_bits, 0, 1), (s_bits, 3, 2), (s_bits, None, 3), (s_bits, 0, 3), (s_bits, 2, 3),
+                           (translate, 0, 3), (translate, None, 3)):
+        got = _full_cell_enumeration(g, bits, g.order, u)
+        assert len(sweeps) == swept, (bits, u)
+        assert_prefix(got, full[bits], g.order if u is None else u)
+    assert [None if u is None else u.tolist() for u in sweeps] == [[0], [3], None]
+
+
 masks8 = st.integers(min_value=1, max_value=255)
 idsets8 = st.integers(min_value=0, max_value=127).map(lambda m: (m << 1) | 1)
 
@@ -505,6 +575,24 @@ def test_the_enumeration_expands_its_rooted_cells_a_chunk_at_a_time(monkeypatch)
     monkeypatch.setattr(cells_module, "_GATHER_CHUNK", 1000)
     for a, b in zip(columns, _full_cell_enumeration(build_group("Z24"), s_bits, 24)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec, limit", [("Z24", 5), ("Z28", 8)])
+def test_balandraud_details_above_the_cap_enumerates_only_its_prefix(spec, limit):
+    # balandraud_details reads deficiency <= |S| - 2, so its sweep keeps only
+    # that prefix: {0,1,5} traced 3.5 MiB on Z24 and on Z28, against 7.3 and
+    # 58.5 MiB with every cell enumerated (2,114,100 of them on Z28)
+    g = build_group(spec)
+    s = g.subset([0, 1, 5])
+    translate_tables(g)
+    tracemalloc.start()
+    try:
+        details = balandraud_details(s, cap=g.order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (details.case, details.u_star, details.subgroup) == ("generated", None, g.full_set())
+    assert peak < limit << 20
 
 
 def test_full_group_set_has_one_cell():

@@ -695,20 +695,21 @@ def with_intruder(monkeypatch, s, cell, product):
 
     Each right translate s*y that holds 1 shares the enumeration of s, its
     products moved by y, so each gets the row with its product moved too.
-    The settles (through _prefix_columns) and the scalar checkers (through
-    _full_cell_enumeration and its memo) both read the enumeration from
-    cells.cell_sweep, so both see it.
+    As in a real prefix, a member gets the row only where its deficiency
+    is within the member's bound. The settles (through _prefix_columns)
+    and the scalar checkers (through _full_cell_enumeration and its memo)
+    both read the enumeration from cells.cell_sweep, so both see it.
     """
     real = cells_module.cell_sweep
     g = s.group
     cell, product = g.subset(cell).bits, g.subset(product).bits
+    u = product.bit_count() - cell.bit_count()
     moved = {product_bits(g, s.bits, 1 << y): product_bits(g, product, 1 << y) for y in range(g.order)}
 
-    def sweep(g, masks):
-        columns, bits = real(g, masks), masks.tolist()
-        at = [i for i, m in enumerate(bits) if m in moved]
-        extra = ([cell] * len(at), [moved[bits[i]] for i in at],
-                 [product.bit_count() - cell.bit_count()] * len(at), at)
+    def sweep(g, masks, u_max=None):
+        columns, bits = real(g, masks, u_max), masks.tolist()
+        at = [i for i, m in enumerate(bits) if m in moved and (u_max is None or u <= u_max[i])]
+        extra = ([cell] * len(at), [moved[bits[i]] for i in at], [u] * len(at), at)
         cells, products, deficiency, segment = (np.append(c, np.array(e, dtype=c.dtype))
                                                 for c, e in zip(columns, extra))
         order = np.lexsort((cells, np.bitwise_count(cells), deficiency, segment))
