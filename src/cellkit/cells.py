@@ -30,12 +30,8 @@ most 2^_SWEEP_BITS candidates, whose distinct values complement to the
 cells that contain the identity; gathers from the group's left table, a
 chunk of rooted cells at a time, expand them to all cells, and one column
 gather of the stacked tables of X -> X*S gives their products. The bound
-is exact and applied in the rooted sweep, so every later step touches only
-the prefix: P = B * S^-1 names the cell X = G \\ P, and X*S lies inside
-G \\ B, so def(X) <= |P| - |B|, with equality for the one B = G \\ X*S of
-each cell. So the B with |P| <= |B| + u give exactly the identity cells of
-deficiency at most u, and their left translates, of the same deficiency,
-all cells of deficiency at most u. _full_cell_enumeration is the
+is applied in the rooted sweep, exactly (cell_sweep states why), so every
+later step touches only the prefix. _full_cell_enumeration is the
 cell_sweep of one S to one bound, memoized per right-translate class of S
 on the group, with the bound it was enumerated to: S and each translate
 S*y that holds 1 have the same cells and deficiencies, and their products
@@ -43,10 +39,11 @@ differ by y (translate_class_keys names the class). An entry serves any
 request at or below its bound and is enumerated again for a larger one.
 cell_columns asks it for the deficiency prefix a reader needs; in sampled
 mode it builds the same three columns from seeded closures, sorted by the
-same key. Its readers: `cellkit cells` renders its rows from the columns,
-with subgroup_flags (X*X = X, through periodic_flags) and kernel_cells;
-balandraud_details reads the identity u*-kernel through kernel_cells, from
-the prefix u <= |S| - 2. The chain and corollary settles call cell_sweep
+same key. Its readers: `cellkit cells` asks once, to the larger of --umax
+and |S| - 2, and renders its rows from the columns, with subgroup_flags
+(X*X = X, through periodic_flags) and kernel_cells; balandraud_details
+reads the identity u*-kernel through kernel_cells, from the prefix
+u <= |S| - 2. The chain and corollary settles call cell_sweep
 once per chunk of classes, on one S per class, bounded by |S| - 1 and
 |S| - 2; the intersection sweep reads every cell. kernel_flags is the one
 reading of the smallest cells at a deficiency, under kernel_cells, the
@@ -85,7 +82,7 @@ _SWEEP_BITS = 18  # a sub-batch of the cell sweep holds at most 2^18 candidate p
 
 
 class EnumerationCapError(ValueError):
-    """Work refused as too large: an exhaustive enumeration above its cap, or masks above 64 bits."""
+    """Work refused as too large: an enumeration above its cap, masks above 64 bits, a task above max_instances."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,6 +359,13 @@ def require_enumerable(order: int, cap: int) -> None:
                                   f"refusing order {order} above cap {cap}")
 
 
+def check_enum_cap(cap: int, name: str, error: type[ValueError]) -> None:
+    """Refuse an enumeration cap outside 1..MAX_MASK_ORDER with error, naming the cap as the caller's input does."""
+    if not 1 <= cap <= MAX_MASK_ORDER:
+        raise error(f"{name} {cap} is below 1" if cap < 1 else
+                    f"{name} {cap} is above {MAX_MASK_ORDER}, the widest cell mask the enumeration holds")
+
+
 def translate_class_keys(g: Group, masks: np.ndarray) -> np.ndarray:
     """The class key of each nonempty mask S of a column: its least right translate S*y that holds 1.
 
@@ -411,8 +415,8 @@ def _rooted_cells(full: np.unsignedinteger, table: np.ndarray,
     bound, the deficiency bound u of each S, a B with |B*S^-1| > |B| + u
     is dropped: its product becomes 0, the product of the empty B, which
     every S keeps (the cell G), so the distinct values are those of the
-    kept B. |B| counts the low rows by the index of B and the high rows
-    by that of the piece.
+    kept B; cell_sweep states why the drop is exact. |B| counts the low
+    rows by the index of B and the high rows by that of the piece.
     """
     low = np.ascontiguousarray(_subset_unions(table[:_SWEEP_BITS]).T)  # [i, B] = B * S_i^-1 over the low free rows
     if bound is not None:
@@ -499,12 +503,10 @@ def _full_cell_enumeration(g: Group, s_bits: int, cap: int,
                            u_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells of S up to deficiency u_max (all for None) as read-only columns (cells, products, deficiency).
 
-    The cell_sweep of S alone, whose rooted sweep keeps only the B with
-    |B*S^-1| - |B| <= u_max: that difference bounds the deficiency of the
-    cell G \\ B*S^-1, whose product lies inside G \\ B, and equals it for
-    B = G \\ X*S. Sorted by (deficiency, |X|, bits), the masks in g's mask
-    dtype and the deficiency |X*S| - |X| in uint8, so a reader slices a
-    shorter prefix with np.searchsorted on the last column. The cap is
+    The cell_sweep of S alone to the bound u_max, exact as cell_sweep
+    states. Sorted by (deficiency, |X|, bits), the masks in g's mask dtype
+    and the deficiency |X*S| - |X| in uint8, so a reader slices a shorter
+    prefix with np.searchsorted on the last column. The cap is
     checked before the memo, which keeps the last _MEMO_LIMIT
     right-translate classes (translate_class_keys) on g._enum_memo: for
     each, the member rep enumerated, the bound it was enumerated to
@@ -663,9 +665,8 @@ def balandraud_details(s: ElementSet, *, cap: int = ENUMERATION_CAP) -> Balandra
     such cell exists it is the subgroup generated by s. For |s| <= 1 it is
     the trivial subgroup. Read from the enumeration's columns: the kernel is
     the first identity-containing u*-kernel of kernel_cells. Only the cells
-    of deficiency at most |s| - 2 are enumerated: the rooted sweep drops
-    every B with |B * s^-1| - |B| above it, which bounds the deficiency of
-    the cell G \\ B * s^-1 and equals it for B = G \\ X*s (cell_sweep).
+    of deficiency at most |s| - 2 are enumerated, a bound that cell_sweep
+    applies exactly.
     """
     _require_identity(s)
     g = s.group

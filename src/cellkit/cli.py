@@ -3,7 +3,10 @@
 Exit codes: 0 for success, 1 when a sweep observed a VIOLATED verdict, 2
 for usage or configuration errors. Reports go to stdout and are
 deterministic for a fixed command line, seed, and version; progress notes,
-banners, timing, and cache statistics go to stderr.
+banners, timing, and cache statistics go to stderr. Every refusal is an
+exception raised where it is found (a UsageError for a bad option value)
+and reported by main alone: one `error: ...` line on stderr, nothing on
+stdout, exit 2.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from . import __version__
 from .cache import DiskCache, resolve_cache_dir
 from .cells import (
     ENUMERATION_CAP,
-    MAX_MASK_ORDER,
     EnumerationCapError,
     balandraud_details,
     bit_counts,
     cell_columns,
+    check_enum_cap,
     column_dtype,
     kernel_cells,
     kernel_flags,
@@ -54,6 +57,10 @@ _CELL_LINES = tuple(
                    "product_size": int, "deficiency": int, "is_kernel": bool(flags & 2),
                    "is_subgroup": bool(flags & 1), "contains_identity": bool(flags & 4)})[0]
     for flags in range(8))
+
+
+class UsageError(ValueError):
+    """An option value the command refuses, reported by main like every other refusal."""
 
 
 def _resolve_format(value: str | None) -> str:
@@ -161,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_enum_cap(cap: int) -> None:
-    if not 1 <= cap <= MAX_MASK_ORDER:
-        raise EnumerationCapError(f"--enum-cap {cap} is below 1" if cap < 1 else
-                                  f"--enum-cap {cap} is above {MAX_MASK_ORDER}, the widest cell mask "
-                                  f"the enumeration holds")
-
-
 def _kernel_row(u: int, kernels: np.ndarray) -> dict:
     masks = kernels.tolist()
     with_identity = [x for x in masks if x & 1]
@@ -195,29 +195,24 @@ def _cell_values(order: int, answer: dict) -> zip:
 
 
 def cmd_cells(args: argparse.Namespace) -> int:
-    _check_enum_cap(args.enum_cap)
+    check_enum_cap(args.enum_cap, "--enum-cap", EnumerationCapError)
     g = build_group(args.group, wide=args.wide)
     raw = parse_subset_spec(args.set, g)
     if not raw:
-        print("error: the empty set has no cells; give a nonempty set", file=sys.stderr)
-        return 2
+        raise SubsetSpecError("the empty set has no cells; give a nonempty set")
     s, shifted = normalize_s(raw)
     umax = args.umax if args.umax is not None else max(len(s) - 1, 0)
     if umax < 0:
-        print(f"error: --umax must be nonnegative, got {umax}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--umax must be nonnegative, got {umax}")
     if umax >= g.order:
-        print(f"error: --umax {umax} is above {g.order - 1}, the largest deficiency "
-              f"a cell can have in a group of order {g.order}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--umax {umax} is above {g.order - 1}, the largest deficiency "
+                         f"a cell can have in a group of order {g.order}")
     if args.mode == "exhaustive":
         require_enumerable(g.order, args.enum_cap)
     elif args.samples is None or args.seed is None:
-        print("error: sampled mode requires --samples and --seed", file=sys.stderr)
-        return 2
+        raise UsageError("sampled mode requires --samples and --seed")
     elif args.samples < 1:
-        print(f"error: --samples must be positive, got {args.samples}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--samples must be positive, got {args.samples}")
     # the attached subgroup needs the exhaustive enumeration that sampled
     # mode exists to avoid, so above the cap sampled mode goes without it
     with_balandraud = g.order <= args.enum_cap
@@ -225,8 +220,12 @@ def cmd_cells(args: argparse.Namespace) -> int:
     cache = DiskCache(cache_dir) if cache_dir is not None else None
 
     def answer() -> dict:
-        cells, products, deficiency = cell_columns(s, umax, args.mode, count=args.samples,
-                                                   seed=args.seed, cap=args.enum_cap)
+        # in exhaustive mode one enumeration, to the larger bound, serves the listing and,
+        # through the memo, balandraud_details, which reads to |S| - 2
+        columns = cell_columns(s, max(umax, len(s) - 2), args.mode, count=args.samples,
+                               seed=args.seed, cap=args.enum_cap)
+        end = np.searchsorted(columns[2], umax, side="right")
+        cells, products, deficiency = (column[:end] for column in columns)
         details = balandraud_details(s, cap=args.enum_cap) if with_balandraud else None
         return {"cells": cells.tolist(), "products": products.tolist(),
                 "subgroups": np.flatnonzero(subgroup_flags(g, cells)).tolist(),
@@ -292,12 +291,11 @@ def cmd_cells(args: argparse.Namespace) -> int:
 
 
 def cmd_subgroup(args: argparse.Namespace) -> int:
-    _check_enum_cap(args.enum_cap)
+    check_enum_cap(args.enum_cap, "--enum-cap", EnumerationCapError)
     g = build_group(args.group, wide=args.wide)
     raw = parse_subset_spec(args.set, g)
     if not raw:
-        print("error: give a nonempty set", file=sys.stderr)
-        return 2
+        raise SubsetSpecError("give a nonempty set")
     s, shifted = normalize_s(raw)
     details = balandraud_details(s, cap=args.enum_cap)
     record = {"kind": "balandraud", "group": g.label, "set": s.spec_string(),
@@ -425,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (GroupSpecError, GroupAxiomError, SubsetSpecError, SweepConfigError,
-            EnumerationCapError) as exc:
+            EnumerationCapError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

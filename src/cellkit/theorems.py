@@ -40,8 +40,12 @@ whose witnesses hold lists, send every S.
 run_sweep is prepare_sweep, which builds every group once and checks the
 set spec against each before anything is written, then sweep_groups, the
 task loop on those groups, which lists exploration mode from the tasks.
-_run_task turns a refused task into its one error record, the width
-refusal that cells.mask_dtype raises (an EnumerationCapError) among them.
+Every refusal of a task as too large is an EnumerationCapError raised
+where it is found: a space above max_instances in the drivers, an order
+above the cap in the enumeration, masks wider than 64 bits in
+cells.mask_dtype. _run_task, the one frame that catches it, turns it into
+the task's one error record; a bad configuration is a SweepConfigError
+that the caller reports before any task runs.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ import numpy as np
 
 from .cells import (
     ENUMERATION_CAP,
-    MAX_MASK_ORDER,
     CellRecord,
     EnumerationCapError,
     _byte_unions,
@@ -72,6 +75,7 @@ from .cells import (
     _require_identity,
     balandraud_details,
     cell_sweep,
+    check_enum_cap,
     closure_masks,
     column_dtype,
     column_union,
@@ -416,11 +420,7 @@ class SweepConfig:
             raise SweepConfigError(f"s_max {self.s_max} is below s_min {self.s_min}")
         if self.max_instances < 1:
             raise SweepConfigError(f"max_instances must be at least 1, got {self.max_instances}")
-        if not 1 <= self.enumeration_cap <= MAX_MASK_ORDER:
-            raise SweepConfigError(
-                f"enumeration cap {self.enumeration_cap} is below 1" if self.enumeration_cap < 1 else
-                f"enumeration cap {self.enumeration_cap} is above {MAX_MASK_ORDER}, "
-                f"the widest cell mask the enumeration holds")
+        check_enum_cap(self.enumeration_cap, "enumeration cap", SweepConfigError)
         if self.set_spec is not None:
             check_subset_spec(self.set_spec)  # whichever theorems read it
 
@@ -546,10 +546,6 @@ def _derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-class _Refused(Exception):
-    """A task refused as a whole; _run_task records it as the task's one error."""
-
-
 def _s_space(g: Group, cfg: SweepConfig, seed: int) -> Sequence[ElementSet] | IdentitySubsets:
     if cfg.set_spec is not None:
         return expand_subset_specs(cfg.set_spec, g)  # checked against g by prepare_sweep
@@ -659,7 +655,7 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
         return
     total = ((1 << n) - 1) ** 2
     if total > cfg.max_instances:
-        raise _Refused(f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
+        raise EnumerationCapError(f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
     # blocks of whole Y rows, Y outer and X inner as the records run
     xs = np.arange(1, 1 << n, dtype=mask_dtype(n))
     step = max(1, _CHUNK // len(xs))
@@ -779,7 +775,7 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
     if cfg.mode == "exhaustive":
         per_side = sum(union_counts)
         if per_side * per_side > cfg.max_instances:
-            raise _Refused(
+            raise EnumerationCapError(
                 f"exhaustive coset-union space {per_side}^2 exceeds max_instances {cfg.max_instances}")
     cosets, times = _coset_table(g, bits, dtype)
     base = dict(group=g.label, x=str, y=str, h=str, k=str)
@@ -803,7 +799,7 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
         bits = _full_cell_enumeration(g, s.bits, cfg.enumeration_cap)[0]
         m = len(bits)
         if m * (m - 1) // 2 > cfg.max_instances:
-            raise _Refused(
+            raise EnumerationCapError(
                 f"{m} cells give {m * (m - 1) // 2} pairs, above max_instances {cfg.max_instances}")
         right = translate_tables(g)[0]
         times_s, times_inverse = column_union(right, s.bits), column_union(right, inverse_bits(g, s.bits))
@@ -1059,7 +1055,8 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
         if cfg.mode == "exhaustive":
             total = (1 << n) - 1
             if total > cfg.max_instances:
-                raise _Refused(f"exhaustive T space {total} exceeds max_instances {cfg.max_instances}")
+                raise EnumerationCapError(
+                    f"exhaustive T space {total} exceeds max_instances {cfg.max_instances}")
             blocks = (np.arange(start, min(start + _T_BLOCK, total + 1), dtype=mask_dtype(n))
                       for start in range(1, total + 1, _T_BLOCK))
         else:
@@ -1102,7 +1099,7 @@ def _run_task(g: Group, theorem: str, cfg: SweepConfig,
     seed = _derive_seed(cfg.seed if cfg.seed is not None else 0, g.label, theorem)
     try:
         _DRIVERS[theorem](g, cfg, state, seed)
-    except (_Refused, EnumerationCapError) as exc:
+    except EnumerationCapError as exc:
         state.error(_TAGS[theorem][0], g.label, str(exc))
     return state
 

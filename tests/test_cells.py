@@ -243,6 +243,42 @@ def test_the_memo_never_answers_a_longer_request_from_a_shorter_entry(monkeypatc
     assert [None if u is None else u.tolist() for u in sweeps] == [[0], [3], None]
 
 
+@pytest.mark.parametrize("g", [pytest.param(g, id=g.label) for g in (D4, Z8)])
+def test_the_memo_evicts_its_oldest_class_at_the_limit(monkeypatch, g):
+    # at a limit of 2, three passes over five right-translate classes, each
+    # asked as a member S*y that holds 1 at a bound from 0 to every cell: a
+    # new class evicts the oldest entry, a request sweeps exactly when its
+    # class is absent or held to a smaller bound, and every answer, evicted
+    # classes asked again included, equals a fresh cell_sweep of that S
+    monkeypatch.setattr(cells_module, "_MEMO_LIMIT", 2)
+    dtype = mask_dtype(g.order)
+    rng = random.Random(g.label)
+    classes = {}
+    while len(classes) < 5:
+        s_bits = 1 | sum(1 << z for z in rng.sample(range(1, g.order), rng.randint(1, 3)))
+        classes.setdefault(int(translate_class_keys(g, np.array([s_bits], dtype=dtype))[0]), s_bits)
+    sweeps = []
+    real = cells_module.cell_sweep
+    monkeypatch.setattr(cells_module, "cell_sweep", lambda *args: sweeps.append(args) or real(*args))
+    evictions = 0
+    for step, key in enumerate([*classes, *classes, *reversed(classes)]):
+        members = [t for t in (product_bits(g, classes[key], 1 << y) for y in range(g.order)) if t & 1]
+        s_bits = members[step % len(members)]
+        u = (0, None, 1, s_bits.bit_count() - 1, 2)[step % 5]
+        before, swept = dict(g._enum_memo), len(sweeps)
+        got = _full_cell_enumeration(g, s_bits, g.order, u)
+        stale = key not in before or before[key][1] < (g.order - 1 if u is None else u)
+        assert len(sweeps) - swept == stale, (step, s_bits, u)
+        if key not in before and len(before) == 2:
+            evictions += 1
+            assert list(g._enum_memo) == [list(before)[1], key]
+        assert len(g._enum_memo) <= 2
+        want = real(g, np.array([s_bits], dtype=dtype), None if u is None else np.array([u]))[:3]
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (step, s_bits, u)
+    assert evictions >= 10
+
+
 masks8 = st.integers(min_value=1, max_value=255)
 idsets8 = st.integers(min_value=0, max_value=127).map(lambda m: (m << 1) | 1)
 

@@ -267,6 +267,21 @@ def test_cells_outputs_match_pinned_digests(tmp_path, capsys, argv, lines, diges
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("umax", range(4))
+def test_cells_enumerates_once_per_query(capsys, monkeypatch, umax):
+    # the listing reads deficiency <= --umax and the attached subgroup <= |S| - 2 = 2:
+    # one sweep to the larger bound serves both
+    monkeypatch.delenv("CELLKIT_CACHE_DIR", raising=False)
+    bounds = []
+    real = cells_module.cell_sweep
+    monkeypatch.setattr(cells_module, "cell_sweep",
+                        lambda g, masks, u_max=None: bounds.append(u_max.tolist()) or real(g, masks, u_max))
+    rc, out, _ = run_cli(capsys, "cells", "Z20", "{0,1,5,7}", "--umax", str(umax), "--format", "jsonl")
+    assert rc == 0
+    assert bounds == [[max(umax, 2)]]
+    assert out == reference_cells_stdout("Z20", "{0,1,5,7}", "jsonl", umax)
+
+
 def test_cells_cache_roundtrip(tmp_path, capsys, monkeypatch):
     argv = ("cells", "Z12", "{0,1,6,7}", "--umax", "2", "--format", "jsonl",
             "--cache-dir", str(tmp_path))
@@ -399,6 +414,28 @@ def test_disk_cache_rejects_checksum_and_key_mismatches(tmp_path):
     path_b.write_text(path.read_text())
     assert other.get_or_compute({"b": 2}, lambda: 5) == 5
     assert any("does not match" in w for w in warnings)
+
+
+def test_disk_cache_discards_a_payload_that_is_not_json(tmp_path):
+    # the checksum matches, so only the JSON parse can refuse the entry
+    warnings = []
+    cache = DiskCache(tmp_path, warn=warnings.append)
+    path = cache._path({"a": 1})
+    path.write_text("not json\nsha256:" + hashlib.sha256(b"not json").hexdigest() + "\n")
+    assert cache.get_or_compute({"a": 1}, lambda: 3) == 3
+    assert warnings == [f"discarding unparseable cache entry {path}"]
+    assert cache.get_or_compute({"a": 1}, lambda: 4) == 3
+
+
+def test_disk_cache_answers_when_its_directory_is_removed(tmp_path):
+    warnings = []
+    cache = DiskCache(tmp_path / "cache", warn=warnings.append)
+    shutil.rmtree(tmp_path / "cache")
+    assert cache.get_or_compute({"a": 1}, lambda: 3) == 3
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"cache write to {cache._path({'a': 1})} failed (")
+    assert warnings[0].endswith("); continuing without storing")
+    assert (cache.hits, cache.misses) == (0, 1)
 
 
 # -- subgroup and info ----------------------------------------------------
@@ -636,10 +673,35 @@ def test_verify_runs_a_repeated_group_once(capsys):
 def test_enum_cap_above_64_is_refused_up_front(capsys, argv):
     # and a cap below 1, which would refuse every enumeration one task at a time
     rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: ") and ("above 64" if argv[-1] == "80" else "below 1") in err
+    name, cap = "enumeration cap" if argv[0] == "verify" else "--enum-cap", argv[-1]
+    reason = "is above 64, the widest cell mask the enumeration holds" if cap == "80" else "is below 1"
+    assert (rc, out, err) == (2, "", f"error: {name} {cap} {reason}\n")
+
+
+# refusals that main reports, each as its one stderr line (--umax 12, --samples 0
+# and --enum-cap have their own tests); TABLE names a cayley: file the test writes
+CLI_REFUSALS = {
+    "cells-empty": (("cells", "Z6", "{}"), "the empty set has no cells; give a nonempty set"),
+    "subgroup-empty": (("subgroup", "Z6", "{}"), "give a nonempty set"),
+    "umax-negative": (("cells", "Z12", "{0,1}", "--umax", "-1"), "--umax must be nonnegative, got -1"),
+    "no-samples": (("cells", "Z8", "{0,1}", "--mode", "sampled", "--seed", "1"),
+                   "sampled mode requires --samples and --seed"),
+    "no-seed": (("cells", "Z8", "{0,1}", "--mode", "sampled", "--samples", "5"),
+                "sampled mode requires --samples and --seed"),
+    "no-theorem": (("verify", "--groups", "Z6", "--theorem", ","), "no theorems selected"),
+    "cayley-column": (("info", "cayley:TABLE"), "latin-square: column 1 repeats entry 1"),
+    "cayley-identity": (("info", "cayley:TABLE"), "identity: 1*0 = 2, expected 1"),
+}
+CAYLEY_TABLES = {"cayley-column": "3\n0 1 2\n1 0 2\n2 1 0\n", "cayley-identity": "3\n0 1 2\n2 0 1\n1 2 0\n"}
+
+
+@pytest.mark.parametrize("case", CLI_REFUSALS)
+def test_each_refusal_is_one_error_line_and_exit_2(capsys, tmp_path, case):
+    argv, message = CLI_REFUSALS[case]
+    table = tmp_path / "table.txt"
+    table.write_text(CAYLEY_TABLES.get(case, ""))
+    rc, out, err = run_cli(capsys, *(arg.replace("TABLE", str(table)) for arg in argv))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_exit_code_one_on_violation(capsys, monkeypatch):

@@ -263,6 +263,12 @@ def test_olson_worked_instance():
     assert v.witness["y_minus_x"] == 2
 
 
+def test_olson_refuses_a_k_that_is_not_a_subgroup():
+    h, x = Z6.subset([0, 3]), Z6.subset([0, 3])
+    with pytest.raises(ValueError, match=r"^k = \{0,1\} is not a subgroup of Z6$"):
+        check_olson(x, Z6.full_set(), h, Z6.subset([0, 1]))
+
+
 def test_olson_na_names_each_failed_hypothesis():
     h, k = Z6.subset([0, 3]), Z6.subset([0, 2, 4])
     v = check_olson(Z6.subset([0, 1]), Z6.full_set(), h, k)
@@ -1170,8 +1176,12 @@ def test_sampled_sweeps_cover_remaining_drivers_deterministically():
 def test_sweep_config_validation():
     with pytest.raises(SweepConfigError, match="no groups"):
         SweepConfig(groups=(), theorems=("kneser",)).validate()
+    with pytest.raises(SweepConfigError, match="^no theorems selected$"):
+        SweepConfig(groups=("Z6",), theorems=()).validate()
     with pytest.raises(SweepConfigError, match="unknown theorem"):
         SweepConfig(groups=("Z6",), theorems=("fermat",)).validate()
+    with pytest.raises(SweepConfigError, match="^sampled mode requires positive samples and s_samples$"):
+        SweepConfig(groups=("Z6",), theorems=("kneser",), mode="sampled", seed=1, samples=0).validate()
     with pytest.raises(SweepConfigError, match="requires a seed"):
         SweepConfig(groups=("Z6",), theorems=("kneser",), mode="sampled").validate()
     with pytest.raises(SweepConfigError, match="unknown mode"):
