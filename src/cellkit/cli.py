@@ -158,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-samples", type=int, default=5,
                    help="sampled subsets S per group (default 5)")
     p.add_argument("--seed", type=int, default=None, help="base seed; required in sampled mode")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1), at most the CPUs this process may use; "
+                        "the output does not depend on it")
     p.add_argument("--enum-cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--max-instances", type=int, default=1 << 22,
                    help="refuse any single task larger than this many instances")

@@ -31,15 +31,19 @@ per right-translate class, each class once per task, bounded by the
 deficiency prefix each reads (|S| - 1 and |S| - 2), their prefix columns
 laid end to end (kernel_flags, subgroup_flags, periodic_flags).
 The dichotomy walks or draws its T space in blocks of _T_BLOCK, each
-settled before the next is made. A sink receives each
-record as its finished JSON line (jsonl_line). With a sink each decided
-line is rendered from the witness columns through its outcome's
-line_template (_lines), and each undecided instance, every VIOLATED and
-FINDING, goes to the checker in its place; the chain and the corollary,
-whose witnesses hold lists, send every S.
+settled before the next is made. Each record is streamed as its finished
+JSON line (jsonl_line). With a sink each decided line is rendered from the
+witness columns through its outcome's line_template (_lines), and each
+undecided instance, every VIOLATED and FINDING, goes to the checker in its
+place; the chain and the corollary, whose witnesses hold lists, send every
+S. One _check_batch call is one unit of its task: sweep_groups' sink
+takes a unit's lines joined, and run_sweep's one line per call.
 run_sweep is prepare_sweep, which builds every group once and checks the
 set spec against each before anything is written, then sweep_groups, the
 task loop on those groups, which lists exploration mode from the tasks.
+With more than one job it runs the tasks on a pool of worker processes
+(_pool_sweep), dealing a streamed exhaustive task's units across the
+workers and any other task whole (_striped).
 Every refusal of a task as too large is an EnumerationCapError raised
 where it is found: a space above max_instances in the drivers, an order
 above the cap in the enumeration, masks wider than 64 bits in
@@ -50,11 +54,13 @@ that the caller reports before any task runs.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import multiprocessing
+import os
 import random
 import traceback
 from dataclasses import dataclass
@@ -482,34 +488,78 @@ def line_template(record: dict) -> tuple[str, list[tuple[str, type]]]:
     return line, fields
 
 
-def _lines(label: str, theorem: Theorem, outcomes: Sequence[tuple[Status, dict]],
-           masks: Sequence[np.ndarray], fields: dict[str, np.ndarray],
-           spec: Callable[[int], str]) -> list[Iterator[str]]:
-    """One lazy iterator per outcome over the lines of the instances its mask picks, in order.
+def _lines(templates: Sequence[tuple[str, list[tuple[str, type]]]], masks: Sequence[np.ndarray],
+           fields: dict[str, np.ndarray], spec: Callable[[int], str]) -> list[list[str]]:
+    """One list per outcome of the lines of the instances its mask picks, in order.
 
-    An outcome is (status, witness skeleton), the skeleton a witness for
-    line_template; its template takes each field from the column of that
-    name, a str field (a mask) through spec, the task's memoized mask_spec.
+    templates holds each outcome's line_template (_SweepState.templates),
+    which takes each field from the column of that name, a str field (a
+    mask) through spec, the task's memoized mask_spec.
     """
     lines = []
-    for (status, witness), mask in zip(outcomes, masks):
-        template, keys = line_template(_verdict_record(label, theorem, status, witness))
+    for (template, keys), mask in zip(templates, masks):
         columns = [fields[key][mask].tolist() for key, _ in keys]
-        lines.append(map(template.__mod__, zip(*(map(spec, c) if kind is str else c
-                                                  for c, (_, kind) in zip(columns, keys)))))
+        lines.append(list(map(template.__mod__, zip(*(map(spec, c) if kind is str else c
+                                                       for c, (_, kind) in zip(columns, keys))))))
     return lines
 
 
 class _SweepState:
-    def __init__(self, sink: Callable[[str], None] | None) -> None:
+    """A task's tallies, its first RECORD_CAP violations and findings and its errors.
+
+    The task runs in units, one _check_batch call each. With lines to
+    render (a sink, or a pool worker collecting them), lines holds those of
+    the unit being settled, and ship hands them to sink as one str.
+    """
+
+    def __init__(self, sink: Callable[[str], None] | None = None, render: bool = False) -> None:
         self.sink = sink
+        self.lines: list[str] | None = [] if render or sink is not None else None
         # mask_spec memoized for the task in a bounded cache, so a wide sampled
         # stream holds few strings, while the same mask recurs across batches
-        self.spec = functools.lru_cache(maxsize=1 << 12)(mask_spec)
+        self.spec = None if self.lines is None else functools.lru_cache(maxsize=1 << 12)(mask_spec)
+        self.outcomes = self.made = None  # the last outcomes rendered, and their templates
         self.counts: dict[tuple[str, str, str], int] = {}
         self.violations: list[dict] = []
         self.findings: list[dict] = []
         self.errors: list[dict] = []
+
+    @property
+    def chunk(self) -> int:
+        """About how many instances a driver hands _check_batch at once.
+
+        With lines to render, at most _LINE_CHUNK: a unit's lines, which its
+        pool worker and the parent each hold whole, stay small, and on a
+        pool the units interleave finely.
+        """
+        return _CHUNK if self.lines is None else min(_CHUNK, _LINE_CHUNK)
+
+    def claim(self) -> bool:
+        """Whether this state settles the task's next unit; outside a pool, every one."""
+        return True
+
+    def skip(self, k: int) -> bool:
+        """Whether this state settles none of the task's next k units, which then count as met."""
+        return False
+
+    def ship(self, last: bool = False) -> None:
+        """Close the unit settled (the task, when last): its lines go to sink in one call."""
+        if self.lines:
+            self.sink("".join(self.lines))
+            self.lines.clear()
+
+    def templates(self, label: str, theorem: Theorem,
+                  outcomes: Sequence[tuple[Status, dict]]) -> list[tuple[str, list[tuple[str, type]]]]:
+        """The line_template of each outcome, made once for a run of units that share outcomes.
+
+        An outcome is (status, witness skeleton), the skeleton a witness for
+        line_template; a driver keeps one outcomes object per task or per S.
+        """
+        if self.outcomes is not outcomes:
+            self.outcomes = outcomes
+            self.made = [line_template(_verdict_record(label, theorem, status, witness))
+                         for status, witness in outcomes]
+        return self.made
 
     def tally(self, theorem: str, group: str, status: str, k: int = 1) -> None:
         if k:
@@ -523,11 +573,11 @@ class _SweepState:
             self.violations.append(record)
         elif verdict.status is Status.FINDING and len(self.findings) < RECORD_CAP:
             self.findings.append(record)
-        if self.sink is not None:
-            self.sink(jsonl_line(record))
+        if self.lines is not None:
+            self.lines.append(jsonl_line(record))
 
     def merge(self, part: _SweepState) -> None:
-        """Fold in the state of the next task, as if its records followed."""
+        """Fold in the state of the next task or unit, as if its records followed."""
         for (theorem, group, status), k in part.counts.items():
             self.tally(theorem, group, status, k)
         self.violations.extend(part.violations[:RECORD_CAP - len(self.violations)])
@@ -537,8 +587,8 @@ class _SweepState:
     def error(self, theorem: Theorem, group: str, message: str) -> None:
         record = {"kind": "error", "theorem": theorem.value, "group": group, "message": message}
         self.errors.append(record)
-        if self.sink is not None:
-            self.sink(jsonl_line(record))
+        if self.lines is not None:
+            self.lines.append(jsonl_line(record))
 
 
 def _derive_seed(*parts: object) -> int:
@@ -556,24 +606,31 @@ def _s_space(g: Group, cfg: SweepConfig, seed: int) -> Sequence[ElementSet] | Id
     return IdentitySubsets(g, cfg.s_min, hi)
 
 
-# the sweeps hand instances to _check_batch in chunks of about this many
+# counting sweeps hand instances to _check_batch in chunks of about this many
 _CHUNK = 1 << 16
+# with lines to render, in chunks of at most this many (_SweepState.chunk)
+_LINE_CHUNK = 1 << 11
 
 
 def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], columns: Sequence[np.ndarray],
                  check: Callable[..., TheoremVerdict | list[TheoremVerdict]],
                  settle: Callable[..., tuple[Sequence[np.ndarray], dict[str, np.ndarray]]] | None = None,
                  outcomes: Sequence[tuple[Status, dict | None]] = ()) -> None:
-    """Check a batch of instances, given as parallel columns, in instance order.
+    """Check a batch of instances, given as parallel columns, in instance order: one unit of the task.
 
-    settle(*columns) returns (masks, fields): one mask per outcome, the
-    instances it decides that way, and the witness columns by field name.
-    Each mask is tallied in bulk under its outcome's status and every tag
-    (a statement in parts, the corollary, is settled only where its parts
-    agree). The rest reach check(*instance), which returns one verdict or a
-    list of them (the corollary); with a sink, each in its place among the
-    lines that _lines renders for the decided instances.
+    A state that does not claim the unit (another pool worker settles it)
+    skips it before the settle. settle(*columns) returns (masks, fields):
+    one mask per outcome, the instances it decides that way, and the
+    witness columns by field name. Each mask is tallied in bulk under its
+    outcome's status and every tag (a statement in parts, the corollary, is
+    settled only where its parts agree). The rest reach check(*instance),
+    which returns one verdict or a list of them (the corollary). With lines
+    to render, the unit's lines are those _lines renders for the decided
+    instances with each checked instance's in its place; state.ship then
+    hands the unit on.
     """
+    if not state.claim():
+        return
 
     def scalar(*instance: int) -> None:
         verdicts = check(*instance)
@@ -586,18 +643,25 @@ def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], colu
         for tag in tags:
             for (status, _), k in zip(outcomes, counts):
                 state.tally(tag.value, label, status.value, k)
-        if state.sink is not None:
-            sink, lines = state.sink, _lines(label, tags[0], outcomes, masks, fields, state.spec)
-            for i, k in enumerate(np.select(masks, range(len(masks)), -1).tolist()):
-                if k < 0:
-                    scalar(*(c[i].item() for c in columns))
-                else:
-                    sink(next(lines[k]))
-            return
         rest = ~np.logical_or.reduce(masks)
+        if state.lines is not None:
+            # the decided lines placed by instance, the checked ones added in their gaps
+            placed = np.empty(len(rest), dtype=object)
+            for mask, lines in zip(masks, _lines(state.templates(label, tags[0], outcomes), masks, fields,
+                                                 state.spec)):
+                placed[mask] = lines
+            placed, start = placed.tolist(), 0
+            for i in np.flatnonzero(rest).tolist():
+                state.lines += placed[start:i]
+                scalar(*(c[i].item() for c in columns))
+                start = i + 1
+            state.lines += placed[start:]
+            state.ship()
+            return
         columns = [c[rest] for c in columns]
     for instance in zip(*(c.tolist() for c in columns)):
         scalar(*instance)
+    state.ship()
 
 
 # -- kneser sweep ---------------------------------------------------------
@@ -645,9 +709,9 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
         # object columns for a --wide group, whose masks outgrow every numpy
         # integer; its pairs all go to check_kneser
         dtype = column_dtype(n)
-        for start in range(0, cfg.samples, _CHUNK):
+        for start in range(0, cfg.samples, state.chunk):
             # x and y draws alternate
-            k = min(_CHUNK, cfg.samples - start)
+            k = min(state.chunk, cfg.samples - start)
             draws = np.array(random_masks(n, rng, 2 * k), dtype=dtype)
             _check_batch(state, g.label, _TAGS["kneser"], draws.reshape(k, 2).T, check,
                          None if dtype is object
@@ -658,7 +722,7 @@ def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> 
         raise EnumerationCapError(f"exhaustive pair space {total} exceeds max_instances {cfg.max_instances}")
     # blocks of whole Y rows, Y outer and X inner as the records run
     xs = np.arange(1, 1 << n, dtype=mask_dtype(n))
-    step = max(1, _CHUNK // len(xs))
+    step = max(1, state.chunk // len(xs))
     for start in range(0, len(xs), step):
         ys = xs[start:start + step]
         _check_batch(state, g.label, _TAGS["kneser"], (np.tile(xs, len(ys)), np.repeat(ys, len(xs))), check,
@@ -707,15 +771,15 @@ def _olson_batch(subgroups: np.ndarray, times: np.ndarray, hi: np.ndarray, ki: n
                                              k_size=k_size, meet_size=meet, rhs=rhs)
 
 
-def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
-                 dtype: type) -> Iterator[tuple[np.ndarray, ...]]:
+def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int, dtype: type,
+                 chunk: int = _CHUNK) -> Iterator[tuple[np.ndarray, ...]]:
     """The sweep's Olson instances as rank columns (hi, ki, rank_x, rank_y), in instance order.
 
     X is the rank_x-th smallest nonempty union of right cosets of subgroup
     hi, and Y the rank_y-th of subgroup ki. Sampled mode draws hi, ki and
     then the two ranks, each uniform below union_counts; exhaustive mode
     walks every subgroup pair and, within it, every pair of ranks, X outer.
-    Chunks hold about _CHUNK instances.
+    Chunks hold about chunk instances.
     """
     if cfg.mode == "sampled":
         # the stdlib's randrange(c) for each draw, replayed from getrandbits as in
@@ -724,9 +788,9 @@ def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
         subs = len(union_counts)
         subs_width = subs.bit_length()
         sides = [(c, c.bit_length()) for c in union_counts]
-        for start in range(0, cfg.samples, _CHUNK):
+        for start in range(0, cfg.samples, chunk):
             hs, ks, xs, ys = [], [], [], []
-            for _ in range(min(_CHUNK, cfg.samples - start)):
+            for _ in range(min(chunk, cfg.samples - start)):
                 hi = bits(subs_width)
                 while hi >= subs:
                     hi = bits(subs_width)
@@ -752,14 +816,14 @@ def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int,
     parts, size = [], 0
     for hi, xs in enumerate(ranks):
         for ki, ys in enumerate(ranks):
-            rows = max(1, _CHUNK // len(ys))
+            rows = max(1, chunk // len(ys))
             for start in range(0, len(xs), rows):
                 block = xs[start:start + rows]
                 n = len(block) * len(ys)
                 parts.append((np.full(n, hi, dtype=np.intp), np.full(n, ki, dtype=np.intp),
                               np.repeat(block, len(ys)), np.tile(ys, len(block))))
                 size += n
-                if size >= _CHUNK:
+                if size >= chunk:
                     yield tuple(np.concatenate(col) for col in zip(*parts))
                     parts, size = [], 0
     if parts:
@@ -787,7 +851,7 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
         return check_olson(ElementSet(g, x_bits), ElementSet(g, y_bits), subs[hi], subs[ki])
 
     settle = functools.partial(_olson_batch, np.array(bits, dtype=dtype), times)
-    for hi, ki, rank_x, rank_y in _olson_ranks(union_counts, cfg, seed, dtype):
+    for hi, ki, rank_x, rank_y in _olson_ranks(union_counts, cfg, seed, dtype, state.chunk):
         columns = (hi, ki, _gather(cosets, rank_x + 1, hi), _gather(cosets, rank_y + 1, ki))
         _check_batch(state, g.label, _TAGS["olson"], columns, check, settle, outcomes)
 
@@ -817,7 +881,7 @@ def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: in
                     (Status.HOLDS, dict(base, intersection=str)))
         # a set that is not a cell gets no settle, so the checker sees it and refuses it
         settled = settle if bits.all() and closed(bits).all() else None
-        step = max(1, _CHUNK // max(m, 1))
+        step = max(1, state.chunk // max(m, 1))
         for start in range(0, m - 1, step):
             i, j = np.triu_indices(min(step, m - 1 - start), 1, m - start)
             _check_batch(state, g.label, _TAGS["intersection"], (i + start, j + start),
@@ -958,7 +1022,7 @@ def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task:
     while chunk := list(itertools.islice(sets, _S_CHUNK)):
         _check_batch(state, g.label, _TAGS[task], (np.arange(len(chunk)),), lambda i: check(chunk[i]),
                      (lambda _: (_class_settle(g, chunk, cap, batch, known), {}))
-                     if state.sink is None and g.order <= cap else None,
+                     if state.lines is None and g.order <= cap else None,
                      ((Status.NOT_APPLICABLE, None), (Status.HOLDS, None)))
 
 
@@ -1005,20 +1069,21 @@ _T_UNIT = 1 << 17
 _T_BLOCK = 1 << 13
 
 
-def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """count random nonempty T masks, in blocks of at most _T_BLOCK: for a uniform size in
+def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator,
+                     block: int = _T_BLOCK) -> Iterator[np.ndarray]:
+    """count random nonempty T masks, in blocks of at most block: for a uniform size in
     1..n, the indices of the size smallest of n uniform keys, ties going to the lower index
     as in a stable argsort.
 
     Each unit of _T_UNIT draws all its sizes, then its keys block by block,
-    the rows of one stream in order, so the masks do not depend on _T_BLOCK.
+    the rows of one stream in order, so the masks do not depend on block.
     """
     n = g.order
     powers = mask_dtype(n)(1) << np.arange(n, dtype=mask_dtype(n))
     for unit in range(0, count, _T_UNIT):
         sizes = rng.integers(1, n + 1, size=min(_T_UNIT, count - unit))
-        for start in range(0, len(sizes), _T_BLOCK):
-            size = sizes[start:start + _T_BLOCK]
+        for start in range(0, len(sizes), block):
+            size = sizes[start:start + block]
             keys = rng.random((len(size), n))
             cut = np.sort(keys, axis=1)[np.arange(len(size)), size - 1][:, None]
             masks = (keys <= cut).view(np.uint8) @ powers
@@ -1032,7 +1097,7 @@ def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator) -> Iterator
 
 
 def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
-    """Check every (S, T) of the S space and the T space, T in blocks of _T_BLOCK.
+    """Check every (S, T) of the S space and the T space, T in blocks of _T_BLOCK or state.chunk.
 
     Each block is drawn or walked, settled and tallied before the next, so
     nothing of the size of the whole T space or of a draw unit's keys is
@@ -1041,7 +1106,13 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
     """
     explore = not g.is_abelian
     n = g.order
+    block = min(_T_BLOCK, state.chunk)
+    total = (1 << n) - 1
     for s in _s_space(g, cfg, seed):
+        # a pool worker that settles none of the blocks of S skips its set-up,
+        # balandraud_details' enumeration above all
+        if cfg.mode == "exhaustive" and state.skip(-(-total // block)):
+            continue
         h = balandraud_details(s, cap=cfg.enumeration_cap).subgroup
         # after the enumeration, which refuses a group too large for mask tables
         right, left = translate_tables(g)
@@ -1053,15 +1124,14 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
                     (Status.HOLDS, dict(base, branch="periodic", periodic=True, hs_size=hs_size, ht_size=int,
                                         h_size=len(h), coset_bound=int)))
         if cfg.mode == "exhaustive":
-            total = (1 << n) - 1
             if total > cfg.max_instances:
                 raise EnumerationCapError(
                     f"exhaustive T space {total} exceeds max_instances {cfg.max_instances}")
-            blocks = (np.arange(start, min(start + _T_BLOCK, total + 1), dtype=mask_dtype(n))
-                      for start in range(1, total + 1, _T_BLOCK))
+            blocks = (np.arange(start, min(start + block, total + 1), dtype=mask_dtype(n))
+                      for start in range(1, total + 1, block))
         else:
             rng = np.random.default_rng(_derive_seed(seed, s.bits, "t-draws"))
-            blocks = _sampled_t_masks(g, cfg.samples, rng)
+            blocks = _sampled_t_masks(g, cfg.samples, rng, block)
         for t_arr in blocks:
             _check_batch(state, g.label, _TAGS["dichotomy"], (t_arr,),
                          lambda t: check_dichotomy(s, h, ElementSet(g, t), explore=explore),
@@ -1092,101 +1162,186 @@ _TAGS = {
 _ABELIAN_ONLY = {"kneser", "corollary", "dichotomy"}
 
 
-def _run_task(g: Group, theorem: str, cfg: SweepConfig,
-              sink: Callable[[str], None] | None) -> _SweepState:
-    """Run one (group, theorem) task into a fresh state; a refused task ends in one error record."""
-    state = _SweepState(sink)
+def _run_task(g: Group, theorem: str, cfg: SweepConfig, state: _SweepState) -> _SweepState:
+    """Run one (group, theorem) task into state, a fresh one; a refused task ends in one error record.
+
+    The task's end, with its error record if refused, is shipped as the
+    unit after the last one settled, so in a pool the worker that owns that
+    unit tells it: once, in its serial place.
+    """
     seed = _derive_seed(cfg.seed if cfg.seed is not None else 0, g.label, theorem)
     try:
         _DRIVERS[theorem](g, cfg, state, seed)
     except EnumerationCapError as exc:
         state.error(_TAGS[theorem][0], g.label, str(exc))
+    if state.claim():
+        state.ship(last=True)
     return state
 
 
-# a pool worker sends a task's lines in chunks of this many
-_LINE_CHUNK = 1 << 12
+def _tasks(config: SweepConfig) -> list[tuple[str, str]]:
+    """The (group spec, theorem) tasks of a sweep, in stream order."""
+    return [(spec, theorem) for spec in config.groups for theorem in config.theorems]
 
 
-def _worker(tasks: list[tuple[str, str]], groups: dict[str, Group], cfg: SweepConfig,
-            collect: bool, conn) -> None:
-    """Pool worker: run tasks in order, sending each one's lines and state on conn.
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on, the most workers a pool starts."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13 on
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    A task's lines go out as (lines, None) messages of _LINE_CHUNK lines,
-    and one (lines, state) message ends the task with the rest of its lines
-    and its _SweepState. A task that raises ends in (None, (exception,
-    traceback)) instead, and the worker stops. conn is the write end of a
-    one-way pipe whose read end only the parent holds; a send returns once
-    the message is in the pipe, and blocks while the pipe is full, so the
-    worker runs at most about one chunk ahead of the parent. groups are the
-    parent's, built once by prepare_sweep: inherited under fork, pickled
-    under spawn and forkserver.
+
+def _striped(cfg: SweepConfig, collect: bool) -> bool:
+    """Whether a pool deals each task unit by unit across its workers, rather than whole.
+
+    Only a stream of exhaustive tasks is striped, its lines being most of
+    the work. A sampled task's seeded draws are one sequence, which every
+    other worker would draw again; a counting task renders nothing, and
+    every worker would repeat its per-S set-up (the intersection's cells,
+    the chain's class verdicts) for units of up to _CHUNK instances.
     """
-    for spec, theorem in tasks:
-        lines: list[str] = []
+    return collect and cfg.mode == "exhaustive"
 
-        def sink(line: str) -> None:
-            nonlocal lines
-            lines.append(line)
-            if len(lines) == _LINE_CHUNK:
-                conn.send((lines, None))
-                lines = []
 
-        try:
-            state = _run_task(groups[spec], theorem, cfg, sink if collect else None)
-        except Exception as exc:
-            conn.send((None, (exc, traceback.format_exc())))
+def _owner(cfg: SweepConfig, task: int, unit: int, striped: bool) -> int:
+    """The pool worker, of cfg.jobs, that settles unit `unit` of task `task`.
+
+    Striped units are dealt in turn, task i's from worker i % jobs, so a
+    run of one-unit tasks spreads too; a task dealt whole runs on worker
+    i % jobs.
+    """
+    return (task + (unit if striped else 0)) % cfg.jobs
+
+
+class _DealtState(_SweepState):
+    """A pool worker's state for task `task`: it settles the units that _owner deals to seat.
+
+    claim skips every other unit before its settle. ship sends on conn, as
+    one message (task, lines joined, a state of the tallies and records
+    since the last message, last), each owned unit of a striped task, and
+    of a task dealt whole each unit with lines and the task's end. What a
+    worker keeps after its last owned unit, such as a refusal's error
+    record that the owner of the next unit also tells, is dropped with the
+    state.
+    """
+
+    def __init__(self, cfg: SweepConfig, task: int, seat: int, collect: bool, conn) -> None:
+        super().__init__(render=collect)
+        self.cfg, self.task, self.seat, self.conn = cfg, task, seat, conn
+        self.striped = _striped(cfg, collect)
+        self.units = 0  # of the task, met so far
+
+    def claim(self) -> bool:
+        if _owner(self.cfg, self.task, self.units, self.striped) == self.seat:
+            return True
+        self.units += 1
+        return False
+
+    def skip(self, k: int) -> bool:
+        # the deal repeats every cfg.jobs units
+        if any(_owner(self.cfg, self.task, self.units + j, self.striped) == self.seat
+               for j in range(min(k, self.cfg.jobs))):
+            return False
+        self.units += k
+        return True
+
+    def ship(self, last: bool = False) -> None:
+        if not (self.striped or self.lines or last):
             return
-        state.sink = state.spec = None  # the lines travel on their own, and closures do not pickle
-        conn.send((lines, state))
+        part = _SweepState()
+        part.counts, part.violations, part.findings, part.errors = (
+            self.counts, self.violations, self.findings, self.errors)
+        self.counts, self.violations, self.findings, self.errors = {}, [], [], []
+        text = "".join(self.lines) if self.lines else ""
+        if self.lines:
+            self.lines.clear()
+        self.conn.send((self.task, text, part, last))
+        self.units += 1
+
+
+def _worker(seat: int, groups: dict[str, Group], cfg: SweepConfig, collect: bool, conn) -> None:
+    """Pool worker `seat` of cfg.jobs: run the tasks in order, sending the units dealt to it on conn.
+
+    It runs every striped task (_striped) and each task dealt whole to it,
+    each into a _DealtState, rendering lines if collect. conn is the write
+    end of a one-way pipe whose read end only the parent holds; a send
+    returns once the message is in the pipe, and blocks while the pipe is
+    full, so the worker runs at most about one unit ahead of the parent. A
+    task that raises ends in (task, None, (exception, traceback), True)
+    instead, and the worker goes on to its next task: the parent raises it,
+    unless the task had ended in another worker's unit before this worker
+    got there. groups are the parent's, built once by prepare_sweep:
+    inherited under fork, pickled under spawn and forkserver.
+    """
+    striped = _striped(cfg, collect)
+    for i, (spec, theorem) in enumerate(_tasks(cfg)):
+        if not striped and _owner(cfg, i, 0, striped) != seat:
+            continue
+        try:
+            _run_task(groups[spec], theorem, cfg, _DealtState(cfg, i, seat, collect, conn))
+        except Exception as exc:
+            conn.send((i, None, (exc, traceback.format_exc()), True))
 
 
 def _pool_sweep(tasks: list[tuple[str, str]], groups: dict[str, Group], config: SweepConfig,
                 sink: Callable[[str], None] | None, state: _SweepState) -> None:
-    """Run tasks on config.jobs worker processes and merge them into state in task order.
+    """Run tasks on config.jobs worker processes and merge their units into state in stream order.
 
-    Task i runs on worker i % jobs, each worker's tasks in order, and each
-    worker has its own pipe. The parent walks the tasks in order, passes
-    each one's lines to sink as they arrive and merges its state. A worker
-    that raises makes this raise its exception, naming the task. A worker
-    that ends without finishing task i closes its pipe: every message it
-    sent is still read, then end-of-file makes this raise RuntimeError,
-    naming task i and the worker's exit code. No worker outlives the call.
+    Each worker has its own pipe. The parent takes each task's messages in
+    order, each from the worker that owns its unit (_owner), passes each
+    one's lines to sink in one call and merges its state, up to the task's
+    last message. A message of an earlier task is dropped, whatever it
+    carries: a worker that did not see a refusal inside another's unit runs
+    on past the task's end. A worker that raises in the task being read
+    makes this raise its exception, naming the task. A
+    worker that ends without finishing task i closes its pipe: every
+    message it sent is still read, then end-of-file makes this raise
+    RuntimeError, naming task i and the worker's exit code. No worker
+    outlives the call.
     """
+
+    def named(i: int) -> str:
+        return f"task {i} ({tasks[i][1]} on {tasks[i][0]})"
+
+    striped = _striped(config, sink is not None)
     ctx = multiprocessing.get_context()
-    jobs = min(config.jobs, len(tasks))
     conns: list = []
     procs: list = []
     try:
-        for w in range(jobs):
+        for w in range(config.jobs):
             conn, out = ctx.Pipe(duplex=False)
             conns.append(conn)
             # closed once started, so the worker holds the only write end and its exit ends the pipe
             with out:
                 p = ctx.Process(target=_worker, name=f"cellkit-sweep-{w}",
-                                args=(tasks[w::jobs], groups, config, sink is not None, out))
+                                args=(w, groups, config, sink is not None, out))
                 p.start()
             procs.append(p)
-        for i, (spec, theorem) in enumerate(tasks):
-            named = f"task {i} ({theorem} on {spec})"
-            conn, proc = conns[i % jobs], procs[i % jobs]
+        for i in range(len(tasks)):
+            unit = 0
             while True:
+                w = _owner(config, i, unit, striped)
                 try:
-                    lines, part = conn.recv()
+                    task, text, part, last = conns[w].recv()
                 except (EOFError, OSError) as exc:
                     if type(exc) not in (EOFError, OSError):  # not the pipe's end, nor a message cut short
                         raise
-                    proc.join()
-                    raise RuntimeError(f"{named} did not finish: a sweep worker exited with code "
-                                       f"{proc.exitcode}") from None
-                if lines is None:
+                    procs[w].join()
+                    raise RuntimeError(f"{named(i)} did not finish: a sweep worker exited with code "
+                                       f"{procs[w].exitcode}") from None
+                if task != i:
+                    continue
+                if text is None:
                     exc, trace = part
-                    raise exc from RuntimeError(f"{named} failed in a sweep worker:\n{trace}")
-                for line in lines:
-                    sink(line)
-                if part is not None:
+                    raise exc from RuntimeError(f"{named(i)} failed in a sweep worker:\n{trace}")
+                if text:
+                    sink(text)
+                state.merge(part)
+                if last:
                     break
-            state.merge(part)
+                unit += 1
     finally:
         for p in procs:
             p.terminate()
@@ -1217,18 +1372,25 @@ def sweep_groups(config: SweepConfig, groups: dict[str, Group],
                  sink: Callable[[str], None] | None = None) -> SweepResult:
     """The task loop of a sweep, over the groups that prepare_sweep(config) returned.
 
-    Serially a task streams straight to sink; with more than one job, task
-    i runs on worker process i % jobs, which streams its lines back in
-    chunks through its own pipe (_pool_sweep), so memory stays bounded per
-    worker however long the stream.
+    sink takes whole lines: each unit's (a _check_batch call's) joined into
+    one str, and each task's end, its error record if refused. With more
+    than one job, at most _usable_cpus(), the tasks run on a pool of worker
+    processes (_pool_sweep): an exhaustive task with a sink dealt across
+    the workers unit by unit, any other whole, so no more workers start
+    than there are tasks. Their units reach sink in the same order, so
+    neither the stream nor the result depends on the jobs, and each worker
+    holds about one unit however long the stream.
     """
-    tasks = [(spec, theorem) for spec in config.groups for theorem in config.theorems]
-    state = _SweepState(None)
-    if config.jobs <= 1 or len(tasks) <= 1:
+    tasks = _tasks(config)
+    state = _SweepState()
+    jobs = min(config.jobs, _usable_cpus())
+    if not _striped(config, sink is not None):
+        jobs = min(jobs, len(tasks))
+    if jobs <= 1:
         for spec, theorem in tasks:
-            state.merge(_run_task(groups[spec], theorem, config, sink))
+            state.merge(_run_task(groups[spec], theorem, config, _SweepState(sink)))
     else:
-        _pool_sweep(tasks, groups, config, sink, state)
+        _pool_sweep(tasks, groups, dataclasses.replace(config, jobs=jobs), sink, state)
     # every abelian-only statement on a nonabelian group, refused tasks included
     exploration = {(tag.value, groups[spec].label) for spec, theorem in tasks
                    if theorem in _ABELIAN_ONLY and not groups[spec].is_abelian for tag in _TAGS[theorem]}
@@ -1260,4 +1422,13 @@ def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) ->
     merged in task order. A bad input raises (prepare_sweep) before sink
     sees a line.
     """
-    return sweep_groups(config, prepare_sweep(config), sink)
+    return sweep_groups(config, prepare_sweep(config), None if sink is None else _per_line(sink))
+
+
+def _per_line(sink: Callable[[str], None]) -> Callable[[str], None]:
+    """A sink of whole lines, as sweep_groups calls it, that passes sink one line per call."""
+
+    def write(text: str) -> None:
+        for line in text.splitlines(keepends=True):
+            sink(line)
+    return write

@@ -750,7 +750,12 @@ PINNED_VERIFY_STREAMS = [
     # serially and through the pool; pinned from the scalar checkers' stream
     *((("verify", "--groups", "Z6,D3,Z2xZ4,Q8", "--theorem", "all", "--smax", "4", "--format", "jsonl",
         "--jobs", jobs), 577_562, "cad5840f7a736e1359e6888b9448365597d3832ece798d8a7d2054dc06cccfa1")
-      for jobs in ("1", "2")),
+      for jobs in ("1", "2", "3")),
+    # three exhaustive Kneser tasks, each dealt across the workers unit by
+    # unit; pinned from the stream as each task ran whole on one worker
+    *((("verify", "--groups", "Z6,Z8,Z2xZ4", "--theorem", "kneser", "--format", "jsonl", "--jobs", jobs),
+       134_021, "2545c308118e1d873422937f588108dcea705b9da5dc99a2bec31a75833db7a3")
+      for jobs in ("1", "2", "3")),
 ]
 
 

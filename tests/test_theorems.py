@@ -1012,6 +1012,13 @@ def test_exploration_is_noted_for_each_abelian_only_statement():
     assert r.summary["exploration"] == [["KNESER", "D8"]]
 
 
+@pytest.fixture
+def pool_cpus(monkeypatch):
+    """Let a pool start up to three workers, whatever CPUs the host lets this process use."""
+    monkeypatch.setattr(theorems, "_usable_cpus", lambda: 3)
+
+
+@pytest.mark.usefixtures("pool_cpus")
 def test_sweep_is_deterministic_and_jobs_invariant():
     cfg = dict(groups=("Z6", "Z9"), theorems=("kneser", "dichotomy"),
                mode="sampled", samples=400, s_samples=3, seed=11)
@@ -1043,34 +1050,70 @@ fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                reason="monkeypatches reach pool workers through fork only")
 
 POOL_CASES = {
-    # six tasks on two or three workers, each stream many chunks long
+    # six tasks on two or three workers, each stream many units long
     "more-tasks-than-jobs": dict(groups=("Z6", "D3", "Z2xZ2"), theorems=("kneser", "dichotomy"),
                                  s_max=3),
-    # two tasks, the third worker finds none
+    # two tasks: streamed, each dealt across every worker; counted, the
+    # third worker is not started
     "more-jobs-than-tasks": dict(groups=("Z6",), theorems=("kneser", "chain")),
     # Z6's 3969 pairs are refused between Z5's 961 and Z2xZ2's 225
     "refused-in-the-middle": dict(groups=("Z5", "Z6", "Z2xZ2"), theorems=("kneser",),
                                   max_instances=1000),
+    # every exhaustive driver, each task split into many units
+    "every-driver": dict(groups=("Z6", "D3", "Z2xZ2"), theorems=theorems.DRIVER_NAMES, s_max=3),
+    # Z7's first S of size 3 has 406 cell pairs and streams them; its second,
+    # with 630, is refused mid-task
+    "refused-mid-task": dict(groups=("Z7",), theorems=("intersection", "dichotomy"), s_min=3, s_max=3,
+                             max_instances=500),
+    # above the enumeration cap, the corollary's first S of size 3 is refused
+    # by the checker inside a unit, which only that unit's worker sees
+    "refused-inside-a-unit": dict(groups=("Z6", "D3"), theorems=("corollary", "kneser"), enumeration_cap=4),
+    # D3's 54 Kneser FINDINGs and D4's 32 dichotomy FINDINGs, capped
+    "capped-kneser-findings": dict(groups=("D3",), theorems=("kneser",)),
+    "capped-dichotomy-findings": dict(groups=("D3", "D4"), theorems=("dichotomy",), s_max=3),
+    # one task, dealt across every worker
+    "one-task": dict(groups=("Z6",), theorems=("kneser",)),
+    # Z2's and Z3's T spaces are one block each, so a worker skips the set-up
+    # of each S it does not own
+    "dichotomy-one-block-per-s": dict(groups=("Z2", "Z3"), theorems=("dichotomy",)),
 }
 
 
+def small_units(monkeypatch):
+    """Cut every task into many units, in sink and counting mode, and cap the records kept at 20."""
+    monkeypatch.setattr(theorems, "_LINE_CHUNK", 7)
+    monkeypatch.setattr(theorems, "_CHUNK", 97)
+    monkeypatch.setattr(theorems, "_S_CHUNK", 5)
+    monkeypatch.setattr(theorems, "RECORD_CAP", 20)
+
+
 @fork_only
+@pytest.mark.usefixtures("pool_cpus")
 @pytest.mark.parametrize("case", POOL_CASES)
 def test_pool_streams_the_serial_records_in_small_chunks(case, monkeypatch):
-    # chunks of 7 lines: each task's stream crosses many chunk boundaries,
-    # in sink and counting mode
-    monkeypatch.setattr(theorems, "_LINE_CHUNK", 7)
+    # units of 7 lines with a sink and of 97 instances (5 sets) without:
+    # each task crosses many unit boundaries; streamed, an exhaustive task
+    # is dealt across two or three workers, whatever the host's CPUs
+    small_units(monkeypatch)
     serial_lines = []
     serial = run_sweep(SweepConfig(**POOL_CASES[case]), sink=serial_lines.append)
     counted = run_sweep(SweepConfig(**POOL_CASES[case])).summary
     assert counted == serial.summary
-    if case == "refused-in-the-middle":
-        assert [r["group"] for r in serial.errors] == ["Z6"]
-    for jobs in (2, 3):
+    refused = {"refused-in-the-middle": ["Z6"], "refused-mid-task": ["Z7"], "refused-inside-a-unit": ["Z6", "D3"]}
+    if case in refused:
+        assert [r["group"] for r in serial.errors] == refused[case]
+    if case == "refused-mid-task":
+        # after the 406 lines of the first S
+        assert serial_lines.index(theorems.jsonl_line(serial.errors[0])) == 406
+    if case.startswith("capped"):
+        assert serial.summary["totals"]["FINDING"] > len(serial.findings) == 20
+    for jobs in (1, 2, 3):
         lines = []
         with deadline(120):
             pooled = run_sweep(SweepConfig(**POOL_CASES[case], jobs=jobs), sink=lines.append)
             pooled_count = run_sweep(SweepConfig(**POOL_CASES[case], jobs=jobs)).summary
+        # run_sweep's sink still takes one line per call
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines), jobs
         assert lines == serial_lines, jobs
         assert (pooled.summary, pooled.violations, pooled.findings, pooled.errors) == (
             serial.summary, serial.violations, serial.findings, serial.errors), jobs
@@ -1079,6 +1122,74 @@ def test_pool_streams_the_serial_records_in_small_chunks(case, monkeypatch):
 
 
 @fork_only
+@pytest.mark.usefixtures("pool_cpus")
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_one_task_is_settled_by_every_worker(jobs, monkeypatch):
+    # each worker counts the units it ships with lines in memory that the
+    # forked workers share; Z6's 3969 Kneser pairs make 63 units, one Y each
+    small_units(monkeypatch)
+    shipped = multiprocessing.Array("i", jobs)
+    real_ship = theorems._DealtState.ship
+
+    def counted_ship(self, last=False):
+        if self.lines:
+            with shipped.get_lock():
+                shipped[self.seat] += 1
+        real_ship(self, last)
+
+    monkeypatch.setattr(theorems._DealtState, "ship", counted_ship)
+    cfg = SweepConfig(groups=("Z6",), theorems=("kneser",))
+    serial = []
+    run_sweep(cfg, sink=serial.append)
+    pooled = []
+    with deadline(60):
+        run_sweep(SweepConfig(groups=("Z6",), theorems=("kneser",), jobs=jobs), sink=pooled.append)
+    assert pooled == serial
+    assert sum(shipped) == 63 and min(shipped) >= 63 // jobs
+    assert multiprocessing.active_children() == []
+
+
+def test_the_pool_starts_at_most_one_worker_per_usable_cpu(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert theorems._usable_cpus() == len(os.sched_getaffinity(0))
+    # a Process that starts nothing: its pipe's write end is closed unused,
+    # so the sweep ends at once, naming task 0, after the pool was built
+    made = []
+
+    class Idle:
+        exitcode = None
+
+        def __init__(self, target, name, args):
+            made.append(name)
+
+        def start(self):
+            pass
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    ctx = multiprocessing.get_context()
+    stub = type("Context", (), {"Pipe": staticmethod(ctx.Pipe), "Process": Idle})
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: stub)
+    monkeypatch.setattr(theorems, "_usable_cpus", lambda: 4)
+    with pytest.raises(RuntimeError, match=r"task 0 \(kneser on Z6\) did not finish"):
+        run_sweep(SweepConfig(groups=("Z6",), theorems=("kneser",), jobs=10_000), sink=[].append)
+    assert made == [f"cellkit-sweep-{w}" for w in range(4)]
+    # a task dealt whole takes one worker at most: one task, counted, runs
+    # in this process, as does any sweep on one usable CPU
+    made.clear()
+    for cpus, sink in ((4, None), (1, [].append)):
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
+        assert run_sweep(SweepConfig(groups=("Z6",), theorems=("kneser",), jobs=10_000), sink=sink).summary == (
+            run_sweep(SweepConfig(groups=("Z6",), theorems=("kneser",)))).summary
+    assert made == []
+
+
+@fork_only
+@pytest.mark.usefixtures("pool_cpus")
 @pytest.mark.parametrize("failure", ["raises", "exits"])
 def test_a_failed_pool_worker_makes_the_sweep_raise(failure, monkeypatch):
     # task 1, Kneser on Z3, fails in its worker: by an exception, or by the
@@ -1109,11 +1220,12 @@ def test_a_failed_pool_worker_makes_the_sweep_raise(failure, monkeypatch):
 
 
 @fork_only
+@pytest.mark.usefixtures("pool_cpus")
 def test_a_worker_that_exits_in_its_second_task_keeps_its_first_tasks_lines(monkeypatch):
-    # tasks 0..3 are Kneser on Z2..Z5; on two workers task 3 is worker 1's
-    # second task. Every line sent before the exit reaches the sink, task
-    # 1's on the same worker included, and then the sweep names the task
-    # the worker died in.
+    # tasks 0..3 are Kneser on Z2..Z5, each dealt across both workers, and
+    # each worker exits once it reaches task 3. Every line sent before the
+    # exit reaches the sink, each worker's units of tasks 0..2 included,
+    # and then the sweep names the task the worker died in.
     real = theorems._DRIVERS["kneser"]
 
     def exiting(g, cfg, state, seed):
@@ -1134,6 +1246,31 @@ def test_a_worker_that_exits_in_its_second_task_keeps_its_first_tasks_lines(monk
 
 
 @fork_only
+@pytest.mark.usefixtures("pool_cpus")
+def test_a_worker_past_a_tasks_end_is_not_heard(monkeypatch):
+    # each task is refused inside its first unit, which one worker settles;
+    # the other runs on past the serial end and raises where the serial
+    # run never gets, and that exception is dropped with its task
+    def refuse(i):
+        raise theorems.EnumerationCapError("refused inside the unit")
+
+    def driver(g, cfg, state, seed):
+        theorems._check_batch(state, g.label, theorems._TAGS["kneser"], (np.arange(1),), refuse)
+        raise ValueError("past the end")
+
+    monkeypatch.setitem(theorems._DRIVERS, "kneser", driver)
+    cfg = dict(groups=("Z2", "Z3"), theorems=("kneser",))
+    serial_lines, lines = [], []
+    serial = run_sweep(SweepConfig(**cfg), sink=serial_lines.append)
+    with deadline(60):
+        pooled = run_sweep(SweepConfig(**cfg, jobs=2), sink=lines.append)
+    assert lines == serial_lines
+    assert pooled.errors == serial.errors and [r["group"] for r in serial.errors] == ["Z2", "Z3"]
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+@pytest.mark.usefixtures("pool_cpus")
 def test_a_worker_killed_mid_message_makes_the_sweep_raise(monkeypatch):
     # a worker killed while a chunk is half written, as an OOM kill can
     # catch it once the chunk outgrows the pipe, leaves a message cut short
@@ -1148,18 +1285,26 @@ def test_a_worker_killed_mid_message_makes_the_sweep_raise(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_pool_under_spawn_streams_the_serial_records(monkeypatch):
-    # spawned workers share no memory with the parent: the groups built by
-    # the pre-flight reach them pickled, as under forkserver
-    spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
-    cfg = dict(groups=("Z6", "D3"), theorems=("kneser", "chain"), s_max=2)
-    serial_lines, pooled_lines = [], []
-    serial = run_sweep(SweepConfig(**cfg), sink=serial_lines.append)
+@pytest.mark.usefixtures("pool_cpus")
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_under_spawn_streams_the_serial_records(method, monkeypatch):
+    # spawned and forkserver workers share no memory with the parent: the
+    # groups built by the pre-flight and each unit's state travel pickled.
+    # Z2xZ4's Kneser task is many units of whole Y rows, dealt across both
+    # workers
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+    cfg = SweepConfig(groups=("Z2xZ4", "D3"), theorems=("kneser", "chain"), s_max=2)
+    pooled_cfg = SweepConfig(groups=("Z2xZ4", "D3"), theorems=("kneser", "chain"), s_max=2, jobs=2)
+    serial_units, pooled_units = [], []
+    serial = theorems.sweep_groups(cfg, theorems.prepare_sweep(cfg), serial_units.append)
     with deadline(120):
-        pooled = run_sweep(SweepConfig(**cfg, jobs=2), sink=pooled_lines.append)
-    assert pooled_lines == serial_lines
-    assert pooled.summary == serial.summary
+        pooled = theorems.sweep_groups(pooled_cfg, theorems.prepare_sweep(pooled_cfg), pooled_units.append)
+    assert pooled_units == serial_units
+    rows = theorems._LINE_CHUNK // 255  # of 255 X each, in a unit
+    assert serial_units[0].count("\n") == rows * 255
+    assert {theorems._owner(pooled_cfg, 0, unit, True) for unit in range(-(-255 // rows))} == {0, 1}
+    assert (pooled.summary, pooled.findings) == (serial.summary, serial.findings)
     assert multiprocessing.active_children() == []
 
 
