@@ -41,9 +41,13 @@ takes a unit's lines joined, and run_sweep's one line per call.
 run_sweep is prepare_sweep, which builds every group once and checks the
 set spec against each before anything is written, then sweep_groups, the
 task loop on those groups, which lists exploration mode from the tasks.
-With more than one job it runs the tasks on a pool of worker processes
-(_pool_sweep), dealing a streamed exhaustive task's units across the
-workers and any other task whole (_striped).
+Every task runs in one frame, _DealtState, which ships each unit it
+settles as one message (task, lines, tallies, last) to one receiver in
+stream order. With one job the frame is the one seat of the loop and
+hands its units to the receiver directly; with more it runs in each
+worker of a pool (_pool_sweep), which deals a streamed exhaustive task's
+units across the workers and any other task whole (_striped), and the
+parent passes the messages it reads to the same receiver.
 Every refusal of a task as too large is an EnumerationCapError raised
 where it is found: a space above max_instances in the drivers, an order
 above the cap in the enumeration, masks wider than 64 bits in
@@ -492,7 +496,7 @@ def _lines(templates: Sequence[tuple[str, list[tuple[str, type]]]], masks: Seque
            fields: dict[str, np.ndarray], spec: Callable[[int], str]) -> list[list[str]]:
     """One list per outcome of the lines of the instances its mask picks, in order.
 
-    templates holds each outcome's line_template (_SweepState.templates),
+    templates holds each outcome's line_template (_DealtState.templates),
     which takes each field from the column of that name, a str field (a
     mask) through spec, the task's memoized mask_spec.
     """
@@ -505,90 +509,30 @@ def _lines(templates: Sequence[tuple[str, list[tuple[str, type]]]], masks: Seque
 
 
 class _SweepState:
-    """A task's tallies, its first RECORD_CAP violations and findings and its errors.
+    """Tallies, the first RECORD_CAP violations and findings, and the errors.
 
-    The task runs in units, one _check_batch call each. With lines to
-    render (a sink, or a pool worker collecting them), lines holds those of
-    the unit being settled, and ship hands them to sink as one str.
+    One is a sweep's total; another, a unit's part, holds what the unit
+    settled and is merged into the total in stream order.
     """
 
-    def __init__(self, sink: Callable[[str], None] | None = None, render: bool = False) -> None:
-        self.sink = sink
-        self.lines: list[str] | None = [] if render or sink is not None else None
-        # mask_spec memoized for the task in a bounded cache, so a wide sampled
-        # stream holds few strings, while the same mask recurs across batches
-        self.spec = None if self.lines is None else functools.lru_cache(maxsize=1 << 12)(mask_spec)
-        self.outcomes = self.made = None  # the last outcomes rendered, and their templates
+    def __init__(self) -> None:
         self.counts: dict[tuple[str, str, str], int] = {}
         self.violations: list[dict] = []
         self.findings: list[dict] = []
         self.errors: list[dict] = []
-
-    @property
-    def chunk(self) -> int:
-        """About how many instances a driver hands _check_batch at once.
-
-        With lines to render, at most _LINE_CHUNK: a unit's lines, which its
-        pool worker and the parent each hold whole, stay small, and on a
-        pool the units interleave finely.
-        """
-        return _CHUNK if self.lines is None else min(_CHUNK, _LINE_CHUNK)
-
-    def claim(self) -> bool:
-        """Whether this state settles the task's next unit; outside a pool, every one."""
-        return True
-
-    def skip(self, k: int) -> bool:
-        """Whether this state settles none of the task's next k units, which then count as met."""
-        return False
-
-    def ship(self, last: bool = False) -> None:
-        """Close the unit settled (the task, when last): its lines go to sink in one call."""
-        if self.lines:
-            self.sink("".join(self.lines))
-            self.lines.clear()
-
-    def templates(self, label: str, theorem: Theorem,
-                  outcomes: Sequence[tuple[Status, dict]]) -> list[tuple[str, list[tuple[str, type]]]]:
-        """The line_template of each outcome, made once for a run of units that share outcomes.
-
-        An outcome is (status, witness skeleton), the skeleton a witness for
-        line_template; a driver keeps one outcomes object per task or per S.
-        """
-        if self.outcomes is not outcomes:
-            self.outcomes = outcomes
-            self.made = [line_template(_verdict_record(label, theorem, status, witness))
-                         for status, witness in outcomes]
-        return self.made
 
     def tally(self, theorem: str, group: str, status: str, k: int = 1) -> None:
         if k:
             key = (theorem, group, status)
             self.counts[key] = self.counts.get(key, 0) + k
 
-    def add(self, group: str, verdict: TheoremVerdict) -> None:
-        self.tally(verdict.theorem.value, group, verdict.status.value)
-        record = _verdict_record(group, verdict.theorem, verdict.status, verdict.witness)
-        if verdict.status is Status.VIOLATED and len(self.violations) < RECORD_CAP:
-            self.violations.append(record)
-        elif verdict.status is Status.FINDING and len(self.findings) < RECORD_CAP:
-            self.findings.append(record)
-        if self.lines is not None:
-            self.lines.append(jsonl_line(record))
-
     def merge(self, part: _SweepState) -> None:
-        """Fold in the state of the next task or unit, as if its records followed."""
+        """Fold in the state of the next unit, as if its records followed."""
         for (theorem, group, status), k in part.counts.items():
             self.tally(theorem, group, status, k)
         self.violations.extend(part.violations[:RECORD_CAP - len(self.violations)])
         self.findings.extend(part.findings[:RECORD_CAP - len(self.findings)])
         self.errors.extend(part.errors)
-
-    def error(self, theorem: Theorem, group: str, message: str) -> None:
-        record = {"kind": "error", "theorem": theorem.value, "group": group, "message": message}
-        self.errors.append(record)
-        if self.lines is not None:
-            self.lines.append(jsonl_line(record))
 
 
 def _derive_seed(*parts: object) -> int:
@@ -608,18 +552,18 @@ def _s_space(g: Group, cfg: SweepConfig, seed: int) -> Sequence[ElementSet] | Id
 
 # counting sweeps hand instances to _check_batch in chunks of about this many
 _CHUNK = 1 << 16
-# with lines to render, in chunks of at most this many (_SweepState.chunk)
+# with lines to render, in chunks of at most this many (_DealtState.chunk)
 _LINE_CHUNK = 1 << 11
 
 
-def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], columns: Sequence[np.ndarray],
+def _check_batch(state: _DealtState, label: str, tags: tuple[Theorem, ...], columns: Sequence[np.ndarray],
                  check: Callable[..., TheoremVerdict | list[TheoremVerdict]],
                  settle: Callable[..., tuple[Sequence[np.ndarray], dict[str, np.ndarray]]] | None = None,
                  outcomes: Sequence[tuple[Status, dict | None]] = ()) -> None:
     """Check a batch of instances, given as parallel columns, in instance order: one unit of the task.
 
-    A state that does not claim the unit (another pool worker settles it)
-    skips it before the settle. settle(*columns) returns (masks, fields):
+    A frame that does not claim the unit (another seat settles it) skips
+    it before the settle. settle(*columns) returns (masks, fields):
     one mask per outcome, the instances it decides that way, and the
     witness columns by field name. Each mask is tallied in bulk under its
     outcome's status and every tag (a statement in parts, the corollary, is
@@ -642,7 +586,7 @@ def _check_batch(state: _SweepState, label: str, tags: tuple[Theorem, ...], colu
         counts = [int(np.count_nonzero(mask)) for mask in masks]
         for tag in tags:
             for (status, _), k in zip(outcomes, counts):
-                state.tally(tag.value, label, status.value, k)
+                state.part.tally(tag.value, label, status.value, k)
         rest = ~np.logical_or.reduce(masks)
         if state.lines is not None:
             # the decided lines placed by instance, the checked ones added in their gaps
@@ -694,7 +638,7 @@ def _kneser_batch(g: Group, x: np.ndarray, y: np.ndarray,
         rhs=rhs)
 
 
-def _sweep_kneser(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
+def _sweep_kneser(g: Group, cfg: SweepConfig, state: _DealtState, seed: int) -> None:
     explore = not g.is_abelian
     n = g.order
     base = dict(group=g.label, x=str, y=str, xy_size=int, bound=int)
@@ -830,7 +774,7 @@ def _olson_ranks(union_counts: Sequence[int], cfg: SweepConfig, seed: int, dtype
         yield tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
+def _sweep_olson(g: Group, cfg: SweepConfig, state: _DealtState, seed: int) -> None:
     dtype = mask_dtype(g.order)
     subs = all_subgroups(g)
     bits = [h.bits for h in subs]
@@ -858,7 +802,7 @@ def _sweep_olson(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> N
 
 # -- cell intersection sweep ----------------------------------------------
 
-def _sweep_intersection(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
+def _sweep_intersection(g: Group, cfg: SweepConfig, state: _DealtState, seed: int) -> None:
     for s in _s_space(g, cfg, seed):
         bits = _full_cell_enumeration(g, s.bits, cfg.enumeration_cap)[0]
         m = len(bits)
@@ -1004,7 +948,7 @@ def _class_settle(g: Group, sets: Sequence[ElementSet], cap: int,
     return tuple(mask[at] for mask in known[1:])
 
 
-def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task: str,
+def _sweep_sets(g: Group, cfg: SweepConfig, state: _DealtState, seed: int, task: str,
                 check: Callable[[ElementSet], TheoremVerdict | list[TheoremVerdict]],
                 batch: Callable[..., tuple[np.ndarray, np.ndarray]]) -> None:
     """Check one instance per S of the S space, in chunks of _S_CHUNK sets.
@@ -1026,12 +970,12 @@ def _sweep_sets(g: Group, cfg: SweepConfig, state: _SweepState, seed: int, task:
                      ((Status.NOT_APPLICABLE, None), (Status.HOLDS, None)))
 
 
-def _sweep_chain(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
+def _sweep_chain(g: Group, cfg: SweepConfig, state: _DealtState, seed: int) -> None:
     _sweep_sets(g, cfg, state, seed, "chain",
                 lambda s: check_theorem_subgroup_kernels(s, cap=cfg.enumeration_cap), _chain_batch)
 
 
-def _sweep_corollary(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
+def _sweep_corollary(g: Group, cfg: SweepConfig, state: _DealtState, seed: int) -> None:
     _sweep_sets(g, cfg, state, seed, "corollary",
                 lambda s: check_corollary_kernel_structure(s, explore=not g.is_abelian,
                                                            cap=cfg.enumeration_cap),
@@ -1096,7 +1040,7 @@ def _sampled_t_masks(g: Group, count: int, rng: np.random.Generator,
             yield masks
 
 
-def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) -> None:
+def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _DealtState, seed: int) -> None:
     """Check every (S, T) of the S space and the T space, T in blocks of _T_BLOCK or state.chunk.
 
     Each block is drawn or walked, settled and tallied before the next, so
@@ -1109,10 +1053,6 @@ def _sweep_dichotomy(g: Group, cfg: SweepConfig, state: _SweepState, seed: int) 
     block = min(_T_BLOCK, state.chunk)
     total = (1 << n) - 1
     for s in _s_space(g, cfg, seed):
-        # a pool worker that settles none of the blocks of S skips its set-up,
-        # balandraud_details' enumeration above all
-        if cfg.mode == "exhaustive" and state.skip(-(-total // block)):
-            continue
         h = balandraud_details(s, cap=cfg.enumeration_cap).subgroup
         # after the enumeration, which refuses a group too large for mask tables
         right, left = translate_tables(g)
@@ -1162,12 +1102,12 @@ _TAGS = {
 _ABELIAN_ONLY = {"kneser", "corollary", "dichotomy"}
 
 
-def _run_task(g: Group, theorem: str, cfg: SweepConfig, state: _SweepState) -> _SweepState:
-    """Run one (group, theorem) task into state, a fresh one; a refused task ends in one error record.
+def _run_task(g: Group, theorem: str, cfg: SweepConfig, state: _DealtState) -> None:
+    """Run one (group, theorem) task in state, a fresh frame; a refused task ends in one error record.
 
     The task's end, with its error record if refused, is shipped as the
-    unit after the last one settled, so in a pool the worker that owns that
-    unit tells it: once, in its serial place.
+    unit after the last one settled, so the seat that owns that unit tells
+    it: once, in its serial place.
     """
     seed = _derive_seed(cfg.seed if cfg.seed is not None else 0, g.label, theorem)
     try:
@@ -1176,7 +1116,6 @@ def _run_task(g: Group, theorem: str, cfg: SweepConfig, state: _SweepState) -> _
         state.error(_TAGS[theorem][0], g.label, str(exc))
     if state.claim():
         state.ship(last=True)
-    return state
 
 
 def _tasks(config: SweepConfig) -> list[tuple[str, str]]:
@@ -1215,49 +1154,89 @@ def _owner(cfg: SweepConfig, task: int, unit: int, striped: bool) -> int:
     return (task + (unit if striped else 0)) % cfg.jobs
 
 
-class _DealtState(_SweepState):
-    """A pool worker's state for task `task`: it settles the units that _owner deals to seat.
+class _DealtState:
+    """The frame of task `task` on seat `seat` of cfg.jobs: it settles the units _owner deals to seat.
 
-    claim skips every other unit before its settle. ship sends on conn, as
-    one message (task, lines joined, a state of the tallies and records
-    since the last message, last), each owned unit of a striped task, and
-    of a task dealt whole each unit with lines and the task's end. What a
-    worker keeps after its last owned unit, such as a refusal's error
-    record that the owner of the next unit also tells, is dropped with the
-    state.
+    The task runs in units, one _check_batch call each; claim skips every
+    unit dealt to another seat before its settle. With lines to render
+    (collect), lines holds those of the unit being settled, and part its
+    tallies and records. ship hands deliver one message (task, lines
+    joined, part, last): each owned unit of a striped task, and of a task
+    dealt whole each unit with lines and the task's end. deliver is a pool
+    worker's send, or, serially on the one seat of a one-job cfg, the
+    sweep's own receiver. What a seat keeps after its last owned unit, such
+    as a refusal's error record that the owner of the next unit also tells,
+    is dropped with the frame.
     """
 
-    def __init__(self, cfg: SweepConfig, task: int, seat: int, collect: bool, conn) -> None:
-        super().__init__(render=collect)
-        self.cfg, self.task, self.seat, self.conn = cfg, task, seat, conn
+    def __init__(self, cfg: SweepConfig, task: int, seat: int, collect: bool,
+                 deliver: Callable[[tuple], None]) -> None:
+        self.cfg, self.task, self.seat, self.deliver = cfg, task, seat, deliver
         self.striped = _striped(cfg, collect)
         self.units = 0  # of the task, met so far
+        self.lines: list[str] | None = [] if collect else None
+        # mask_spec memoized for the task in a bounded cache, so a wide sampled
+        # stream holds few strings, while the same mask recurs across batches
+        self.spec = functools.lru_cache(maxsize=1 << 12)(mask_spec) if collect else None
+        self.outcomes = self.made = None  # the last outcomes rendered, and their templates
+        self.part = _SweepState()
+
+    @property
+    def chunk(self) -> int:
+        """About how many instances a driver hands _check_batch at once.
+
+        With lines to render, at most _LINE_CHUNK: a unit's lines, which its
+        pool worker and the parent each hold whole, stay small, and on a
+        pool the units interleave finely.
+        """
+        return _CHUNK if self.lines is None else min(_CHUNK, _LINE_CHUNK)
+
+    def templates(self, label: str, theorem: Theorem,
+                  outcomes: Sequence[tuple[Status, dict]]) -> list[tuple[str, list[tuple[str, type]]]]:
+        """The line_template of each outcome, made once for a run of units that share outcomes.
+
+        An outcome is (status, witness skeleton), the skeleton a witness for
+        line_template; a driver keeps one outcomes object per task or per S.
+        """
+        if self.outcomes is not outcomes:
+            self.outcomes = outcomes
+            self.made = [line_template(_verdict_record(label, theorem, status, witness))
+                         for status, witness in outcomes]
+        return self.made
+
+    def add(self, group: str, verdict: TheoremVerdict) -> None:
+        part = self.part
+        part.tally(verdict.theorem.value, group, verdict.status.value)
+        record = _verdict_record(group, verdict.theorem, verdict.status, verdict.witness)
+        if verdict.status is Status.VIOLATED and len(part.violations) < RECORD_CAP:
+            part.violations.append(record)
+        elif verdict.status is Status.FINDING and len(part.findings) < RECORD_CAP:
+            part.findings.append(record)
+        if self.lines is not None:
+            self.lines.append(jsonl_line(record))
+
+    def error(self, theorem: Theorem, group: str, message: str) -> None:
+        record = {"kind": "error", "theorem": theorem.value, "group": group, "message": message}
+        self.part.errors.append(record)
+        if self.lines is not None:
+            self.lines.append(jsonl_line(record))
 
     def claim(self) -> bool:
+        """Whether this seat settles the task's next unit."""
         if _owner(self.cfg, self.task, self.units, self.striped) == self.seat:
             return True
         self.units += 1
         return False
 
-    def skip(self, k: int) -> bool:
-        # the deal repeats every cfg.jobs units
-        if any(_owner(self.cfg, self.task, self.units + j, self.striped) == self.seat
-               for j in range(min(k, self.cfg.jobs))):
-            return False
-        self.units += k
-        return True
-
     def ship(self, last: bool = False) -> None:
+        """Close the unit settled (the task, when last) and deliver it."""
         if not (self.striped or self.lines or last):
             return
-        part = _SweepState()
-        part.counts, part.violations, part.findings, part.errors = (
-            self.counts, self.violations, self.findings, self.errors)
-        self.counts, self.violations, self.findings, self.errors = {}, [], [], []
         text = "".join(self.lines) if self.lines else ""
         if self.lines:
             self.lines.clear()
-        self.conn.send((self.task, text, part, last))
+        part, self.part = self.part, _SweepState()
+        self.deliver((self.task, text, part, last))
         self.units += 1
 
 
@@ -1265,47 +1244,47 @@ def _worker(seat: int, groups: dict[str, Group], cfg: SweepConfig, collect: bool
     """Pool worker `seat` of cfg.jobs: run the tasks in order, sending the units dealt to it on conn.
 
     It runs every striped task (_striped) and each task dealt whole to it,
-    each into a _DealtState, rendering lines if collect. conn is the write
-    end of a one-way pipe whose read end only the parent holds; a send
-    returns once the message is in the pipe, and blocks while the pipe is
-    full, so the worker runs at most about one unit ahead of the parent. A
-    task that raises ends in (task, None, (exception, traceback), True)
-    instead, and the worker goes on to its next task: the parent raises it,
-    unless the task had ended in another worker's unit before this worker
-    got there. groups are the parent's, built once by prepare_sweep:
-    inherited under fork, pickled under spawn and forkserver.
+    each in a _DealtState that delivers by conn.send, rendering lines if
+    collect. conn is the write end of a one-way pipe whose read end only
+    the parent holds; a send returns once the message is in the pipe, and
+    blocks while the pipe is full, so the worker runs at most about one
+    unit ahead of the parent. A task that raises ends in (task, None,
+    (exception, traceback), True) instead, and the worker goes on to its
+    next task: the parent raises it, unless the task had ended in another
+    worker's unit before this worker got there. groups are the parent's,
+    built once by prepare_sweep: inherited under fork, pickled under spawn
+    and forkserver.
     """
     striped = _striped(cfg, collect)
     for i, (spec, theorem) in enumerate(_tasks(cfg)):
         if not striped and _owner(cfg, i, 0, striped) != seat:
             continue
         try:
-            _run_task(groups[spec], theorem, cfg, _DealtState(cfg, i, seat, collect, conn))
+            _run_task(groups[spec], theorem, cfg, _DealtState(cfg, i, seat, collect, conn.send))
         except Exception as exc:
             conn.send((i, None, (exc, traceback.format_exc()), True))
 
 
 def _pool_sweep(tasks: list[tuple[str, str]], groups: dict[str, Group], config: SweepConfig,
-                sink: Callable[[str], None] | None, state: _SweepState) -> None:
-    """Run tasks on config.jobs worker processes and merge their units into state in stream order.
+                collect: bool, receive: Callable[[tuple], None]) -> None:
+    """Run tasks on config.jobs worker processes and hand their units to receive in stream order.
 
     Each worker has its own pipe. The parent takes each task's messages in
-    order, each from the worker that owns its unit (_owner), passes each
-    one's lines to sink in one call and merges its state, up to the task's
-    last message. A message of an earlier task is dropped, whatever it
-    carries: a worker that did not see a refusal inside another's unit runs
-    on past the task's end. A worker that raises in the task being read
-    makes this raise its exception, naming the task. A
-    worker that ends without finishing task i closes its pipe: every
-    message it sent is still read, then end-of-file makes this raise
-    RuntimeError, naming task i and the worker's exit code. No worker
+    order, each from the worker that owns its unit (_owner), and passes
+    each to receive, up to the task's last message. A message of an earlier
+    task is dropped, whatever it carries: a worker that did not see a
+    refusal inside another's unit runs on past the task's end. A worker
+    that raises in the task being read makes this raise its exception,
+    naming the task. A worker that ends without finishing task i closes its
+    pipe: every message it sent is still read, then end-of-file makes this
+    raise RuntimeError, naming task i and the worker's exit code. No worker
     outlives the call.
     """
 
     def named(i: int) -> str:
         return f"task {i} ({tasks[i][1]} on {tasks[i][0]})"
 
-    striped = _striped(config, sink is not None)
+    striped = _striped(config, collect)
     ctx = multiprocessing.get_context()
     conns: list = []
     procs: list = []
@@ -1316,7 +1295,7 @@ def _pool_sweep(tasks: list[tuple[str, str]], groups: dict[str, Group], config: 
             # closed once started, so the worker holds the only write end and its exit ends the pipe
             with out:
                 p = ctx.Process(target=_worker, name=f"cellkit-sweep-{w}",
-                                args=(w, groups, config, sink is not None, out))
+                                args=(w, groups, config, collect, out))
                 p.start()
             procs.append(p)
         for i in range(len(tasks)):
@@ -1324,21 +1303,20 @@ def _pool_sweep(tasks: list[tuple[str, str]], groups: dict[str, Group], config: 
             while True:
                 w = _owner(config, i, unit, striped)
                 try:
-                    task, text, part, last = conns[w].recv()
+                    message = conns[w].recv()
                 except (EOFError, OSError) as exc:
                     if type(exc) not in (EOFError, OSError):  # not the pipe's end, nor a message cut short
                         raise
                     procs[w].join()
                     raise RuntimeError(f"{named(i)} did not finish: a sweep worker exited with code "
                                        f"{procs[w].exitcode}") from None
+                task, text, part, last = message
                 if task != i:
                     continue
                 if text is None:
                     exc, trace = part
                     raise exc from RuntimeError(f"{named(i)} failed in a sweep worker:\n{trace}")
-                if text:
-                    sink(text)
-                state.merge(part)
+                receive(message)
                 if last:
                     break
                 unit += 1
@@ -1373,24 +1351,35 @@ def sweep_groups(config: SweepConfig, groups: dict[str, Group],
     """The task loop of a sweep, over the groups that prepare_sweep(config) returned.
 
     sink takes whole lines: each unit's (a _check_batch call's) joined into
-    one str, and each task's end, its error record if refused. With more
-    than one job, at most _usable_cpus(), the tasks run on a pool of worker
+    one str, and each task's end, its error record if refused. Every task
+    runs in a _DealtState, whose units go, in stream order, to one
+    receiver: it hands their lines to sink and merges their parts into the
+    result. With one job the tasks run here, on the one seat of a one-job
+    config. With more, at most _usable_cpus(), they run on a pool of worker
     processes (_pool_sweep): an exhaustive task with a sink dealt across
     the workers unit by unit, any other whole, so no more workers start
-    than there are tasks. Their units reach sink in the same order, so
-    neither the stream nor the result depends on the jobs, and each worker
-    holds about one unit however long the stream.
+    than there are tasks. Neither the stream nor the result depends on the
+    jobs, and each worker holds about one unit however long the stream.
     """
     tasks = _tasks(config)
     state = _SweepState()
+
+    def receive(message: tuple) -> None:
+        _, text, part, _ = message
+        if text:
+            sink(text)
+        state.merge(part)
+
+    collect = sink is not None
     jobs = min(config.jobs, _usable_cpus())
-    if not _striped(config, sink is not None):
+    if not _striped(config, collect):
         jobs = min(jobs, len(tasks))
     if jobs <= 1:
-        for spec, theorem in tasks:
-            state.merge(_run_task(groups[spec], theorem, config, _SweepState(sink)))
+        one = dataclasses.replace(config, jobs=1)
+        for i, (spec, theorem) in enumerate(tasks):
+            _run_task(groups[spec], theorem, one, _DealtState(one, i, 0, collect, receive))
     else:
-        _pool_sweep(tasks, groups, dataclasses.replace(config, jobs=jobs), sink, state)
+        _pool_sweep(tasks, groups, dataclasses.replace(config, jobs=jobs), collect, receive)
     # every abelian-only statement on a nonabelian group, refused tasks included
     exploration = {(tag.value, groups[spec].label) for spec, theorem in tasks
                    if theorem in _ABELIAN_ONLY and not groups[spec].is_abelian for tag in _TAGS[theorem]}
@@ -1418,9 +1407,9 @@ def run_sweep(config: SweepConfig, sink: Callable[[str], None] | None = None) ->
     sys.stdout.write is a sink. The stream and the summary are
     deterministic functions of the configuration: tasks run in (group,
     theorem) listing order and sampled draws are seeded per task, so the
-    jobs count never changes the output. Each task fills its own state,
-    merged in task order. A bad input raises (prepare_sweep) before sink
-    sees a line.
+    jobs count never changes the output. Each unit's tallies and records
+    are merged in stream order, at every jobs count. A bad input raises
+    (prepare_sweep) before sink sees a line.
     """
     return sweep_groups(config, prepare_sweep(config), None if sink is None else _per_line(sink))
 

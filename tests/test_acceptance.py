@@ -18,6 +18,8 @@ import sys
 import time
 from itertools import combinations
 
+import pytest
+
 import conftest
 
 from cellkit import (
@@ -285,6 +287,7 @@ def test_8_cli_regression(capsys):
 
 # -- 9: repeated runs are byte-identical ----------------------------------
 
+@pytest.mark.usefixtures("pool_cpus")
 def test_9_reports_are_reproducible(capsys):
     argv = ["verify", "--groups", "Z6,Z2xZ4", "--theorem", "kneser,dichotomy",
             "--mode", "sampled", "--samples", "2000", "--s-samples", "3",

@@ -759,6 +759,7 @@ PINNED_VERIFY_STREAMS = [
 ]
 
 
+@pytest.mark.usefixtures("pool_cpus")
 @pytest.mark.parametrize("argv, lines, digest", PINNED_VERIFY_STREAMS)
 def test_verify_streams_match_pinned_digests(capsys, argv, lines, digest):
     rc, out, _ = run_cli(capsys, *argv)

@@ -1012,12 +1012,6 @@ def test_exploration_is_noted_for_each_abelian_only_statement():
     assert r.summary["exploration"] == [["KNESER", "D8"]]
 
 
-@pytest.fixture
-def pool_cpus(monkeypatch):
-    """Let a pool start up to three workers, whatever CPUs the host lets this process use."""
-    monkeypatch.setattr(theorems, "_usable_cpus", lambda: 3)
-
-
 @pytest.mark.usefixtures("pool_cpus")
 def test_sweep_is_deterministic_and_jobs_invariant():
     cfg = dict(groups=("Z6", "Z9"), theorems=("kneser", "dichotomy"),
@@ -1073,8 +1067,8 @@ POOL_CASES = {
     "capped-dichotomy-findings": dict(groups=("D3", "D4"), theorems=("dichotomy",), s_max=3),
     # one task, dealt across every worker
     "one-task": dict(groups=("Z6",), theorems=("kneser",)),
-    # Z2's and Z3's T spaces are one block each, so a worker skips the set-up
-    # of each S it does not own
+    # Z2's and Z3's T spaces are one block each, so each S is one unit, dealt
+    # to one worker, while every worker runs the set-up of every S
     "dichotomy-one-block-per-s": dict(groups=("Z2", "Z3"), theorems=("dichotomy",)),
 }
 
@@ -1097,7 +1091,8 @@ def test_pool_streams_the_serial_records_in_small_chunks(case, monkeypatch):
     small_units(monkeypatch)
     serial_lines = []
     serial = run_sweep(SweepConfig(**POOL_CASES[case]), sink=serial_lines.append)
-    counted = run_sweep(SweepConfig(**POOL_CASES[case])).summary
+    counted_run = run_sweep(SweepConfig(**POOL_CASES[case]))
+    counted = counted_run.summary
     assert counted == serial.summary
     refused = {"refused-in-the-middle": ["Z6"], "refused-mid-task": ["Z7"], "refused-inside-a-unit": ["Z6", "D3"]}
     if case in refused:
@@ -1107,6 +1102,10 @@ def test_pool_streams_the_serial_records_in_small_chunks(case, monkeypatch):
         assert serial_lines.index(theorems.jsonl_line(serial.errors[0])) == 406
     if case.startswith("capped"):
         assert serial.summary["totals"]["FINDING"] > len(serial.findings) == 20
+        # the capped list is the stream's first 20 FINDING records, counted or not
+        first = [r for r in map(json.loads, serial_lines) if r.get("status") == "FINDING"][:20]
+        assert serial.findings == first
+        assert counted_run.findings == first
     for jobs in (1, 2, 3):
         lines = []
         with deadline(120):
@@ -1141,6 +1140,8 @@ def test_one_task_is_settled_by_every_worker(jobs, monkeypatch):
     cfg = SweepConfig(groups=("Z6",), theorems=("kneser",))
     serial = []
     run_sweep(cfg, sink=serial.append)
+    # the serial run ships the same units from seat 0, in this process
+    shipped[:] = [0] * jobs
     pooled = []
     with deadline(60):
         run_sweep(SweepConfig(groups=("Z6",), theorems=("kneser",), jobs=jobs), sink=pooled.append)
